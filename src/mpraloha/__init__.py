@@ -15,7 +15,6 @@ from .analytic import (
     delivery_prob_derivative,
     grid_search_optimum,
     lower_bound_tau,
-    optimal_tau_spr,
     solve_optimal_tau,
 )
 from .checks import CheckResult, VerifyGrid, run_all
@@ -47,7 +46,6 @@ __all__ = [
     "delivery_prob",
     "delivery_prob_derivative",
     "lower_bound_tau",
-    "optimal_tau_spr",
     "solve_optimal_tau",
     "grid_search_optimum",
     "UserState",

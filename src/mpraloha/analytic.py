@@ -10,9 +10,13 @@ there are no retransmissions: the packet is delivered exactly when its single
 attempt lands in a decodable slot before the deadline passes.
 
 `delivery_prob` evaluates the per-packet success probability for a given tau,
-and `solve_optimal_tau` finds the tau that maximizes it via a fixed-point
-iteration on the stationarity condition. `grid_search_optimum` is a slow,
-derivative-free maximizer used to cross-check the solver.
+and `solve_optimal_tau` finds the tau that maximizes it: Brent's bracketed
+zero search on the stationarity gap admitted_load - deadline_load inside
+[lower_bound_tau, 1). The paper characterises the same optimum as the fixed
+point of `iteration_map`, which `checks` verifies but which no longer drives
+the solver, because it contracts with a slope near 1 when mpr/n_users or the
+deadline is large. `grid_search_optimum` is a slow, derivative-free maximizer
+used to cross-check the solver.
 """
 
 from __future__ import annotations
@@ -33,7 +37,6 @@ __all__ = [
     "deadline_load",
     "delivery_prob_derivative",
     "lower_bound_tau",
-    "optimal_tau_spr",
     "solve_optimal_tau",
     "grid_search_optimum",
     "success_size_ratio",
@@ -45,6 +48,12 @@ __all__ = [
 # Population sizes beyond this are outside the supported regime; the closed
 # forms still hold but the float evaluation here is only validated up to it.
 N_CAP = 1000
+
+# Scaled binomial terms are divided by 2**_RESCALE_BITS once they pass it, so
+# that one more ratio step (at most n * tau / (1 - tau) < 2**64) cannot
+# overflow.
+_RESCALE_BITS = 600
+_RESCALE = 2.0**_RESCALE_BITS
 
 
 @dataclass(frozen=True)
@@ -92,7 +101,8 @@ class SolveReport:
     """Outcome of `solve_optimal_tau`.
 
     sdp_max is the delivery probability re-evaluated at tau_opt, not a value
-    carried through the iteration. residual is the last iterate displacement.
+    carried through the search. `solve_optimal_tau` describes iterations,
+    residual and converged.
     """
 
     tau_opt: TxProbability
@@ -148,7 +158,9 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
     """Return (sum_{i<m} P(Y=i), sum_{i<m} i*P(Y=i)) for Y ~ Binomial(n, tau).
 
     Terms are built by the ratio recurrence from (1-tau)^n. When that starting
-    value underflows, each term is evaluated in log space instead.
+    value underflows, the terms are carried scaled by 2**-shift instead: with
+    1 - tau = frac * 2**e and frac in [0.5, 1), the start is frac**n (a normal
+    float for n <= 1021) times the exact power 2**(e*n).
     """
     if tau == 0.0:
         return 1.0, 0.0
@@ -157,30 +169,27 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
     head = 0.0
     weighted = 0.0
     term = (1.0 - tau) ** n
+    ratio = tau / (1.0 - tau)
     # A subnormal start would leave the recurrence only a few mantissa
-    # bits, so anything close to the underflow floor goes to log space.
+    # bits, so anything close to the underflow floor is scaled.
     if term > 1e-280:
-        ratio = tau / (1.0 - tau)
         for i in range(m):
             head += term
             weighted += i * term
             term *= ((n - i) / (i + 1)) * ratio
         return head, weighted
-    log_tau = math.log(tau)
-    log_comp = math.log1p(-tau)
-    lg_n = math.lgamma(n + 1)
+    frac, exp2 = math.frexp(1.0 - tau)
+    term, shift = frac**n, exp2 * n
     for i in range(m):
-        log_term = (
-            lg_n
-            - math.lgamma(i + 1)
-            - math.lgamma(n - i + 1)
-            + i * log_tau
-            + (n - i) * log_comp
-        )
-        term = math.exp(log_term)
         head += term
         weighted += i * term
-    return head, weighted
+        term *= ((n - i) / (i + 1)) * ratio
+        if term > _RESCALE:
+            term /= _RESCALE
+            head /= _RESCALE
+            weighted /= _RESCALE
+            shift += _RESCALE_BITS
+    return math.ldexp(head, shift), math.ldexp(weighted, shift)
 
 
 def _window_prob(tau: float, deadline: int) -> float:
@@ -196,10 +205,12 @@ def _window_prob(tau: float, deadline: int) -> float:
 
 def admit_prob(config: ChannelConfig, tau) -> float:
     """Probability that at most mpr - 1 of the other n_users - 1 stations
-    transmit, i.e. that a given transmission would be decoded."""
+    transmit, i.e. that a given transmission would be decoded. Clamped to
+    1, which the summed binomial head can exceed by rounding when mpr is far
+    above the mean interferer count."""
     t = as_probability(tau)
     head, _ = _head_sums(config.n_users - 1, config.mpr, t)
-    return head
+    return head if head < 1.0 else 1.0
 
 
 def admit_weight(config: ChannelConfig, tau) -> float:
@@ -242,6 +253,7 @@ def delivery_prob(config: ChannelConfig, tau) -> float:
 
     Product of the probability that the packet is transmitted at all within
     its deadline window and the probability that the chosen slot is decodable.
+    Both factors are at most 1, so the result lies in [0, 1].
     """
     t = as_probability(tau)
     return _window_prob(t, config.deadline) * admit_prob(config, t)
@@ -277,14 +289,6 @@ def lower_bound_tau(n_users: int, deadline: int) -> float:
     return -math.expm1(math.log(ratio) / deadline)
 
 
-def optimal_tau_spr(n_users: int, deadline: int) -> float:
-    """Closed-form optimum for a single-packet receiver (mpr = 1).
-
-    With mpr = 1 the maximum sits exactly at the interval's left endpoint.
-    """
-    return lower_bound_tau(n_users, deadline)
-
-
 def success_size_ratio(config: ChannelConfig, tau) -> float:
     """Second-to-first moment ratio of the decoded batch size.
 
@@ -311,7 +315,7 @@ def window_bound(deadline: int, x) -> float:
     """The factor deadline^2 x^2 (1-x)^(deadline-1) / (1-(1-x)^deadline)^2.
 
     Identically 1 when deadline == 1 and strictly below 1 on (0, 1) otherwise;
-    this is what makes the fixed-point iteration contract toward the optimum.
+    this is what makes `iteration_map` contract toward the optimum.
     """
     if deadline < 1:
         raise ValueError(f"deadline must be >= 1, got {deadline}")
@@ -321,12 +325,12 @@ def window_bound(deadline: int, x) -> float:
 
 
 def iteration_map(config: ChannelConfig, x) -> float:
-    """One step of the fixed-point update:
+    """One step of the paper's fixed-point update:
 
         g(x) = x * (admitted_load(x) + 1) / (deadline_load(x) + 1)
 
     Fixed points of g on (0, 1) are exactly the stationary points of the
-    delivery probability.
+    delivery probability. The solver brackets the same point directly.
     """
     v = _open_probability(x)
     return (
@@ -336,6 +340,19 @@ def iteration_map(config: ChannelConfig, x) -> float:
     )
 
 
+def _stationarity_gap(config: ChannelConfig, x: float) -> float:
+    """admitted_load(x) - deadline_load(x), which has the sign of the
+    delivery-probability derivative. Where the admit probability underflows
+    to zero, P(x) is below its value anywhere to the left, so x lies past
+    the optimum and the gap is reported as -inf."""
+    head, weighted = _head_sums(config.n_users - 1, config.mpr, x)
+    if head == 0.0:
+        return -math.inf
+    window = _window_prob(x, config.deadline)
+    d = config.deadline
+    return weighted / head - x * (config.n_users + d - 1 - d / window)
+
+
 def solve_optimal_tau(
     config: ChannelConfig,
     tolerance: float = 1e-12,
@@ -343,38 +360,88 @@ def solve_optimal_tau(
 ) -> SolveReport:
     """Find the tau in (0, 1) maximizing `delivery_prob`.
 
-    For mpr = 1 the closed form is returned directly. Otherwise the iteration
-    x <- g(x) is started from the midpoint of the localization interval and
-    run until successive iterates move by at most `tolerance`.
+    For mpr = 1 the closed form `lower_bound_tau` is returned directly.
+    Otherwise the zero of the stationarity gap admitted_load - deadline_load
+    is found by Brent's method (inverse quadratic and secant steps,
+    safeguarded by bisection). The gap is positive below the optimum and
+    negative above it. The starting bracket is [lower_bound_tau, midpoint
+    of the localization interval]; while the gap at the right end is still
+    positive, the bracket moves right, halving the distance to 1.
+
+    The report's `iterations` counts gap evaluations after the bracket is
+    set, at most `max_iter`. `residual` is the width of the final sign-change
+    bracket, 0.0 when the gap at tau_opt is exactly zero. `converged` holds
+    when that width is at most `tolerance`, or at most a few ulps of tau_opt
+    where the bracket cannot shrink any further.
     """
     if tolerance <= 0.0:
         raise ValueError(f"tolerance must be positive, got {tolerance}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+    lo = lower_bound_tau(config.n_users, config.deadline)
     if config.mpr == 1:
-        tau = optimal_tau_spr(config.n_users, config.deadline)
         return SolveReport(
-            tau_opt=TxProbability(tau),
-            sdp_max=delivery_prob(config, tau),
+            tau_opt=TxProbability(lo),
+            sdp_max=delivery_prob(config, lo),
             iterations=0,
             residual=0.0,
             converged=True,
         )
-    x = 0.5 * (lower_bound_tau(config.n_users, config.deadline) + 1.0)
-    residual = math.inf
+    # Bracket: gap(a) > 0 >= gap(b).
+    a, fa = lo, _stationarity_gap(config, lo)
+    b = 0.5 * (lo + 1.0)
+    fb = _stationarity_gap(config, b)
+    while fb > 0.0:
+        a, fa = b, fb
+        b = 0.5 * (b + 1.0)
+        fb = _stationarity_gap(config, b)
+    # Brent's zero search (Brent 1973, ch. 4). b is the best estimate, c the
+    # other end of the bracket, a the previous b.
+    c, fc = a, fa
+    step = prev_step = b - a
     iterations = 0
-    for iterations in range(1, max_iter + 1):
-        x_next = iteration_map(config, x)
-        residual = abs(x_next - x)
-        x = x_next
-        if residual <= tolerance:
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        width = abs(c - b)
+        # Half the stopping width; also the smallest step that moves b.
+        tol = 0.5 * max(tolerance, 4.0 * math.ulp(b))
+        if fb == 0.0 or width <= 2.0 * tol or iterations == max_iter:
             break
+        half = 0.5 * (c - b)
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            bound = min(3.0 * half * q - abs(tol * q), abs(prev_step * q))
+            if 2.0 * p < bound:
+                prev_step, step = step, p / q
+            else:
+                step = prev_step = half
+        else:
+            step = prev_step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = _stationarity_gap(config, b)
+        iterations += 1
     return SolveReport(
-        tau_opt=TxProbability(x),
-        sdp_max=delivery_prob(config, x),
+        tau_opt=TxProbability(b),
+        sdp_max=delivery_prob(config, b),
         iterations=iterations,
-        residual=residual,
-        converged=residual <= tolerance,
+        residual=0.0 if fb == 0.0 else width,
+        converged=fb == 0.0 or width <= 2.0 * tol,
     )
 
 

@@ -350,7 +350,7 @@ def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
 
 
 def check_solver_oracle(grid: VerifyGrid) -> CheckResult:
-    """Fixed-point solver against the derivative-free grid search over the
+    """Solver against the derivative-free grid search over the
     dense population sweep."""
     worst_tau = -math.inf
     worst_sdp = -math.inf

@@ -3,7 +3,8 @@
 Subcommands:
     solve     optimal transmission probability for one channel
     sweep     solve over a grid of populations/capabilities/deadlines,
-              each row cross-checked against an independent grid search
+              each row cross-checked against an independent grid search;
+              exits 2 if any row is unconverged
     simulate  fixed-tau Monte Carlo runs against the analytic value
     dynamic   run a scenario file with the runtime population estimator
     verify    the analytic property checks, one PASS/FAIL line each
@@ -123,13 +124,14 @@ def _cmd_solve(args) -> int:
     if args.out:
         _emit_csv(args.out, _SOLVE_HEADER, [_solve_row(config, report)])
     if not report.converged:
-        print("error: iteration did not converge", file=sys.stderr)
+        print("error: solver did not converge", file=sys.stderr)
         return EXIT_VERIFY
     return EXIT_OK
 
 
 def _cmd_sweep(args) -> int:
     rows = []
+    unconverged = []
     for n in args.n:
         for m in args.m:
             if m >= n:
@@ -139,6 +141,8 @@ def _cmd_sweep(args) -> int:
                 report = analytic.solve_optimal_tau(
                     config, tolerance=args.tolerance
                 )
+                if not report.converged:
+                    unconverged.append(f"({n},{m},{d})")
                 grid_tau, grid_sdp = analytic.grid_search_optimum(config)
                 rows.append(
                     _solve_row(config, report)
@@ -150,6 +154,13 @@ def _cmd_sweep(args) -> int:
             "no valid (n, m, d) combination in the requested sweep"
         )
     _emit_csv(args.out, _SWEEP_HEADER, rows)
+    if unconverged:
+        print(
+            f"error: solver did not converge for {len(unconverged)} of "
+            f"{len(rows)} (n,m,d) cells: {' '.join(unconverged)}",
+            file=sys.stderr,
+        )
+        return EXIT_VERIFY
     return EXIT_OK
 
 
@@ -303,9 +314,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--d", type=int, required=True,
                    help="per-packet deadline in slots")
     p.add_argument("--tolerance", type=float, default=1e-12,
-                   help="fixed-point stopping tolerance (default 1e-12)")
+                   help="bracket width at which the solver stops "
+                        "(default 1e-12)")
     p.add_argument("--max-iter", type=int, default=10_000,
-                   help="iteration cap (default 10000)")
+                   help="cap on solver gap evaluations (default 10000)")
     p.add_argument("--out", help="also write the result as one CSV row")
     p.set_defaults(func=_cmd_solve)
 
@@ -321,7 +333,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="receiver capabilities, e.g. '2,5,8'")
     p.add_argument("--d", type=_int_list, required=True,
                    help="deadlines, e.g. '1,5,10,20'")
-    p.add_argument("--tolerance", type=float, default=1e-12)
+    p.add_argument("--tolerance", type=float, default=1e-12,
+                   help="bracket width at which the solver stops "
+                        "(default 1e-12)")
     p.add_argument("--out", help="CSV path ('-' or omitted: stdout)")
     p.set_defaults(func=_cmd_sweep)
 

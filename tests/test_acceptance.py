@@ -19,7 +19,6 @@ from mpraloha.analytic import (
     delivery_prob,
     grid_search_optimum,
     lower_bound_tau,
-    optimal_tau_spr,
     solve_optimal_tau,
 )
 from mpraloha.estimator import EstimatorConfig, PopulationEstimator
@@ -78,7 +77,6 @@ def test_criterion_2_single_packet_closed_form():
             worst = max(
                 worst,
                 abs(float(report.tau_opt) - closed),
-                abs(optimal_tau_spr(n, d) - closed),
                 abs(lower_bound_tau(n, d) - closed),
             )
     _report(

@@ -18,7 +18,6 @@ from mpraloha.analytic import (
     grid_search_optimum,
     iteration_map,
     lower_bound_tau,
-    optimal_tau_spr,
     solve_optimal_tau,
     success_size_ratio,
     window_bound,
@@ -144,6 +143,12 @@ class TestDeliveryProb:
         assert admit_prob(cfg, 0.2) == pytest.approx(direct, rel=1e-13)
         weighted = sum(i * binomial_pmf(9, i, 0.2) for i in range(3))
         assert admit_weight(cfg, 0.2) == pytest.approx(weighted, rel=1e-13)
+
+    def test_flat_cells_stay_at_most_one(self):
+        # The summed binomial head rounds above 1 on these cells.
+        for n, m, d in ((200, 180, 100), (200, 199, 100), (50, 45, 100)):
+            cfg = ChannelConfig(n, m, d)
+            assert delivery_prob(cfg, solve_optimal_tau(cfg).tau_opt) <= 1.0
 
     def test_underflow_regime_stays_finite(self):
         cfg = ChannelConfig(1000, 8, 5)
@@ -283,6 +288,40 @@ class TestSolver:
         assert report.iterations == 3
         assert report.residual > 1e-12
 
+    def test_converges_on_accepted_domain(self):
+        # Reference: 60 bisection steps on the sign of the derivative. Where
+        # P is 1 to within rounding the maximizer is not determined in
+        # double precision, so tau is compared only off those flat cells.
+        for n in (10, 50, 200, 1000):
+            for m in sorted({1, 2, n // 10, n // 2, 9 * n // 10, n - 1}):
+                for d in (1, 5, 20, 100, 1000):
+                    cfg = ChannelConfig(n, m, d)
+                    report = solve_optimal_tau(cfg)
+                    assert report.converged, (n, m, d)
+                    lo = hi = lower_bound_tau(n, d)
+                    if m > 1:  # mpr = 1 peaks at the left endpoint
+                        hi = 1.0
+                        for _ in range(60):
+                            mid = 0.5 * (lo + hi)
+                            if delivery_prob_derivative(cfg, mid) > 0.0:
+                                lo = mid
+                            else:
+                                hi = mid
+                    tau = 0.5 * (lo + hi)
+                    assert report.sdp_max >= delivery_prob(cfg, tau) - 1e-12
+                    if 1.0 - report.sdp_max >= 1e-6:
+                        assert float(report.tau_opt) == pytest.approx(
+                            tau, abs=1e-9
+                        ), (n, m, d)
+
+    def test_tolerance_below_resolution_stops_at_ulps(self):
+        for n, m, d in ((20, 5, 1), (1000, 900, 5)):
+            report = solve_optimal_tau(
+                ChannelConfig(n, m, d), tolerance=1e-300
+            )
+            assert report.converged
+            assert report.residual <= 4.0 * math.ulp(float(report.tau_opt))
+
     def test_matches_grid_search(self):
         for n, m, d in ((10, 3, 5), (25, 5, 1), (40, 2, 20)):
             cfg = ChannelConfig(n, m, d)
@@ -345,7 +384,3 @@ class TestDerivativeAndMap:
         for d in (2, 5, 20):
             for x in (0.01, 0.3, 0.99):
                 assert window_bound(d, x) < 1.0
-
-    def test_optimal_tau_spr_equals_lower_bound(self):
-        assert optimal_tau_spr(10, 1) == lower_bound_tau(10, 1)
-        assert optimal_tau_spr(17, 9) == lower_bound_tau(17, 9)

@@ -1,8 +1,9 @@
 import csv
+import dataclasses
 
 import pytest
 
-from mpraloha import cli
+from mpraloha import analytic, cli
 
 SCENARIO = """\
 [channel]
@@ -140,6 +141,30 @@ class TestSweep:
             ["sweep", "--n", "10", "--m", "2", "--d", "1",
              "--out", str(target)]
         ) == 3
+
+    def test_unconverged_row_exits_two(self, tmp_path, capsys,
+                                        monkeypatch):
+        solve = analytic.solve_optimal_tau
+
+        def fake(config, **kwargs):
+            report = solve(config, **kwargs)
+            if config.n_users == 20:
+                report = dataclasses.replace(report, converged=False)
+            return report
+
+        monkeypatch.setattr(analytic, "solve_optimal_tau", fake)
+        path = tmp_path / "sweep.csv"
+        assert cli.main(
+            ["sweep", "--n", "10,20", "--m", "5", "--d", "1,5",
+             "--out", str(path)]
+        ) == 2
+        assert [r["converged"] for r in _rows(path)] == [
+            "true", "true", "false", "false"
+        ]
+        err = capsys.readouterr().err
+        assert "2 of 4" in err
+        assert "(20,5,1) (20,5,5)" in err
+        assert "(10,5," not in err
 
 
 class TestSimulate:

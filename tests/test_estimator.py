@@ -227,5 +227,10 @@ class TestTunedTau:
         )
         assert tuned_tau(30, 5, 1) == direct
 
+    def test_solves_slow_map_cell(self):
+        # Large mpr/n and deadline: the paper's fixed-point map barely
+        # contracts here, the bracketed solver still converges.
+        assert 0.0 < tuned_tau(10, 9, 100) < 1.0
+
     def test_cache_returns_identical_object(self):
         assert tuned_tau(20, 5, 1) is tuned_tau(20, 5, 1)
