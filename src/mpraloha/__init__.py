@@ -10,7 +10,6 @@ for the command line.
 from .analytic import (
     ChannelConfig,
     SolveReport,
-    TxProbability,
     delivery_prob,
     delivery_prob_derivative,
     grid_search_optimum,
@@ -41,7 +40,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelConfig",
-    "TxProbability",
     "SolveReport",
     "delivery_prob",
     "delivery_prob_derivative",

@@ -27,12 +27,10 @@ from dataclasses import dataclass
 __all__ = [
     "N_CAP",
     "ChannelConfig",
-    "TxProbability",
     "SolveReport",
     "binomial_pmf",
     "delivery_prob",
     "admit_prob",
-    "admit_weight",
     "admitted_load",
     "deadline_load",
     "delivery_prob_derivative",
@@ -54,6 +52,9 @@ N_CAP = 1000
 # overflow.
 _RESCALE_BITS = 600
 _RESCALE = 2.0**_RESCALE_BITS
+
+# Cells of the uniform scan in `grid_search_optimum`.
+_COARSE_POINTS = 2000
 
 
 @dataclass(frozen=True)
@@ -84,19 +85,6 @@ class ChannelConfig:
 
 
 @dataclass(frozen=True)
-class TxProbability:
-    """A transmission probability, validated to lie in [0, 1]."""
-
-    value: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", as_probability(self.value))
-
-    def __float__(self) -> float:
-        return self.value
-
-
-@dataclass(frozen=True)
 class SolveReport:
     """Outcome of `solve_optimal_tau`.
 
@@ -105,7 +93,7 @@ class SolveReport:
     residual and converged.
     """
 
-    tau_opt: TxProbability
+    tau_opt: float
     sdp_max: float
     iterations: int
     residual: float
@@ -114,8 +102,6 @@ class SolveReport:
 
 def as_probability(value) -> float:
     """Coerce to float and require it to be a probability in [0, 1]."""
-    if isinstance(value, TxProbability):
-        return value.value
     v = float(value)
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {value!r}")
@@ -213,18 +199,11 @@ def admit_prob(config: ChannelConfig, tau) -> float:
     return head if head < 1.0 else 1.0
 
 
-def admit_weight(config: ChannelConfig, tau) -> float:
-    """Expected number of interfering transmissions, counted only on the
-    decodable event: sum of i * P(Y = i) over i < mpr."""
-    t = as_probability(tau)
-    _, weighted = _head_sums(config.n_users - 1, config.mpr, t)
-    return weighted
-
-
 def admitted_load(config: ChannelConfig, tau) -> float:
     """Mean number of interferers given the slot is decodable.
 
-    Defined on the open interval (0, 1) only; equals admit_weight/admit_prob.
+    Defined on the open interval (0, 1) only: the sum of i * P(Y = i) over
+    i < mpr, divided by admit_prob, with Y the interferer count.
     """
     t = _open_probability(tau)
     head, weighted = _head_sums(config.n_users - 1, config.mpr, t)
@@ -381,7 +360,7 @@ def solve_optimal_tau(
     lo = lower_bound_tau(config.n_users, config.deadline)
     if config.mpr == 1:
         return SolveReport(
-            tau_opt=TxProbability(lo),
+            tau_opt=lo,
             sdp_max=delivery_prob(config, lo),
             iterations=0,
             residual=0.0,
@@ -437,7 +416,7 @@ def solve_optimal_tau(
         fb = _stationarity_gap(config, b)
         iterations += 1
     return SolveReport(
-        tau_opt=TxProbability(b),
+        tau_opt=b,
         sdp_max=delivery_prob(config, b),
         iterations=iterations,
         residual=0.0 if fb == 0.0 else width,
@@ -445,24 +424,19 @@ def solve_optimal_tau(
     )
 
 
-def grid_search_optimum(
-    config: ChannelConfig, coarse_points: int = 2000
-) -> tuple[float, float]:
+def grid_search_optimum(config: ChannelConfig) -> tuple[float, float]:
     """Derivative-free maximizer of `delivery_prob`, for cross-checking.
 
-    Scans a uniform grid over [lower_bound_tau, 1), then refines the best
-    cell with golden-section search down to a bracket of width 1e-10.
-    Returns (tau, sdp). Slower than the solver by orders of magnitude.
+    Scans _COARSE_POINTS uniformly spaced points of [lower_bound_tau, 1),
+    then refines the best cell with golden-section search down to a bracket
+    of width 1e-10. Returns (tau, sdp). Slower than the solver by orders of
+    magnitude.
     """
-    if coarse_points < 1000:
-        raise ValueError(
-            f"coarse_points must be >= 1000, got {coarse_points}"
-        )
     lo = lower_bound_tau(config.n_users, config.deadline)
-    step = (1.0 - lo) / coarse_points
+    step = (1.0 - lo) / _COARSE_POINTS
     best_k = 0
     best_val = -math.inf
-    for k in range(coarse_points):
+    for k in range(_COARSE_POINTS):
         val = delivery_prob(config, lo + k * step)
         if val > best_val:
             best_val = val

@@ -34,30 +34,47 @@ from .analytic import (
 
 __all__ = ["VerifyGrid", "CheckResult", "run_all", "CHECK_NAMES"]
 
+# Step of the central finite differences.
+_FD_STEP = 1e-6
+# Outward margin on the strict slope bounds, for finite-difference noise.
+_SLOPE_MARGIN = 1e-4
+# Largest scaled error allowed between the closed-form derivative and the
+# finite difference.
+_DERIVATIVE_TOL = 1e-5
+
 
 @dataclass(frozen=True)
 class VerifyGrid:
     """Parameter grid the property checks run over.
 
     The default covers tau from 0.01 to 0.99 in steps of 0.01, small and
-    large populations, every receiver capability up to m_limit, and short
+    large populations, every receiver capability up to 8, and short
     through long deadlines. sweep_* define the denser population sweep used
-    only for the solver-versus-grid-search comparison.
+    only for the solver-versus-grid-search comparison. A grid without tau
+    values, (n, m, d) cells or sweep cells is rejected, because the checks
+    would pass on it without evaluating anything.
     """
 
     tau_values: tuple[float, ...] = tuple(i / 100 for i in range(1, 100))
     n_values: tuple[int, ...] = (2, 5, 10, 50)
     m_values: tuple[int, ...] | None = None
-    m_limit: int = 8
     d_values: tuple[int, ...] = (1, 5, 20)
     sweep_n: tuple[int, ...] = tuple(range(6, 51))
     sweep_m: tuple[int, ...] = (2, 5, 8)
     sweep_d: tuple[int, ...] = (1, 5, 10, 20)
 
+    def __post_init__(self) -> None:
+        if not self.tau_values:
+            raise ValueError("grid has no tau values")
+        if next(self.cells(), None) is None:
+            raise ValueError("grid has no (n, m, d) cell with 1 <= m < n")
+        if next(self.sweep_cells(), None) is None:
+            raise ValueError("grid has no sweep cell with m < n")
+
     def mpr_values(self, n_users: int) -> tuple[int, ...]:
         if self.m_values is not None:
             return tuple(m for m in self.m_values if 1 <= m < n_users)
-        return tuple(range(1, min(self.m_limit, n_users - 1) + 1))
+        return tuple(range(1, min(8, n_users - 1) + 1))
 
     def cells(self):
         for n in self.n_values:
@@ -137,9 +154,7 @@ def check_sdp_monotone_deadline(grid: VerifyGrid) -> CheckResult:
     )
 
 
-def check_derivative_fd(
-    grid: VerifyGrid, fd_step: float, derivative_tol: float
-) -> CheckResult:
+def check_derivative_fd(grid: VerifyGrid) -> CheckResult:
     """Closed-form derivative against a central finite difference.
 
     Scaled error |analytic - fd| / (1 + |analytic|), because the derivative
@@ -152,22 +167,20 @@ def check_derivative_fd(
         f = lambda t: delivery_prob(cfg, t)
         for tau in grid.tau_values:
             a = delivery_prob_derivative(cfg, tau)
-            fd = _central_diff(f, tau, fd_step)
+            fd = _central_diff(f, tau, _FD_STEP)
             err = abs(a - fd) / (1.0 + abs(a))
             if err > worst:
                 worst, where = err, f"n={n} m={m} d={d} tau={tau}"
     return CheckResult(
         "derivative_finite_difference",
-        worst <= derivative_tol,
+        worst <= _DERIVATIVE_TOL,
         worst,
         f"max scaled derivative error = {worst:.3e} at {where} "
-        f"(tol {derivative_tol:g})",
+        f"(tol {_DERIVATIVE_TOL:g})",
     )
 
 
-def check_admitted_load_slope(
-    grid: VerifyGrid, fd_step: float, margin: float
-) -> CheckResult:
+def check_admitted_load_slope(grid: VerifyGrid) -> CheckResult:
     """The conditional interferer mean rises with tau, with slope below
     n_users - 1."""
     worst = -math.inf
@@ -177,22 +190,20 @@ def check_admitted_load_slope(
             cfg = ChannelConfig(n, m, 1)
             f = lambda t: admitted_load(cfg, t)
             for tau in grid.tau_values:
-                slope = _central_diff(f, tau, fd_step)
+                slope = _central_diff(f, tau, _FD_STEP)
                 out = max(-slope, slope - (n - 1))
                 if out > worst:
                     worst, where = out, f"n={n} m={m} tau={tau}"
     return CheckResult(
         "admitted_load_slope",
-        worst <= margin,
+        worst <= _SLOPE_MARGIN,
         worst,
         f"max violation of 0 <= slope <= n-1 = {worst:.3e} at {where} "
-        f"(margin {margin:g})",
+        f"(margin {_SLOPE_MARGIN:g})",
     )
 
 
-def check_deadline_load_slope(
-    grid: VerifyGrid, fd_step: float, margin: float
-) -> CheckResult:
+def check_deadline_load_slope(grid: VerifyGrid) -> CheckResult:
     """The deadline-window load rises strictly faster than n_users - 1,
     which is what makes the two curves cross exactly once."""
     worst = -math.inf
@@ -202,16 +213,16 @@ def check_deadline_load_slope(
             cfg = ChannelConfig(n, 1, d)
             f = lambda t: deadline_load(cfg, t)
             for tau in grid.tau_values:
-                slope = _central_diff(f, tau, fd_step)
+                slope = _central_diff(f, tau, _FD_STEP)
                 short = (n - 1) - slope
                 if short > worst:
                     worst, where = short, f"n={n} d={d} tau={tau}"
     return CheckResult(
         "deadline_load_slope",
-        worst <= margin,
+        worst <= _SLOPE_MARGIN,
         worst,
         f"max shortfall below slope > n-1 = {worst:.3e} at {where} "
-        f"(margin {margin:g})",
+        f"(margin {_SLOPE_MARGIN:g})",
     )
 
 
@@ -302,9 +313,7 @@ def check_window_bound(grid: VerifyGrid) -> CheckResult:
     )
 
 
-def check_iteration_map_slope(
-    grid: VerifyGrid, fd_step: float, margin: float
-) -> CheckResult:
+def check_iteration_map_slope(grid: VerifyGrid) -> CheckResult:
     """The fixed-point map is increasing."""
     worst = -math.inf
     where = ""
@@ -312,15 +321,15 @@ def check_iteration_map_slope(
         cfg = ChannelConfig(n, m, d)
         f = lambda t: iteration_map(cfg, t)
         for tau in grid.tau_values:
-            slope = _central_diff(f, tau, fd_step)
+            slope = _central_diff(f, tau, _FD_STEP)
             if -slope > worst:
                 worst, where = -slope, f"n={n} m={m} d={d} tau={tau}"
     return CheckResult(
         "iteration_map_slope",
-        worst <= margin,
+        worst <= _SLOPE_MARGIN,
         worst,
         f"max negative slope of the map = {worst:.3e} at {where} "
-        f"(margin {margin:g})",
+        f"(margin {_SLOPE_MARGIN:g})",
     )
 
 
@@ -332,7 +341,7 @@ def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
     exclusion = 1e-6
     for n, m, d in grid.cells():
         cfg = ChannelConfig(n, m, d)
-        tau_opt = float(solve_optimal_tau(cfg).tau_opt)
+        tau_opt = solve_optimal_tau(cfg).tau_opt
         for tau in grid.tau_values:
             if abs(tau - tau_opt) <= exclusion:
                 continue
@@ -359,7 +368,7 @@ def check_solver_oracle(grid: VerifyGrid) -> CheckResult:
         cfg = ChannelConfig(n, m, d)
         report = solve_optimal_tau(cfg)
         oracle_tau, oracle_sdp = grid_search_optimum(cfg)
-        d_tau = abs(float(report.tau_opt) - oracle_tau)
+        d_tau = abs(report.tau_opt - oracle_tau)
         d_sdp = abs(report.sdp_max - oracle_sdp)
         if d_tau > worst_tau:
             worst_tau = d_tau
@@ -383,7 +392,7 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
     for n, m, d in grid.cells():
         cfg = ChannelConfig(n, m, d)
         report = solve_optimal_tau(cfg)
-        tau = float(report.tau_opt)
+        tau = report.tau_opt
         lo = lower_bound_tau(n, d)
         out = max(lo - tau - 1e-12, tau - (1.0 - 1e-15))
         if not report.converged:
@@ -421,24 +430,20 @@ CHECK_NAMES = (
 
 
 def run_all(
-    grid: VerifyGrid | None = None,
-    identity_tol: float = 1e-12,
-    slope_margin: float = 1e-4,
-    fd_step: float = 1e-6,
-    derivative_tol: float = 1e-5,
+    grid: VerifyGrid | None = None, identity_tol: float = 1e-12
 ) -> list[CheckResult]:
     """Run every property check; order matches CHECK_NAMES."""
     g = grid or VerifyGrid()
     return [
         check_sdp_bounds(g),
         check_sdp_monotone_deadline(g),
-        check_derivative_fd(g, fd_step, derivative_tol),
-        check_admitted_load_slope(g, fd_step, slope_margin),
-        check_deadline_load_slope(g, fd_step, slope_margin),
+        check_derivative_fd(g),
+        check_admitted_load_slope(g),
+        check_deadline_load_slope(g),
         check_moment_ratio_identity(g, identity_tol),
         check_term_matching_identity(g, identity_tol),
         check_window_bound(g),
-        check_iteration_map_slope(g, fd_step, slope_margin),
+        check_iteration_map_slope(g),
         check_iteration_map_bracketing(g),
         check_solver_oracle(g),
         check_solver_localization(g),

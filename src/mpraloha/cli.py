@@ -103,7 +103,7 @@ def _solve_row(config: analytic.ChannelConfig, report: analytic.SolveReport):
         config.n_users,
         config.mpr,
         config.deadline,
-        float(report.tau_opt),
+        report.tau_opt,
         report.sdp_max,
         report.iterations,
         report.residual,
@@ -116,7 +116,7 @@ def _cmd_solve(args) -> int:
     report = analytic.solve_optimal_tau(
         config, tolerance=args.tolerance, max_iter=args.max_iter
     )
-    print(f"tau_opt    = {float(report.tau_opt)!r}")
+    print(f"tau_opt    = {report.tau_opt!r}")
     print(f"sdp_max    = {report.sdp_max!r}")
     print(f"iterations = {report.iterations}")
     print(f"residual   = {report.residual:.3e}")
@@ -146,8 +146,7 @@ def _cmd_sweep(args) -> int:
                 grid_tau, grid_sdp = analytic.grid_search_optimum(config)
                 rows.append(
                     _solve_row(config, report)
-                    + [grid_tau, grid_sdp,
-                       abs(float(report.tau_opt) - grid_tau)]
+                    + [grid_tau, grid_sdp, abs(report.tau_opt - grid_tau)]
                 )
     if not rows:
         raise ValueError(
@@ -167,7 +166,7 @@ def _cmd_sweep(args) -> int:
 def _cmd_simulate(args) -> int:
     config = analytic.ChannelConfig(args.n, args.m, args.d)
     if args.tau == "optimal":
-        tau = float(analytic.solve_optimal_tau(config).tau_opt)
+        tau = analytic.solve_optimal_tau(config).tau_opt
     else:
         try:
             tau = float(args.tau)
@@ -200,10 +199,7 @@ def _cmd_simulate(args) -> int:
         std_error = math.sqrt(expected * (1.0 - expected) / total_completed)
     else:
         std_error = math.nan
-    if std_error == 0.0:
-        z = 0.0 if mean == expected else math.copysign(math.inf, mean - expected)
-    else:
-        z = (mean - expected) / std_error
+    z = simulate.z_score(mean, expected, std_error)
     # Final row carries the run-level comparison; the per-user rows above
     # leave those columns blank.
     rows.append(
@@ -267,20 +263,14 @@ def _cmd_dynamic(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    grid_kwargs = {}
-    if args.n is not None:
-        grid_kwargs["n_values"] = args.n
-    if args.m is not None:
-        grid_kwargs["m_values"] = args.m
-    if args.d is not None:
-        grid_kwargs["d_values"] = args.d
-    if args.sweep_n is not None:
-        grid_kwargs["sweep_n"] = args.sweep_n
-    if args.sweep_m is not None:
-        grid_kwargs["sweep_m"] = args.sweep_m
-    if args.sweep_d is not None:
-        grid_kwargs["sweep_d"] = args.sweep_d
-    grid = checks.VerifyGrid(**grid_kwargs)
+    overrides = {
+        "n_values": args.n, "m_values": args.m, "d_values": args.d,
+        "sweep_n": args.sweep_n, "sweep_m": args.sweep_m,
+        "sweep_d": args.sweep_d,
+    }
+    grid = checks.VerifyGrid(
+        **{k: v for k, v in overrides.items() if v is not None}
+    )
     results = checks.run_all(grid, identity_tol=args.tolerance)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")

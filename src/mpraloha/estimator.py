@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .analytic import N_CAP, ChannelConfig, solve_optimal_tau
-from .simulate import SlotObservation
 
 __all__ = [
     "EstimatorConfig",
@@ -117,13 +116,7 @@ def tuned_tau(n_users: int, mpr: int, deadline: int) -> float:
             f"solver failed to converge for n={n_users}, mpr={mpr}, "
             f"deadline={deadline}"
         )
-    return float(report.tau_opt)
-
-
-def _round_half_away(x: float) -> int:
-    if x >= 0.0:
-        return math.floor(x + 0.5)
-    return math.ceil(x - 0.5)
+    return report.tau_opt
 
 
 class PopulationEstimator:
@@ -141,20 +134,13 @@ class PopulationEstimator:
         self._mu_raw_prev = config.mu_floor
         self.n_est = config.n_max
         self.tau = tuned_tau(config.n_max, config.mpr, config.deadline)
-        self.intervals_done = 0
-
-    def observe_slot(self, observation: SlotObservation) -> None:
-        """Tally one slot. Only silent slots carry information: the station's
-        own transmission would shift the multiplicity it observes."""
-        if observation.tagged_transmitted:
-            return
-        count = observation.total_transmitters
-        if count in self.counters:
-            self.counters[count] += 1
 
     def add_counts(self, counts: dict[int, int]) -> None:
-        """Bulk form of `observe_slot` for vectorized simulations: `counts`
-        maps multiplicity to the number of silent slots that showed it."""
+        """Tally probe hits: `counts` maps a multiplicity to the number of
+        slots in which this station stayed silent and saw that many
+        transmissions. Only silent slots carry information, because the
+        station's own transmission would shift the multiplicity it observes.
+        Multiplicities that are not probed are ignored."""
         for c, hits in counts.items():
             if c in self.counters:
                 self.counters[c] += int(hits)
@@ -176,11 +162,11 @@ class PopulationEstimator:
         self._mu_raw_prev = mu_raw
         delta = cfg.memory_factor
         self.mu = delta * self.mu + (1.0 - delta) * mu_raw
+        # mu >= mu_floor > i2 / i1, so raw_n > i2 > 0 and rounds half up.
         raw_n = i2 * (i2 - i1) / (i1 * self.mu - i2) + i2
-        n = _round_half_away(raw_n)
+        n = math.floor(raw_n + 0.5)
         self.n_est = min(max(n, cfg.mpr + 1), cfg.n_max)
         self.tau = tuned_tau(self.n_est, cfg.mpr, cfg.deadline)
         for c in self.counters:
             self.counters[c] = 0
-        self.intervals_done += 1
         return self.n_est

@@ -69,6 +69,14 @@ class ScenarioError(ValueError):
         super().__init__(f"{location}: {message}")
 
 
+class _StageError(ValueError):
+    """A stage that breaks a timeline rule; `index` is its position."""
+
+    def __init__(self, index: int, message: str):
+        self.index = index
+        super().__init__(message)
+
+
 @dataclass(frozen=True)
 class Stage:
     """A stretch of intervals with a constant active population."""
@@ -80,7 +88,11 @@ class Stage:
 
 @dataclass(frozen=True)
 class ScenarioTimeline:
-    """A validated scenario: contiguous stages plus estimator parameters."""
+    """A validated scenario: contiguous stages plus estimator parameters.
+
+    Stages cover the intervals contiguously from 1, none is empty, and each
+    holds mpr < active_users <= n_max stations.
+    """
 
     stages: tuple[Stage, ...]
     estimator: EstimatorConfig
@@ -88,25 +100,27 @@ class ScenarioTimeline:
 
     def __post_init__(self) -> None:
         if not self.stages:
-            raise ValueError("scenario needs at least one stage")
+            raise ValueError("scenario needs at least one stage in [stages]")
+        cfg = self.estimator
         expected_first = 1
-        for stage in self.stages:
+        for index, stage in enumerate(self.stages):
             if stage.first != expected_first:
-                raise ValueError(
+                raise _StageError(
+                    index,
                     f"stages must cover intervals contiguously from 1; "
                     f"expected a stage starting at {expected_first}, got "
-                    f"{stage.first}"
+                    f"{stage.first}",
                 )
             if stage.last < stage.first:
-                raise ValueError(
-                    f"stage {stage.first}-{stage.last} is empty"
+                raise _StageError(
+                    index, f"stage {stage.first}-{stage.last} is empty"
                 )
-            cfg = self.estimator
             if not cfg.mpr < stage.active_users <= cfg.n_max:
-                raise ValueError(
+                raise _StageError(
+                    index,
                     f"stage {stage.first}-{stage.last}: active_users must "
                     f"be in ({cfg.mpr}, {cfg.n_max}], got "
-                    f"{stage.active_users}"
+                    f"{stage.active_users}",
                 )
             expected_first = stage.last + 1
 
@@ -182,7 +196,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
     Raises ScenarioError naming the offending line for anything malformed.
     """
     values: dict[tuple[str, str], tuple[str, int]] = {}
-    raw_stages: list[tuple[int, int, int, int]] = []
+    stages: list[Stage] = []
+    stage_lines: list[int] = []
     section: str | None = None
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -224,9 +239,8 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
                     source, line_no, f"stage population must be an integer, "
                     f"got {value!r}"
                 ) from None
-            raw_stages.append(
-                (int(match[1]), int(match[2]), count, line_no)
-            )
+            stages.append(Stage(int(match[1]), int(match[2]), count))
+            stage_lines.append(line_no)
             continue
         if key not in _SECTION_KEYS[section]:
             raise ScenarioError(
@@ -254,49 +268,25 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
             ) from None
 
     try:
-        est_config = EstimatorConfig(
-            interval_len=pick("estimator", "interval_len", int),
-            memory_factor=pick("estimator", "memory_factor", float),
-            probe_low=pick("estimator", "probe_low", int),
-            probe_high=pick("estimator", "probe_high", int),
-            n_max=pick("estimator", "n_max", int),
-            mpr=pick("channel", "mpr", int),
-            deadline=pick("channel", "deadline", int),
+        return ScenarioTimeline(
+            stages=tuple(stages),
+            estimator=EstimatorConfig(
+                interval_len=pick("estimator", "interval_len", int),
+                memory_factor=pick("estimator", "memory_factor", float),
+                probe_low=pick("estimator", "probe_low", int),
+                probe_high=pick("estimator", "probe_high", int),
+                n_max=pick("estimator", "n_max", int),
+                mpr=pick("channel", "mpr", int),
+                deadline=pick("channel", "deadline", int),
+            ),
+            seed=pick("run", "seed", int, default=0),
         )
     except ScenarioError:
         raise
+    except _StageError as exc:
+        raise ScenarioError(source, stage_lines[exc.index], str(exc)) from None
     except ValueError as exc:
         raise ScenarioError(source, None, str(exc)) from None
-    seed = pick("run", "seed", int, default=0)
-
-    if not raw_stages:
-        raise ScenarioError(source, None, "missing [stages] section entries")
-    expected_first = 1
-    stages = []
-    for first, last, count, line_no in raw_stages:
-        if first != expected_first:
-            raise ScenarioError(
-                source,
-                line_no,
-                f"stages must be contiguous from interval 1; expected this "
-                f"stage to start at {expected_first}, got {first}",
-            )
-        if last < first:
-            raise ScenarioError(
-                source, line_no, f"stage range {first}-{last} is empty"
-            )
-        if not est_config.mpr < count <= est_config.n_max:
-            raise ScenarioError(
-                source,
-                line_no,
-                f"stage population must be in ({est_config.mpr}, "
-                f"{est_config.n_max}], got {count}",
-            )
-        stages.append(Stage(first, last, count))
-        expected_first = last + 1
-    return ScenarioTimeline(
-        stages=tuple(stages), estimator=est_config, seed=seed
-    )
 
 
 def load_scenario(path) -> ScenarioTimeline:

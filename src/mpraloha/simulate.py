@@ -33,6 +33,7 @@ __all__ = [
     "run_interval",
     "run_stationary",
     "theoretical_check",
+    "z_score",
 ]
 
 
@@ -60,7 +61,6 @@ class SlotObservation:
 
     total_transmitters: int
     tagged_transmitted: bool
-    success_count: int
 
 
 @dataclass(frozen=True)
@@ -129,11 +129,7 @@ def step_slot(
                 user.packets_completed += 1
                 user.hol_age = 0
         observations.append(
-            SlotObservation(
-                total_transmitters=total,
-                tagged_transmitted=sent,
-                success_count=total if decodable else 0,
-            )
+            SlotObservation(total_transmitters=total, tagged_transmitted=sent)
         )
     return observations
 
@@ -257,8 +253,16 @@ def theoretical_check(
     if total == 0:
         return TheoryComparison(empirical, analytic, math.nan, 0)
     se = math.sqrt(analytic * (1.0 - analytic) / total)
+    return TheoryComparison(
+        empirical, analytic, z_score(empirical, analytic, se), total
+    )
+
+
+def z_score(estimate: float, expected: float, se: float) -> float:
+    """(estimate - expected) / se. A zero standard error gives 0 when the
+    estimate is exact and an infinity of the deviation's sign otherwise."""
     if se == 0.0:
-        z = 0.0 if empirical == analytic else math.copysign(math.inf, empirical - analytic)
-    else:
-        z = (empirical - analytic) / se
-    return TheoryComparison(empirical, analytic, z, total)
+        if estimate == expected:
+            return 0.0
+        return math.copysign(math.inf, estimate - expected)
+    return (estimate - expected) / se

@@ -16,11 +16,10 @@ import pytest
 from mpraloha import cli
 from mpraloha.analytic import (
     ChannelConfig,
-    delivery_prob,
-    grid_search_optimum,
     lower_bound_tau,
     solve_optimal_tau,
 )
+from mpraloha.checks import VerifyGrid
 from mpraloha.estimator import EstimatorConfig, PopulationEstimator
 from mpraloha.scenario import load_scenario, run_dynamic
 from mpraloha.simulate import run_stationary
@@ -41,30 +40,24 @@ def _report(number: int, name: str, passed: bool, detail: str) -> None:
     assert passed, f"criterion {number} {name}: {detail}"
 
 
-def test_criterion_1_solver_matches_grid_search():
-    worst_tau = 0.0
-    worst_sdp = 0.0
-    cells = 0
-    for n in range(6, 51):
-        for m in (2, 5, 8):
-            if m >= n:
-                continue
-            for d in (1, 5, 10, 20):
-                cfg = ChannelConfig(n, m, d)
-                report = solve_optimal_tau(cfg)
-                oracle_tau, oracle_sdp = grid_search_optimum(cfg)
-                worst_tau = max(
-                    worst_tau, abs(float(report.tau_opt) - oracle_tau)
-                )
-                worst_sdp = max(worst_sdp, abs(report.sdp_max - oracle_sdp))
-                cells += 1
-    ok = worst_tau <= 1e-6 and worst_sdp <= 1e-9
+def test_criterion_1_solver_matches_grid_search(verify_results):
+    # The shared property-check run already compares the solver with the
+    # grid search (|tau diff| <= 1e-6, |sdp diff| <= 1e-9); this pins the
+    # cells it covers to the criterion's grid.
+    cells = [
+        (n, m, d)
+        for n in range(6, 51)
+        for m in (2, 5, 8)
+        if m < n
+        for d in (1, 5, 10, 20)
+    ]
+    assert list(VerifyGrid().sweep_cells()) == cells
+    result = verify_results["solver_vs_grid_search"]
     _report(
         1,
         "solver matches grid search",
-        ok,
-        f"{cells} cells, max |tau diff| {worst_tau:.3e} <= 1e-06, "
-        f"max |sdp diff| {worst_sdp:.3e} <= 1e-09",
+        result.passed,
+        f"{len(cells)} cells, {result.detail}",
     )
 
 
@@ -76,7 +69,7 @@ def test_criterion_2_single_packet_closed_form():
             report = solve_optimal_tau(ChannelConfig(n, 1, d))
             worst = max(
                 worst,
-                abs(float(report.tau_opt) - closed),
+                abs(report.tau_opt - closed),
                 abs(lower_bound_tau(n, d) - closed),
             )
     _report(
@@ -109,7 +102,7 @@ def test_criterion_4_monte_carlo_agreement():
     for idx, (n, m, d, _) in enumerate(TABLE_CONFIGS):
         cfg = ChannelConfig(n, m, d)
         report = solve_optimal_tau(cfg)
-        tau = float(report.tau_opt)
+        tau = report.tau_opt
         sdps = []
         for rep in range(reps):
             result = run_stationary(cfg, tau, slots, seed=1000 * idx + rep)

@@ -69,6 +69,15 @@ class TestGrid:
         grid = VerifyGrid(sweep_n=(6,), sweep_m=(2, 8), sweep_d=(1,))
         assert list(grid.sweep_cells()) == [(6, 2, 1)]
 
+    def test_empty_grid_rejected(self):
+        # Every check would pass on these without evaluating anything.
+        with pytest.raises(ValueError, match="no tau values"):
+            VerifyGrid(tau_values=())
+        with pytest.raises(ValueError, match="no \\(n, m, d\\) cell"):
+            VerifyGrid(n_values=(5,), m_values=(9,))
+        with pytest.raises(ValueError, match="no sweep cell"):
+            VerifyGrid(sweep_n=(6,), sweep_m=(9,))
+
     def test_default_tau_grid(self):
         grid = VerifyGrid()
         assert len(grid.tau_values) == 99

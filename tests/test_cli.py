@@ -289,6 +289,14 @@ class TestVerify:
         assert "FAIL" not in out
         assert "all 12 checks passed" in out
 
+    def test_empty_grid_is_config_error(self, capsys):
+        args = ["verify", "--n", "5", "--m", "9", "--sweep-n", "6",
+                "--sweep-m", "9", "--sweep-d", "1"]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "no (n, m, d) cell" in captured.err
+
     def test_impossible_tolerance_fails_honestly(self, capsys):
         assert cli.main(self.ARGS + ["--tolerance", "1e-18"]) == 2
         captured = capsys.readouterr()

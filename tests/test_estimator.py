@@ -11,7 +11,7 @@ from mpraloha.estimator import (
     PopulationEstimator,
     tuned_tau,
 )
-from mpraloha.simulate import SlotObservation, run_interval
+from mpraloha.simulate import run_interval
 
 
 def _config(**overrides):
@@ -193,38 +193,21 @@ class TestStationaryConsistency:
         assert max(abs(e - n_true) for e in estimates) <= 5
 
 
-class TestObserveSlot:
-    def test_only_silent_matching_slots_counted(self):
-        cfg = _config()
-        est = PopulationEstimator(cfg)
-        est.observe_slot(SlotObservation(2, False, 2))
-        est.observe_slot(SlotObservation(2, True, 2))
-        est.observe_slot(SlotObservation(3, False, 3))
-        est.observe_slot(SlotObservation(5, False, 0))
-        assert est.counters == {1: 0, 2: 1, 4: 0, 5: 1}
-
-    def test_matches_bulk_form(self):
-        cfg = _config()
-        a = PopulationEstimator(cfg)
-        b = PopulationEstimator(cfg)
-        seen = [(1, False), (2, False), (2, False), (4, True), (5, False)]
-        for count, sent in seen:
-            a.observe_slot(SlotObservation(count, sent, 0))
-        bulk: dict[int, int] = {}
-        for count, sent in seen:
-            if not sent:
-                bulk[count] = bulk.get(count, 0) + 1
-        b.add_counts(bulk)
-        assert a.counters == b.counters
+class TestAddCounts:
+    def test_only_probed_multiplicities_counted(self):
+        # Probes are {1, 2, 4, 5}: the hits at multiplicity 3 are ignored,
+        # repeated calls accumulate.
+        est = PopulationEstimator(_config())
+        est.add_counts({2: 1, 3: 4, 5: 1})
+        est.add_counts({2: 2, 3: 1})
+        assert est.counters == {1: 0, 2: 3, 4: 0, 5: 1}
 
 
 class TestTunedTau:
     def test_matches_solver(self):
         from mpraloha.analytic import ChannelConfig, solve_optimal_tau
 
-        direct = float(
-            solve_optimal_tau(ChannelConfig(30, 5, 1)).tau_opt
-        )
+        direct = solve_optimal_tau(ChannelConfig(30, 5, 1)).tau_opt
         assert tuned_tau(30, 5, 1) == direct
 
     def test_solves_slow_map_cell(self):

@@ -11,6 +11,7 @@ from mpraloha.simulate import (
     run_stationary,
     step_slot,
     theoretical_check,
+    z_score,
 )
 
 
@@ -33,7 +34,6 @@ class TestStepSlot:
         obs = step_slot(users, mpr=2, deadline=4, rng=rng)
         assert [o.tagged_transmitted for o in obs] == [True, False, True]
         assert all(o.total_transmitters == 2 for o in obs)
-        assert all(o.success_count == 2 for o in obs)
         assert [u.packets_completed for u in users] == [1, 0, 1]
         assert [u.packets_succeeded for u in users] == [1, 0, 1]
         assert [u.hol_age for u in users] == [0, 1, 0]
@@ -42,7 +42,7 @@ class TestStepSlot:
         users = [UserState(1.0), UserState(1.0), UserState(1.0)]
         rng = _ScriptedRng([[0.0, 0.0, 0.0]])
         obs = step_slot(users, mpr=2, deadline=4, rng=rng)
-        assert all(o.success_count == 0 for o in obs)
+        assert all(o.total_transmitters == 3 for o in obs)
         assert [u.packets_completed for u in users] == [1, 1, 1]
         assert [u.packets_succeeded for u in users] == [0, 0, 0]
 
@@ -181,3 +181,9 @@ class TestTheoreticalCheck:
         assert cmp.empirical == 0.0
         assert cmp.analytic == 0.0
         assert cmp.z_score == 0.0
+
+    def test_z_score_rule(self):
+        assert z_score(0.5, 0.4, 0.05) == pytest.approx(2.0)
+        assert z_score(0.4, 0.4, 0.0) == 0.0
+        assert z_score(0.5, 0.4, 0.0) == math.inf
+        assert z_score(0.3, 0.4, 0.0) == -math.inf
