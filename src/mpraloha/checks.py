@@ -15,7 +15,7 @@ approached asymptotically on the grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .analytic import (
     ChannelConfig,
@@ -102,56 +102,59 @@ def _central_diff(f, x: float, h: float) -> float:
     return (f(x + h) - f(x - h)) / (2.0 * h)
 
 
-def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
-    """delivery_prob stays in [0, 1] and vanishes at tau = 0 and tau = 1."""
+def _result(
+    name: str, pairs, limit: float, detail: str, strict: bool = False
+) -> CheckResult:
+    """Reduce (violation, location) pairs to their largest violation, the
+    first one on ties. The check passes when that violation is at most
+    `limit` (below it if `strict`); `detail` is formatted with `worst`,
+    `where` and `limit`."""
     worst = -math.inf
     where = ""
-    for n, m, d in grid.cells():
-        cfg = ChannelConfig(n, m, d)
-        for tau in (0.0, 1.0):
-            v = abs(delivery_prob(cfg, tau))
-            if v > worst:
-                worst, where = v, f"n={n} m={m} d={d} tau={tau}"
-        for tau in grid.tau_values:
-            v = delivery_prob(cfg, tau)
-            out = max(-v, v - 1.0)
-            if out > worst:
-                worst, where = out, f"n={n} m={m} d={d} tau={tau}"
-    return CheckResult(
-        "sdp_bounds",
-        worst <= 0.0,
-        worst,
-        f"max excursion outside [0, 1] (and endpoint residual) = {worst:.3e}"
-        f" at {where}",
-    )
+    for violation, location in pairs:
+        if violation > worst:
+            worst, where = violation, location
+    passed = worst < limit if strict else worst <= limit
+    detail = detail.format(worst=worst, where=where, limit=limit)
+    return CheckResult(name, passed, worst, detail)
+
+
+def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
+    """delivery_prob stays in [0, 1] and vanishes at tau = 0 and tau = 1."""
+    def pairs():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            for tau in (0.0, 1.0):
+                v = abs(delivery_prob(cfg, tau))
+                yield v, f"n={n} m={m} d={d} tau={tau}"
+            for tau in grid.tau_values:
+                v = delivery_prob(cfg, tau)
+                yield max(-v, v - 1.0), f"n={n} m={m} d={d} tau={tau}"
+
+    return _result("sdp_bounds", pairs(), 0.0, "max excursion outside "
+                   "[0, 1] (and endpoint residual) = {worst:.3e} at {where}")
 
 
 def check_sdp_monotone_deadline(grid: VerifyGrid) -> CheckResult:
     """A longer deadline never lowers the delivery probability."""
-    worst = -math.inf
-    where = ""
     d_sorted = sorted(grid.d_values)
-    for n in grid.n_values:
-        for m in grid.mpr_values(n):
-            for tau in grid.tau_values:
-                values = [
-                    delivery_prob(ChannelConfig(n, m, d), tau)
-                    for d in d_sorted
-                ]
-                for k in range(len(values) - 1):
-                    drop = values[k] - values[k + 1]
-                    if drop > worst:
-                        worst = drop
-                        where = (
+
+    def pairs():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                for tau in grid.tau_values:
+                    values = [
+                        delivery_prob(ChannelConfig(n, m, d), tau)
+                        for d in d_sorted
+                    ]
+                    for k in range(len(values) - 1):
+                        yield values[k] - values[k + 1], (
                             f"n={n} m={m} tau={tau} "
                             f"d={d_sorted[k]}->{d_sorted[k + 1]}"
                         )
-    return CheckResult(
-        "sdp_monotone_deadline",
-        worst <= 1e-15,
-        worst,
-        f"max decrease when lengthening the deadline = {worst:.3e} at {where}",
-    )
+
+    return _result("sdp_monotone_deadline", pairs(), 1e-15, "max decrease "
+                   "when lengthening the deadline = {worst:.3e} at {where}")
 
 
 def check_derivative_fd(grid: VerifyGrid) -> CheckResult:
@@ -160,70 +163,54 @@ def check_derivative_fd(grid: VerifyGrid) -> CheckResult:
     Scaled error |analytic - fd| / (1 + |analytic|), because the derivative
     passes through zero at the optimum where relative error is meaningless.
     """
-    worst = -math.inf
-    where = ""
-    for n, m, d in grid.cells():
-        cfg = ChannelConfig(n, m, d)
-        f = lambda t: delivery_prob(cfg, t)
-        for tau in grid.tau_values:
-            a = delivery_prob_derivative(cfg, tau)
-            fd = _central_diff(f, tau, _FD_STEP)
-            err = abs(a - fd) / (1.0 + abs(a))
-            if err > worst:
-                worst, where = err, f"n={n} m={m} d={d} tau={tau}"
-    return CheckResult(
-        "derivative_finite_difference",
-        worst <= _DERIVATIVE_TOL,
-        worst,
-        f"max scaled derivative error = {worst:.3e} at {where} "
-        f"(tol {_DERIVATIVE_TOL:g})",
-    )
+    def pairs():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            f = lambda t: delivery_prob(cfg, t)
+            for tau in grid.tau_values:
+                a = delivery_prob_derivative(cfg, tau)
+                fd = _central_diff(f, tau, _FD_STEP)
+                err = abs(a - fd) / (1.0 + abs(a))
+                yield err, f"n={n} m={m} d={d} tau={tau}"
+
+    return _result("derivative_finite_difference", pairs(), _DERIVATIVE_TOL,
+                   "max scaled derivative error = {worst:.3e} at {where} "
+                   "(tol {limit:g})")
 
 
 def check_admitted_load_slope(grid: VerifyGrid) -> CheckResult:
     """The conditional interferer mean rises with tau, with slope below
     n_users - 1."""
-    worst = -math.inf
-    where = ""
-    for n in grid.n_values:
-        for m in grid.mpr_values(n):
-            cfg = ChannelConfig(n, m, 1)
-            f = lambda t: admitted_load(cfg, t)
-            for tau in grid.tau_values:
-                slope = _central_diff(f, tau, _FD_STEP)
-                out = max(-slope, slope - (n - 1))
-                if out > worst:
-                    worst, where = out, f"n={n} m={m} tau={tau}"
-    return CheckResult(
-        "admitted_load_slope",
-        worst <= _SLOPE_MARGIN,
-        worst,
-        f"max violation of 0 <= slope <= n-1 = {worst:.3e} at {where} "
-        f"(margin {_SLOPE_MARGIN:g})",
-    )
+    def pairs():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                cfg = ChannelConfig(n, m, 1)
+                f = lambda t: admitted_load(cfg, t)
+                for tau in grid.tau_values:
+                    slope = _central_diff(f, tau, _FD_STEP)
+                    out = max(-slope, slope - (n - 1))
+                    yield out, f"n={n} m={m} tau={tau}"
+
+    return _result("admitted_load_slope", pairs(), _SLOPE_MARGIN,
+                   "max violation of 0 <= slope <= n-1 = {worst:.3e} at "
+                   "{where} (margin {limit:g})")
 
 
 def check_deadline_load_slope(grid: VerifyGrid) -> CheckResult:
     """The deadline-window load rises strictly faster than n_users - 1,
     which is what makes the two curves cross exactly once."""
-    worst = -math.inf
-    where = ""
-    for n in grid.n_values:
-        for d in grid.d_values:
-            cfg = ChannelConfig(n, 1, d)
-            f = lambda t: deadline_load(cfg, t)
-            for tau in grid.tau_values:
-                slope = _central_diff(f, tau, _FD_STEP)
-                short = (n - 1) - slope
-                if short > worst:
-                    worst, where = short, f"n={n} d={d} tau={tau}"
-    return CheckResult(
-        "deadline_load_slope",
-        worst <= _SLOPE_MARGIN,
-        worst,
-        f"max shortfall below slope > n-1 = {worst:.3e} at {where} "
-        f"(margin {_SLOPE_MARGIN:g})",
-    )
+    def pairs():
+        for n in grid.n_values:
+            for d in grid.d_values:
+                cfg = ChannelConfig(n, 1, d)
+                f = lambda t: deadline_load(cfg, t)
+                for tau in grid.tau_values:
+                    slope = _central_diff(f, tau, _FD_STEP)
+                    yield (n - 1) - slope, f"n={n} d={d} tau={tau}"
+
+    return _result("deadline_load_slope", pairs(), _SLOPE_MARGIN,
+                   "max shortfall below slope > n-1 = {worst:.3e} at "
+                   "{where} (margin {limit:g})")
 
 
 def check_moment_ratio_identity(
@@ -231,26 +218,21 @@ def check_moment_ratio_identity(
 ) -> CheckResult:
     """Decoded-batch moment ratio exceeds the conditional interferer mean
     by exactly one."""
-    worst = -math.inf
-    where = ""
-    for n in grid.n_values:
-        for m in grid.mpr_values(n):
-            # Neither side depends on the deadline, so any value works.
-            cfg = ChannelConfig(n, m, 1)
-            for tau in grid.tau_values:
-                residual = abs(
-                    success_size_ratio(cfg, tau)
-                    - 1.0
-                    - admitted_load(cfg, tau)
-                )
-                if residual > worst:
-                    worst, where = residual, f"n={n} m={m} tau={tau}"
-    return CheckResult(
-        "moment_ratio_identity",
-        worst <= tol,
-        worst,
-        f"max |ratio - 1 - load| = {worst:.3e} at {where} (tol {tol:g})",
-    )
+    def pairs():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                # Neither side depends on the deadline, so any value works.
+                cfg = ChannelConfig(n, m, 1)
+                for tau in grid.tau_values:
+                    residual = abs(
+                        success_size_ratio(cfg, tau)
+                        - 1.0
+                        - admitted_load(cfg, tau)
+                    )
+                    yield residual, f"n={n} m={m} tau={tau}"
+
+    return _result("moment_ratio_identity", pairs(), tol, "max |ratio - 1 "
+                   "- load| = {worst:.3e} at {where} (tol {limit:g})")
 
 
 def check_term_matching_identity(
@@ -262,155 +244,126 @@ def check_term_matching_identity(
         sum_{i=1..m} i^2 * P(X=i) = n tau * sum_{j<m} (j+1) P(Y=j)
 
     with X ~ Binomial(n, tau) and Y ~ Binomial(n-1, tau)."""
-    worst = -math.inf
-    where = ""
-    for n in grid.n_values:
-        for m in grid.mpr_values(n):
-            for tau in grid.tau_values:
-                lhs1 = math.fsum(
-                    i * binomial_pmf(n, i, tau) for i in range(1, m + 1)
-                )
-                lhs2 = math.fsum(
-                    i * i * binomial_pmf(n, i, tau) for i in range(1, m + 1)
-                )
-                rhs1 = n * tau * math.fsum(
-                    binomial_pmf(n - 1, j, tau) for j in range(m)
-                )
-                rhs2 = n * tau * math.fsum(
-                    (j + 1) * binomial_pmf(n - 1, j, tau) for j in range(m)
-                )
-                residual = max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
-                if residual > worst:
-                    worst, where = residual, f"n={n} m={m} tau={tau}"
-    return CheckResult(
-        "term_matching_identity",
-        worst <= tol,
-        worst,
-        f"max reindexing residual = {worst:.3e} at {where} (tol {tol:g})",
-    )
+    def pairs():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                for tau in grid.tau_values:
+                    lhs1 = math.fsum(
+                        i * binomial_pmf(n, i, tau) for i in range(1, m + 1)
+                    )
+                    lhs2 = math.fsum(
+                        i * i * binomial_pmf(n, i, tau)
+                        for i in range(1, m + 1)
+                    )
+                    rhs1 = n * tau * math.fsum(
+                        binomial_pmf(n - 1, j, tau) for j in range(m)
+                    )
+                    rhs2 = n * tau * math.fsum(
+                        (j + 1) * binomial_pmf(n - 1, j, tau)
+                        for j in range(m)
+                    )
+                    residual = max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
+                    yield residual, f"n={n} m={m} tau={tau}"
+
+    return _result("term_matching_identity", pairs(), tol, "max reindexing "
+                   "residual = {worst:.3e} at {where} (tol {limit:g})")
 
 
 def check_window_bound(grid: VerifyGrid) -> CheckResult:
     """The contraction factor: identically 1 for a one-slot deadline and
     strictly below 1 on (0, 1) for every longer deadline."""
-    worst = -math.inf
-    where = ""
-    for d in sorted(set(grid.d_values) | {1, 2}):
-        for tau in grid.tau_values:
-            w = window_bound(d, tau)
-            if d == 1:
-                out = abs(w - 1.0) - 1e-12
-            else:
-                out = w - 1.0
-            if out > worst:
-                worst, where = out, f"d={d} tau={tau}"
-    return CheckResult(
-        "window_bound",
-        worst < 0.0,
-        worst,
-        f"max of (factor - 1), d=1 as identity residual = {worst:.3e} "
-        f"at {where}",
-    )
+    def pairs():
+        for d in sorted(set(grid.d_values) | {1, 2}):
+            for tau in grid.tau_values:
+                w = window_bound(d, tau)
+                out = abs(w - 1.0) - 1e-12 if d == 1 else w - 1.0
+                yield out, f"d={d} tau={tau}"
+
+    return _result("window_bound", pairs(), 0.0, "max of (factor - 1), d=1 "
+                   "as identity residual = {worst:.3e} at {where}",
+                   strict=True)
 
 
 def check_iteration_map_slope(grid: VerifyGrid) -> CheckResult:
     """The fixed-point map is increasing."""
-    worst = -math.inf
-    where = ""
-    for n, m, d in grid.cells():
-        cfg = ChannelConfig(n, m, d)
-        f = lambda t: iteration_map(cfg, t)
-        for tau in grid.tau_values:
-            slope = _central_diff(f, tau, _FD_STEP)
-            if -slope > worst:
-                worst, where = -slope, f"n={n} m={m} d={d} tau={tau}"
-    return CheckResult(
-        "iteration_map_slope",
-        worst <= _SLOPE_MARGIN,
-        worst,
-        f"max negative slope of the map = {worst:.3e} at {where} "
-        f"(margin {_SLOPE_MARGIN:g})",
-    )
+    def pairs():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            f = lambda t: iteration_map(cfg, t)
+            for tau in grid.tau_values:
+                slope = _central_diff(f, tau, _FD_STEP)
+                yield -slope, f"n={n} m={m} d={d} tau={tau}"
+
+    return _result("iteration_map_slope", pairs(), _SLOPE_MARGIN,
+                   "max negative slope of the map = {worst:.3e} at {where} "
+                   "(margin {limit:g})")
 
 
 def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
     """The map pushes iterates toward the optimum from both sides:
     g(x) > x strictly below it, g(x) < x strictly above it."""
-    worst = -math.inf
-    where = ""
     exclusion = 1e-6
-    for n, m, d in grid.cells():
-        cfg = ChannelConfig(n, m, d)
-        tau_opt = solve_optimal_tau(cfg).tau_opt
-        for tau in grid.tau_values:
-            if abs(tau - tau_opt) <= exclusion:
-                continue
-            gap = iteration_map(cfg, tau) - tau
-            # Wrong-signed gap is a violation; magnitude measures how badly.
-            out = -gap if tau < tau_opt else gap
-            if out > worst:
-                worst, where = out, f"n={n} m={m} d={d} tau={tau}"
-    return CheckResult(
-        "iteration_map_bracketing",
-        worst < 0.0,
-        worst,
-        f"max wrong-signed displacement of g(x) - x = {worst:.3e} at {where}",
-    )
+
+    def pairs():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            tau_opt = solve_optimal_tau(cfg).tau_opt
+            for tau in grid.tau_values:
+                if abs(tau - tau_opt) <= exclusion:
+                    continue
+                gap = iteration_map(cfg, tau) - tau
+                # Wrong-signed gap is a violation; magnitude measures how
+                # badly.
+                out = -gap if tau < tau_opt else gap
+                yield out, f"n={n} m={m} d={d} tau={tau}"
+
+    return _result("iteration_map_bracketing", pairs(), 0.0, "max "
+                   "wrong-signed displacement of g(x) - x = {worst:.3e} at "
+                   "{where}", strict=True)
 
 
 def check_solver_oracle(grid: VerifyGrid) -> CheckResult:
     """Solver against the derivative-free grid search over the
     dense population sweep."""
-    worst_tau = -math.inf
-    worst_sdp = -math.inf
-    where = ""
+    rows = []
     for n, m, d in grid.sweep_cells():
         cfg = ChannelConfig(n, m, d)
         report = solve_optimal_tau(cfg)
         oracle_tau, oracle_sdp = grid_search_optimum(cfg)
-        d_tau = abs(report.tau_opt - oracle_tau)
-        d_sdp = abs(report.sdp_max - oracle_sdp)
-        if d_tau > worst_tau:
-            worst_tau = d_tau
-            where = f"n={n} m={m} d={d}"
-        worst_sdp = max(worst_sdp, d_sdp)
-    passed = worst_tau <= 1e-6 and worst_sdp <= 1e-9
-    return CheckResult(
+        rows.append((abs(report.tau_opt - oracle_tau),
+                     abs(report.sdp_max - oracle_sdp), f"n={n} m={m} d={d}"))
+    worst_sdp = max(d_sdp for _, d_sdp, _ in rows)
+    result = _result(
         "solver_vs_grid_search",
-        passed,
-        worst_tau,
-        f"max |tau diff| = {worst_tau:.3e} at {where}, "
-        f"max |sdp diff| = {worst_sdp:.3e} (tols 1e-06, 1e-09)",
+        ((d_tau, where) for d_tau, _, where in rows),
+        1e-6,
+        "max |tau diff| = {worst:.3e} at {where}, max |sdp diff| = "
+        + f"{worst_sdp:.3e} (tols 1e-06, 1e-09)",
     )
+    return replace(result, passed=result.passed and worst_sdp <= 1e-9)
 
 
 def check_solver_localization(grid: VerifyGrid) -> CheckResult:
     """The solver converges, lands inside the localization interval, and for
     multi-packet receivers the two load curves really cross there."""
-    worst = -math.inf
-    where = ""
-    for n, m, d in grid.cells():
-        cfg = ChannelConfig(n, m, d)
-        report = solve_optimal_tau(cfg)
-        tau = report.tau_opt
-        lo = lower_bound_tau(n, d)
-        out = max(lo - tau - 1e-12, tau - (1.0 - 1e-15))
-        if not report.converged:
-            out = math.inf
-        if m >= 2:
-            crossing = abs(
-                admitted_load(cfg, tau) - deadline_load(cfg, tau)
-            )
-            out = max(out, crossing - 1e-9)
-        if out > worst:
-            worst, where = out, f"n={n} m={m} d={d}"
-    return CheckResult(
-        "solver_localization",
-        worst <= 0.0,
-        worst,
-        f"max violation of interval/crossing conditions = {worst:.3e} "
-        f"at {where}",
-    )
+    def pairs():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            report = solve_optimal_tau(cfg)
+            tau = report.tau_opt
+            lo = lower_bound_tau(n, d)
+            out = max(lo - tau - 1e-12, tau - (1.0 - 1e-15))
+            if not report.converged:
+                out = math.inf
+            if m >= 2:
+                crossing = abs(
+                    admitted_load(cfg, tau) - deadline_load(cfg, tau)
+                )
+                out = max(out, crossing - 1e-9)
+            yield out, f"n={n} m={m} d={d}"
+
+    return _result("solver_localization", pairs(), 0.0, "max violation of "
+                   "interval/crossing conditions = {worst:.3e} at {where}")
 
 
 CHECK_NAMES = (

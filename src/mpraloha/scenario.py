@@ -60,11 +60,10 @@ __all__ = [
 
 
 class ScenarioError(ValueError):
-    """A scenario file that cannot be used, with source location."""
+    """A scenario file that cannot be used; the message starts with the
+    source and, where one applies, the line number."""
 
     def __init__(self, source: str, line_no: int | None, message: str):
-        self.source = source
-        self.line_no = line_no
         location = f"{source}:{line_no}" if line_no else source
         super().__init__(f"{location}: {message}")
 
@@ -123,10 +122,6 @@ class ScenarioTimeline:
                     f"{stage.active_users}",
                 )
             expected_first = stage.last + 1
-
-    @property
-    def total_intervals(self) -> int:
-        return self.stages[-1].last
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ If the station stays silent for `deadline` consecutive slots, the packet
 expires unsent and counts as a failure.
 
 `step_slot` advances one slot for explicit per-user state and is the
-reference semantics. `run_stationary` is a vectorized implementation of the
+reference semantics. `run_interval` is a vectorized implementation of the
 same process that consumes the random stream identically (one uniform draw
 per user per slot, slot-major then user-index order), so both produce
-bit-identical counts for the same seed.
+bit-identical counts for the same seed. `run_stationary` runs it for fresh
+stations at one fixed tau.
 """
 
 from __future__ import annotations
@@ -67,8 +68,6 @@ class SlotObservation:
 class SimResult:
     """Aggregate counts from a finished run."""
 
-    slots: int
-    seed: int
     packets_completed: tuple[int, ...]
     packets_succeeded: tuple[int, ...]
 
@@ -98,6 +97,11 @@ class IntervalOutcome:
     completed: np.ndarray
     succeeded: np.ndarray
     probe_counts: dict[int, np.ndarray] = field(default_factory=dict)
+
+
+# Most station-slots `run_interval` simulates at once. A block costs about
+# 10 bytes per station-slot: the float64 draw plus the boolean masks.
+_BLOCK_CELLS = 1 << 22
 
 
 def step_slot(
@@ -148,56 +152,48 @@ def run_interval(
     hol_ages is updated in place so consecutive intervals chain exactly like
     repeated `step_slot` calls. The random stream consumption matches
     `step_slot`: an (n_slots, n_users) uniform block in row-major order.
+    The slots are simulated in blocks of at most _BLOCK_CELLS station-slots,
+    which bounds memory and, because the blocks chain the same way, leaves
+    every count unchanged.
     """
     n_users = len(tx_probs)
-    draws = rng.random((n_slots, n_users))
-    transmitted = draws < tx_probs
-    totals = transmitted.sum(axis=1)
-    decodable = totals <= mpr
+    block = max(1, _BLOCK_CELLS // max(1, n_users))
+    completed = np.zeros(n_users, dtype=np.int64)
+    succeeded = np.zeros(n_users, dtype=np.int64)
+    probe_counts = {c: np.zeros(n_users, dtype=np.int64) for c in probes}
+    for start in range(0, n_slots, block):
+        n = min(block, n_slots - start)
+        transmitted = rng.random((n, n_users)) < tx_probs
+        totals = transmitted.sum(axis=1)
+        completed += transmitted.sum(axis=0)
+        succeeded += (transmitted & (totals <= mpr)[:, None]).sum(axis=0)
 
-    attempts = transmitted.sum(axis=0)
-    succeeded = (transmitted & decodable[:, None]).sum(axis=0)
+        # Expiries only depend on the gaps between a station's
+        # transmissions: every full `deadline` silent slots inside a gap
+        # expires one packet.
+        for j in range(n_users):
+            positions = np.flatnonzero(transmitted[:, j])
+            age = int(hol_ages[j])
+            if positions.size == 0:
+                completed[j] += (age + n) // deadline
+                hol_ages[j] = (age + n) % deadline
+                continue
+            count = (age + int(positions[0])) // deadline
+            if positions.size > 1:
+                gaps = np.diff(positions) - 1
+                count += int((gaps // deadline).sum())
+            tail = n - 1 - int(positions[-1])
+            completed[j] += count + tail // deadline
+            hol_ages[j] = tail % deadline
 
-    # Expiries only depend on the gaps between a station's transmissions:
-    # every full `deadline` silent slots inside a gap expires one packet.
-    expired = np.zeros(n_users, dtype=np.int64)
-    for j in range(n_users):
-        positions = np.flatnonzero(transmitted[:, j])
-        age = int(hol_ages[j])
-        if positions.size == 0:
-            total_silent = age + n_slots
-            expired[j] = total_silent // deadline
-            hol_ages[j] = total_silent % deadline
-            continue
-        lead = age + int(positions[0])
-        count = lead // deadline
-        if positions.size > 1:
-            gaps = np.diff(positions) - 1
-            count += int((gaps // deadline).sum())
-        tail = n_slots - 1 - int(positions[-1])
-        count += tail // deadline
-        hol_ages[j] = tail % deadline
-        expired[j] = count
-
-    probe_counts: dict[int, np.ndarray] = {}
-    for c in probes:
-        mask = totals == c
-        silent_hits = mask.sum() - transmitted[mask].sum(axis=0)
-        probe_counts[c] = silent_hits.astype(np.int64)
-
-    return IntervalOutcome(
-        completed=attempts + expired,
-        succeeded=succeeded.astype(np.int64),
-        probe_counts=probe_counts,
-    )
+        for c in probes:
+            mask = totals == c
+            probe_counts[c] += mask.sum() - transmitted[mask].sum(axis=0)
+    return IntervalOutcome(completed, succeeded, probe_counts)
 
 
 def run_stationary(
-    config: ChannelConfig,
-    tau,
-    slots: int,
-    seed: int,
-    block_slots: int = 200_000,
+    config: ChannelConfig, tau, slots: int, seed: int
 ) -> SimResult:
     """Simulate `slots` slots with every station at the same fixed tau.
 
@@ -205,28 +201,17 @@ def run_stationary(
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
-    if block_slots < 1:
-        raise ValueError(f"block_slots must be >= 1, got {block_slots}")
-    t = as_probability(tau)
-    rng = np.random.default_rng(seed)
-    tx_probs = np.full(config.n_users, t)
-    hol_ages = np.zeros(config.n_users, dtype=np.int64)
-    completed = np.zeros(config.n_users, dtype=np.int64)
-    succeeded = np.zeros(config.n_users, dtype=np.int64)
-    remaining = slots
-    while remaining > 0:
-        chunk = min(block_slots, remaining)
-        outcome = run_interval(
-            rng, tx_probs, config.mpr, config.deadline, chunk, hol_ages
-        )
-        completed += outcome.completed
-        succeeded += outcome.succeeded
-        remaining -= chunk
+    outcome = run_interval(
+        np.random.default_rng(seed),
+        np.full(config.n_users, as_probability(tau)),
+        config.mpr,
+        config.deadline,
+        slots,
+        np.zeros(config.n_users, dtype=np.int64),
+    )
     return SimResult(
-        slots=slots,
-        seed=seed,
-        packets_completed=tuple(int(c) for c in completed),
-        packets_succeeded=tuple(int(s) for s in succeeded),
+        packets_completed=tuple(int(c) for c in outcome.completed),
+        packets_succeeded=tuple(int(s) for s in outcome.succeeded),
     )
 
 

@@ -1,6 +1,7 @@
 import pytest
 
 from mpraloha import checks
+from mpraloha.analytic import solve_optimal_tau
 from mpraloha.checks import CHECK_NAMES, VerifyGrid
 
 
@@ -52,6 +53,21 @@ class TestFaultInjection:
     def test_small_grid_passes_at_stated_tolerances(self):
         results = checks.run_all(SMALL)
         assert all(r.passed for r in results)
+        # Every d=1 cell ties at -1e-12; the first one is reported.
+        window = {r.name: r for r in results}["window_bound"]
+        assert window.detail.endswith("at d=1 tau=0.1")
+
+    def test_sdp_disagreement_alone_fails_solver_check(self, monkeypatch):
+        def oracle(cfg):
+            report = solve_optimal_tau(cfg)
+            return report.tau_opt, report.sdp_max + 1e-6
+
+        monkeypatch.setattr(checks, "grid_search_optimum", oracle)
+        result = checks.check_solver_oracle(SMALL)
+        assert result.name == "solver_vs_grid_search"
+        assert result.worst == 0.0
+        assert not result.passed
+        assert "max |sdp diff| = 1.000e-06" in result.detail
 
 
 class TestGrid:

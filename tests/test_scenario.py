@@ -54,7 +54,6 @@ class TestParser:
     def test_round_trip(self):
         tl = parse_scenario(GOOD)
         assert tl.seed == 7
-        assert tl.total_intervals == 10
         assert tl.stages == (
             Stage(1, 3, 20), Stage(4, 8, 40), Stage(9, 10, 20),
         )

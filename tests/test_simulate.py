@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from mpraloha import simulate
 from mpraloha.analytic import ChannelConfig, delivery_prob
 from mpraloha.simulate import (
     SimResult,
@@ -99,6 +100,29 @@ class TestVectorizedEquivalence:
         assert list(out1.succeeded + out2.succeeded) == list(whole.succeeded)
         assert list(ages_a) == list(ages_b)
 
+    def test_block_cells_do_not_change_results(self, monkeypatch):
+        n, mpr, deadline, slots = 7, 3, 4, 2003
+        taus = np.linspace(0.05, 0.5, n)
+        probes = (1, 2, 3)
+
+        def run():
+            ages = np.zeros(n, dtype=np.int64)
+            out = run_interval(
+                np.random.default_rng(9), taus, mpr, deadline, slots, ages,
+                probes=probes,
+            )
+            return out, ages
+
+        whole, ages_whole = run()
+        # Blocks of 3 slots (rounded down from 23 cells over 7 stations).
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 23)
+        blocked, ages_blocked = run()
+        assert list(blocked.completed) == list(whole.completed)
+        assert list(blocked.succeeded) == list(whole.succeeded)
+        for c in probes:
+            assert list(blocked.probe_counts[c]) == list(whole.probe_counts[c])
+        assert list(ages_blocked) == list(ages_whole)
+
     def test_probe_counts_match_reference_observations(self):
         n, mpr, deadline, slots = 8, 4, 5, 1500
         taus = np.linspace(0.1, 0.5, n)
@@ -126,12 +150,6 @@ class TestVectorizedEquivalence:
 
 
 class TestRunStationary:
-    def test_block_size_does_not_change_results(self):
-        cfg = ChannelConfig(10, 2, 5)
-        a = run_stationary(cfg, 0.2, 7777, seed=3, block_slots=100)
-        b = run_stationary(cfg, 0.2, 7777, seed=3, block_slots=7777)
-        assert a == b
-
     def test_silent_stations_expire_on_schedule(self):
         cfg = ChannelConfig(4, 2, 5)
         result = run_stationary(cfg, 0.0, 1003, seed=0)
@@ -159,10 +177,7 @@ class TestRunStationary:
         )
 
     def test_result_accessors(self):
-        r = SimResult(
-            slots=10, seed=0,
-            packets_completed=(4, 0), packets_succeeded=(3, 0),
-        )
+        r = SimResult(packets_completed=(4, 0), packets_succeeded=(3, 0))
         assert r.pooled_sdp() == pytest.approx(0.75)
         per_user = r.per_user_sdp()
         assert per_user[0] == pytest.approx(0.75)
