@@ -15,14 +15,17 @@ zero search on the stationarity gap admitted_load - deadline_load inside
 [lower_bound_tau, 1). The paper characterises the same optimum as the fixed
 point of `iteration_map`, which `checks` verifies but which no longer drives
 the solver, because it contracts with a slope near 1 when mpr/n_users or the
-deadline is large. `grid_search_optimum` is a slow, derivative-free maximizer
-used to cross-check the solver.
+deadline is large. `grid_search_optimum` is a derivative-free maximizer used
+to cross-check the solver: a uniform coarse scan, evaluated in one numpy pass,
+chooses the bracket that a scalar golden-section search then refines.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "N_CAP",
@@ -47,9 +50,12 @@ __all__ = [
 # forms still hold but the float evaluation here is only validated up to it.
 N_CAP = 1000
 
-# Scaled binomial terms are divided by 2**_RESCALE_BITS once they pass it, so
-# that one more ratio step (at most n * tau / (1 - tau) < 2**64) cannot
-# overflow.
+# Binomial terms whose start (1 - tau)^n is at most _SCALED_BELOW are carried
+# scaled: a subnormal start would leave the ratio recurrence only a few
+# mantissa bits. Scaled terms are divided by 2**_RESCALE_BITS once they pass
+# it, so that one more ratio step (at most n * tau / (1 - tau) < 2**64)
+# cannot overflow.
+_SCALED_BELOW = 1e-280
 _RESCALE_BITS = 600
 _RESCALE = 2.0**_RESCALE_BITS
 
@@ -108,6 +114,14 @@ def as_probability(value) -> float:
     return v
 
 
+def _require_tolerance(tolerance: float) -> None:
+    """Reject a tolerance that is not a finite positive number."""
+    if not 0.0 < tolerance < math.inf:
+        raise ValueError(
+            f"tolerance must be finite and positive, got {tolerance!r}"
+        )
+
+
 def _open_probability(value) -> float:
     v = as_probability(value)
     if v == 0.0 or v == 1.0:
@@ -156,9 +170,7 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
     weighted = 0.0
     term = (1.0 - tau) ** n
     ratio = tau / (1.0 - tau)
-    # A subnormal start would leave the recurrence only a few mantissa
-    # bits, so anything close to the underflow floor is scaled.
-    if term > 1e-280:
+    if term > _SCALED_BELOW:
         for i in range(m):
             head += term
             weighted += i * term
@@ -176,6 +188,41 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
             weighted /= _RESCALE
             shift += _RESCALE_BITS
     return math.ldexp(head, shift), math.ldexp(weighted, shift)
+
+
+def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
+    """`delivery_prob` at every element of `tau`, all strictly inside (0, 1).
+
+    The head sum runs the recurrence of `_head_sums` on the whole vector,
+    one step per i < mpr, so memory stays at a few vectors for any mpr.
+    Elements whose start underflows are carried scaled, as there; the
+    others never pass 2**_RESCALE_BITS and keep a shift of 0. numpy's
+    power, log1p and expm1 may differ from libm's by an ulp, so the values
+    match the scalar ones to rounding, not bit for bit.
+    """
+    n = config.n_users - 1
+    term = (1.0 - tau) ** n
+    ratio = tau / (1.0 - tau)
+    shift = np.zeros(tau.shape, dtype=np.int64)
+    scaled = term <= _SCALED_BELOW
+    any_scaled = bool(scaled.any())
+    if any_scaled:
+        frac, exp2 = np.frexp(1.0 - tau[scaled])
+        term[scaled] = frac**n
+        shift[scaled] = exp2.astype(np.int64) * n
+    head = np.zeros_like(tau)
+    for i in range(config.mpr):
+        head += term
+        term *= ((n - i) / (i + 1)) * ratio
+        if any_scaled:
+            big = term > _RESCALE
+            term[big] /= _RESCALE
+            head[big] /= _RESCALE
+            shift[big] += _RESCALE_BITS
+    head = np.minimum(np.ldexp(head, shift), 1.0)
+    d = config.deadline
+    window = tau if d == 1 else -np.expm1(d * np.log1p(-tau))
+    return window * head
 
 
 def _window_prob(tau: float, deadline: int) -> float:
@@ -353,8 +400,7 @@ def solve_optimal_tau(
     when that width is at most `tolerance`, or at most a few ulps of tau_opt
     where the bracket cannot shrink any further.
     """
-    if tolerance <= 0.0:
-        raise ValueError(f"tolerance must be positive, got {tolerance}")
+    _require_tolerance(tolerance)
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     lo = lower_bound_tau(config.n_users, config.deadline)
@@ -429,18 +475,14 @@ def grid_search_optimum(config: ChannelConfig) -> tuple[float, float]:
 
     Scans _COARSE_POINTS uniformly spaced points of [lower_bound_tau, 1),
     then refines the best cell with golden-section search down to a bracket
-    of width 1e-10. Returns (tau, sdp). Slower than the solver by orders of
-    magnitude.
+    of width 1e-10. Returns (tau, sdp). The scan runs in one numpy pass and
+    only chooses the bracket (the first maximum on ties); the refinement
+    and the returned values use the scalar `delivery_prob`.
     """
     lo = lower_bound_tau(config.n_users, config.deadline)
     step = (1.0 - lo) / _COARSE_POINTS
-    best_k = 0
-    best_val = -math.inf
-    for k in range(_COARSE_POINTS):
-        val = delivery_prob(config, lo + k * step)
-        if val > best_val:
-            best_val = val
-            best_k = k
+    scan = _delivery_prob_array(config, lo + np.arange(_COARSE_POINTS) * step)
+    best_k = int(np.argmax(scan))
     a = lo + (best_k - 1) * step if best_k > 0 else lo
     b = min(lo + (best_k + 1) * step, 1.0)
     # The objective is unimodal on (0, 1), so the bracket holds the maximum.

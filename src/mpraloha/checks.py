@@ -19,6 +19,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import (
     ChannelConfig,
+    _require_tolerance,
     admitted_load,
     binomial_pmf,
     deadline_load,
@@ -51,8 +52,9 @@ class VerifyGrid:
     large populations, every receiver capability up to 8, and short
     through long deadlines. sweep_* define the denser population sweep used
     only for the solver-versus-grid-search comparison. A grid without tau
-    values, (n, m, d) cells or sweep cells is rejected, because the checks
-    would pass on it without evaluating anything.
+    values, (n, m, d) cells, two distinct deadlines or sweep cells is
+    rejected, because the checks would pass on it without evaluating
+    anything.
     """
 
     tau_values: tuple[float, ...] = tuple(i / 100 for i in range(1, 100))
@@ -68,6 +70,10 @@ class VerifyGrid:
             raise ValueError("grid has no tau values")
         if next(self.cells(), None) is None:
             raise ValueError("grid has no (n, m, d) cell with 1 <= m < n")
+        if len(set(self.d_values)) < 2:
+            raise ValueError(
+                "grid has fewer than two distinct deadlines to compare"
+            )
         if next(self.sweep_cells(), None) is None:
             raise ValueError("grid has no sweep cell with m < n")
 
@@ -386,6 +392,7 @@ def run_all(
     grid: VerifyGrid | None = None, identity_tol: float = 1e-12
 ) -> list[CheckResult]:
     """Run every property check; order matches CHECK_NAMES."""
+    _require_tolerance(identity_tol)
     g = grid or VerifyGrid()
     return [
         check_sdp_bounds(g),

@@ -1,11 +1,15 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mpraloha.analytic import (
+    _COARSE_POINTS,
+    _SCALED_BELOW,
     ChannelConfig,
+    _delivery_prob_array,
     admit_prob,
     admitted_load,
     as_probability,
@@ -20,6 +24,15 @@ from mpraloha.analytic import (
     success_size_ratio,
     window_bound,
 )
+
+
+def _accepted_domain():
+    """The 110 (n, m, d) cells that span the accepted domain, including
+    the flat cell (200, 180, 100) and the underflowing (1000, 999, d)."""
+    for n in (10, 50, 200, 1000):
+        for m in sorted({1, 2, n // 10, n // 2, 9 * n // 10, n - 1}):
+            for d in (1, 5, 20, 100, 1000):
+                yield n, m, d
 
 
 class TestValidation:
@@ -59,8 +72,9 @@ class TestValidation:
 
     def test_solver_parameter_validation(self):
         cfg = ChannelConfig(10, 2, 5)
-        with pytest.raises(ValueError):
-            solve_optimal_tau(cfg, tolerance=0.0)
+        for tolerance in (0.0, -1.0, math.inf, math.nan):
+            with pytest.raises(ValueError, match="tolerance"):
+                solve_optimal_tau(cfg, tolerance=tolerance)
         with pytest.raises(ValueError):
             solve_optimal_tau(cfg, max_iter=0)
 
@@ -281,27 +295,25 @@ class TestSolver:
         # Reference: 60 bisection steps on the sign of the derivative. Where
         # P is 1 to within rounding the maximizer is not determined in
         # double precision, so tau is compared only off those flat cells.
-        for n in (10, 50, 200, 1000):
-            for m in sorted({1, 2, n // 10, n // 2, 9 * n // 10, n - 1}):
-                for d in (1, 5, 20, 100, 1000):
-                    cfg = ChannelConfig(n, m, d)
-                    report = solve_optimal_tau(cfg)
-                    assert report.converged, (n, m, d)
-                    lo = hi = lower_bound_tau(n, d)
-                    if m > 1:  # mpr = 1 peaks at the left endpoint
-                        hi = 1.0
-                        for _ in range(60):
-                            mid = 0.5 * (lo + hi)
-                            if delivery_prob_derivative(cfg, mid) > 0.0:
-                                lo = mid
-                            else:
-                                hi = mid
-                    tau = 0.5 * (lo + hi)
-                    assert report.sdp_max >= delivery_prob(cfg, tau) - 1e-12
-                    if 1.0 - report.sdp_max >= 1e-6:
-                        assert report.tau_opt == pytest.approx(
-                            tau, abs=1e-9
-                        ), (n, m, d)
+        for n, m, d in _accepted_domain():
+            cfg = ChannelConfig(n, m, d)
+            report = solve_optimal_tau(cfg)
+            assert report.converged, (n, m, d)
+            lo = hi = lower_bound_tau(n, d)
+            if m > 1:  # mpr = 1 peaks at the left endpoint
+                hi = 1.0
+                for _ in range(60):
+                    mid = 0.5 * (lo + hi)
+                    if delivery_prob_derivative(cfg, mid) > 0.0:
+                        lo = mid
+                    else:
+                        hi = mid
+            tau = 0.5 * (lo + hi)
+            assert report.sdp_max >= delivery_prob(cfg, tau) - 1e-12
+            if 1.0 - report.sdp_max >= 1e-6:
+                assert report.tau_opt == pytest.approx(
+                    tau, abs=1e-9
+                ), (n, m, d)
 
     def test_tolerance_below_resolution_stops_at_ulps(self):
         for n, m, d in ((20, 5, 1), (1000, 900, 5)):
@@ -326,6 +338,32 @@ class TestSolver:
         cfg = ChannelConfig(10, 1, 1)
         oracle_tau, _ = grid_search_optimum(cfg)
         assert oracle_tau == pytest.approx(0.1, abs=1e-8)
+
+    def test_array_scan_matches_scalar_scan(self):
+        # grid_search_optimum's coarse scan evaluates its points in one
+        # numpy pass. It must pick the first maximum of the scalar loop and
+        # refine next to it; the values may differ by the ulps of numpy's
+        # power, log1p and expm1. At (1000, 999, d) the start
+        # (1 - tau)^(n-1) of the points near tau = 1 is below
+        # _SCALED_BELOW, so those run scaled and rescale.
+        scaled = 0
+        for n, m, d in _accepted_domain():
+            cfg = ChannelConfig(n, m, d)
+            lo = lower_bound_tau(n, d)
+            step = (1.0 - lo) / _COARSE_POINTS
+            taus = lo + np.arange(_COARSE_POINTS) * step
+            fast = _delivery_prob_array(cfg, taus)
+            slow = [delivery_prob(cfg, t) for t in taus.tolist()]
+            first_max = max(range(_COARSE_POINTS), key=slow.__getitem__)
+            assert int(np.argmax(fast)) == first_max, (n, m, d)
+            tau, _ = grid_search_optimum(cfg)
+            assert lo + (first_max - 1) * step <= tau, (n, m, d)
+            assert tau <= lo + (first_max + 1) * step, (n, m, d)
+            np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0.0,
+                                       err_msg=str((n, m, d)))
+            start = (1.0 - taus) ** (n - 1)
+            scaled += int(np.count_nonzero(start <= _SCALED_BELOW))
+        assert scaled > 0
 
 
 class TestDerivativeAndMap:

@@ -9,16 +9,24 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# A traced `run_all` on a small grid. It must reach each check through the
-# module attribute that install() replaced, or that check's per-layer time
-# silently reads 0.
+# A traced `run_all` and a traced `sweep` on small grids. Each must reach
+# the checks and the grid search through the module attributes that
+# install() replaced, or that layer's per-layer time silently reads 0.
 _SCRIPT = """
+import os
 import sys
 sys.path[:0] = sys.argv[1:]
 import tracing
-from mpraloha import checks
+from mpraloha import checks, cli
 
 tracer = tracing.install()
+# (5, 5) is skipped, so the sweep has 3 x 2 cells, one grid search each.
+assert cli.main(["sweep", "--n", "5,8", "--m", "2,5", "--d", "1,20",
+                 "--out", os.devnull]) == 0
+metrics = tracing.layer_metrics(tracer)
+assert metrics["analytic.grid_search.calls"] == 6, metrics
+assert metrics["analytic.grid_search.s"] > 0, metrics
+
 checks.run_all(checks.VerifyGrid(
     tau_values=(0.1, 0.5), n_values=(5,), d_values=(1, 5),
     sweep_n=(6,), sweep_m=(2,), sweep_d=(1,),

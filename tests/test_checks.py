@@ -94,6 +94,12 @@ class TestGrid:
         with pytest.raises(ValueError, match="no sweep cell"):
             VerifyGrid(sweep_n=(6,), sweep_m=(9,))
 
+    def test_single_deadline_rejected(self):
+        # sdp_monotone_deadline needs a pair of deadlines to compare.
+        for d_values in ((5,), (5, 5)):
+            with pytest.raises(ValueError, match="two distinct deadlines"):
+                VerifyGrid(d_values=d_values)
+
     def test_default_tau_grid(self):
         grid = VerifyGrid()
         assert len(grid.tau_values) == 99

@@ -48,6 +48,19 @@ class TestUsageErrors:
             ["sweep", "--n", "6;9", "--m", "2", "--d", "1"]
         ) == 1
 
+    @pytest.mark.parametrize("tolerance", ["0", "-1", "inf", "nan"])
+    @pytest.mark.parametrize("command", [
+        ["solve", "--n", "20", "--m", "5", "--d", "1"],
+        ["sweep", "--n", "10", "--m", "2", "--d", "1"],
+        ["verify", "--n", "5", "--d", "1,2", "--sweep-n", "6",
+         "--sweep-m", "2", "--sweep-d", "1"],
+    ], ids=["solve", "sweep", "verify"])
+    def test_invalid_tolerance(self, command, tolerance, capsys):
+        assert cli.main(command + ["--tolerance", tolerance]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "tolerance must be finite and positive" in captured.err
+
 
 class TestSolve:
     def test_prints_report(self, capsys):
@@ -296,6 +309,15 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "no (n, m, d) cell" in captured.err
+
+    def test_single_deadline_is_config_error(self, capsys):
+        # sdp_monotone_deadline would compare nothing and pass at -inf.
+        args = ["verify", "--n", "6", "--m", "2", "--d", "1",
+                "--sweep-n", "6", "--sweep-m", "2", "--sweep-d", "1"]
+        assert cli.main(args) == 1
+        captured = capsys.readouterr()
+        assert "PASS" not in captured.out
+        assert "two distinct deadlines" in captured.err
 
     def test_impossible_tolerance_fails_honestly(self, capsys):
         assert cli.main(self.ARGS + ["--tolerance", "1e-18"]) == 2
