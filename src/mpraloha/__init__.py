@@ -27,14 +27,7 @@ from .scenario import (
     parse_scenario,
     run_dynamic,
 )
-from .simulate import (
-    SimResult,
-    SlotObservation,
-    UserState,
-    run_stationary,
-    step_slot,
-    theoretical_check,
-)
+from .simulate import SimResult, run_stationary, theoretical_check
 
 __version__ = "0.1.0"
 
@@ -46,10 +39,7 @@ __all__ = [
     "lower_bound_tau",
     "solve_optimal_tau",
     "grid_search_optimum",
-    "UserState",
-    "SlotObservation",
     "SimResult",
-    "step_slot",
     "run_stationary",
     "theoretical_check",
     "EstimatorConfig",

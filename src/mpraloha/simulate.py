@@ -11,8 +11,13 @@ expires unsent and counts as a failure.
 reference semantics. `run_interval` is a vectorized implementation of the
 same process that consumes the random stream identically (one uniform draw
 per user per slot, slot-major then user-index order), so both produce
-bit-identical counts for the same seed. `run_stationary` runs it for fresh
-stations at one fixed tau.
+bit-identical counts for the same seed. It turns each block of draws into a
+station-major transmission matrix with one bit per slot. Per-slot totals
+mark the decodable slots and the slots of each probed multiplicity, and a
+station's count over such a set of slots is the popcount of its bits ANDed
+with the set's bits. Expiries come from the gaps between each station's
+transmissions, found in one pass over the matrix. `run_stationary` runs it
+for fresh stations at one fixed tau.
 """
 
 from __future__ import annotations
@@ -99,9 +104,12 @@ class IntervalOutcome:
     probe_counts: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-# Most station-slots `run_interval` simulates at once. A block costs about
-# 10 bytes per station-slot: the float64 draw plus the boolean masks.
-_BLOCK_CELLS = 1 << 22
+# Most station-slots `run_interval` simulates at once. A block peaks at
+# about 9 bytes per station-slot while its float64 draw and the bool mask
+# coexist, or, when most stations transmit, at up to 25 in the expiry scan
+# (1 for the matrix, 24 per transmission for positions and gaps): from
+# about 10 MB at a low tau to about 26 MB when every station always sends.
+_BLOCK_CELLS = 1 << 20
 
 
 def step_slot(
@@ -164,32 +172,66 @@ def run_interval(
     for start in range(0, n_slots, block):
         n = min(block, n_slots - start)
         transmitted = rng.random((n, n_users)) < tx_probs
-        totals = transmitted.sum(axis=1)
-        completed += transmitted.sum(axis=0)
-        succeeded += (transmitted & (totals <= mpr)[:, None]).sum(axis=0)
-
-        # Expiries only depend on the gaps between a station's
-        # transmissions: every full `deadline` silent slots inside a gap
-        # expires one packet.
-        for j in range(n_users):
-            positions = np.flatnonzero(transmitted[:, j])
-            age = int(hol_ages[j])
-            if positions.size == 0:
-                completed[j] += (age + n) // deadline
-                hol_ages[j] = (age + n) % deadline
-                continue
-            count = (age + int(positions[0])) // deadline
-            if positions.size > 1:
-                gaps = np.diff(positions) - 1
-                count += int((gaps // deadline).sum())
-            tail = n - 1 - int(positions[-1])
-            completed[j] += count + tail // deadline
-            hol_ages[j] = tail % deadline
-
+        # Station-major, plus a sentinel transmission after the last slot
+        # for the expiry scan.
+        marks = np.empty((n_users, n + 1), dtype=bool)
+        marks[:, :n] = transmitted.T
+        marks[:, n] = True
+        del transmitted  # not held through the expiry scan
+        sent = marks[:, :n]
+        # Transmitters per slot, in the smallest type that holds n_users.
+        totals = sent.view(np.uint8).sum(
+            axis=0, dtype=np.min_scalar_type(n_users)
+        )
+        bits = np.packbits(sent, axis=1)
+        succeeded += _sent_in(bits, totals <= mpr)
         for c in probes:
-            mask = totals == c
-            probe_counts[c] += mask.sum() - transmitted[mask].sum(axis=0)
+            # Probe slots the station heard, i.e. those it did not send in.
+            in_probe = totals == c
+            probe_counts[c] += np.count_nonzero(in_probe) - _sent_in(
+                bits, in_probe
+            )
+        if deadline == 1:
+            # Every silent slot expires its packet and no age carries over.
+            completed += n
+        else:
+            hits = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+            completed += hits + _expire(marks, hits, hol_ages, deadline)
     return IntervalOutcome(completed, succeeded, probe_counts)
+
+
+def _sent_in(bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """Per station, its transmissions in the slots where the bool mask
+    `slots` is set; `bits` holds each station's slots packed, one row each."""
+    return np.bitwise_count(bits & np.packbits(slots)).sum(
+        axis=1, dtype=np.int64
+    )
+
+
+def _expire(
+    marks: np.ndarray,
+    hits: np.ndarray,
+    hol_ages: np.ndarray,
+    deadline: int,
+) -> np.ndarray:
+    """Packets each station let expire in one block; advances hol_ages.
+
+    `marks` is the station-major transmission matrix whose last column is a
+    sentinel transmission after the block. Every full `deadline` silent
+    slots between two of a station's transmissions expire one packet. The
+    sentinel gives every station at least one position and makes its final
+    gap the tail that carries over as its new age.
+    """
+    gaps = np.diff(np.flatnonzero(marks), prepend=-1)
+    gaps -= 1
+    last = np.cumsum(hits + 1) - 1
+    first = last - hits
+    # A station's first gap follows its carried-over age rather than the
+    # previous station's sentinel.
+    gaps[first] += hol_ages
+    hol_ages[:] = gaps[last] % deadline
+    gaps //= deadline
+    return np.add.reduceat(gaps, first)
 
 
 def run_stationary(

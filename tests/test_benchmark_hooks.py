@@ -9,12 +9,14 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-# A traced `run_all` and a traced `sweep` on small grids. Each must reach
-# the checks and the grid search through the module attributes that
-# install() replaced, or that layer's per-layer time silently reads 0.
+# A traced `sweep` and `run_all` on small grids and a traced `dynamic` on a
+# tiny scenario. Each must reach the grid search, the checks and the
+# simulator through the module attributes that install() replaced, or that
+# layer's per-layer time silently reads 0.
 _SCRIPT = """
 import os
 import sys
+import tempfile
 sys.path[:0] = sys.argv[1:]
 import tracing
 from mpraloha import checks, cli
@@ -36,6 +38,23 @@ times = {k: v for k, v in metrics.items()
          if k.startswith("checks.") and k.endswith(".s")}
 assert len(times) == 12, sorted(times)
 assert all(v > 0 for v in times.values()), times
+
+# Five intervals of 300 slots: two with 4 stations, three with 6.
+with tempfile.TemporaryDirectory() as tmp:
+    scenario = os.path.join(tmp, "tiny.cfg")
+    with open(scenario, "w") as handle:
+        handle.write(
+            "[channel]\\nmpr = 2\\ndeadline = 3\\n"
+            "[estimator]\\ninterval_len = 300\\nmemory_factor = 0.5\\n"
+            "probe_low = 1\\nprobe_high = 2\\nn_max = 10\\n"
+            "[stages]\\n1-2 = 4\\n3-5 = 6\\n"
+        )
+    assert cli.main(["dynamic", "--scenario", scenario, "--seed", "1",
+                     "--out", tmp]) == 0
+metrics = tracing.layer_metrics(tracer)
+assert metrics["simulate.run_interval.calls"] == 5, metrics
+assert metrics["simulate.station_slots"] == (2 * 4 + 3 * 6) * 300, metrics
+assert metrics["simulate.run_interval.s"] > 0, metrics
 """
 
 

@@ -149,6 +149,95 @@ class TestVectorizedEquivalence:
             assert list(out.probe_counts[c]) == manual[c]
 
 
+def _reference(taus, mpr, deadline, slots, rng, ages, probes):
+    """Per-slot `step_slot` run from the given head-of-line ages: counts,
+    final ages and, per probe c, the silent slots with c transmitters."""
+    users = [UserState(float(t), hol_age=int(a)) for t, a in zip(taus, ages)]
+    heard = {c: [0] * len(users) for c in probes}
+    for _ in range(slots):
+        for j, obs in enumerate(step_slot(users, mpr, deadline, rng)):
+            if not obs.tagged_transmitted and obs.total_transmitters in heard:
+                heard[obs.total_transmitters][j] += 1
+    return (
+        [u.packets_completed for u in users],
+        [u.packets_succeeded for u in users],
+        [u.hol_age for u in users],
+        heard,
+    )
+
+
+class TestKernelEdgeCases:
+    """`run_interval` against `step_slot`, bit for bit, where the blocked
+    kernel has special cases: degenerate tau, the one-slot deadline, ages
+    carried in, intervals shorter than the deadline and probes counted
+    across block boundaries."""
+
+    # Two stations that always send and two that never do, around
+    # interior ones: every slot carries at least two transmissions.
+    TAUS = np.array([0.0, 1.0, 0.35, 0.0, 0.1, 1.0, 0.6])
+    PROBES = (0, 1, 2, 4)
+
+    def test_block_counts_fit_float32(self):
+        # The kernel counts with float32 products, exact below 2**24.
+        assert simulate._BLOCK_CELLS < 2**24
+
+    @pytest.mark.parametrize("block_cells", [None, 23])
+    @pytest.mark.parametrize("slots", [1, 4, 500])
+    @pytest.mark.parametrize("deadline", [1, 2, 6])
+    def test_matches_reference(
+        self, monkeypatch, deadline, slots, block_cells
+    ):
+        if block_cells is not None:
+            # Blocks of 3 slots (23 cells over 7 stations).
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        mpr, seed = 3, 31 * deadline + slots
+        ages = np.random.default_rng(seed).integers(
+            0, deadline, len(self.TAUS)
+        )
+        rng_ref = np.random.default_rng(seed)
+        completed, succeeded, ref_ages, heard = _reference(
+            self.TAUS, mpr, deadline, slots, rng_ref, ages, self.PROBES
+        )
+
+        rng_vec = np.random.default_rng(seed)
+        vec_ages = ages.astype(np.int64)
+        out = run_interval(
+            rng_vec, self.TAUS, mpr, deadline, slots, vec_ages,
+            probes=self.PROBES,
+        )
+        assert list(out.completed) == completed
+        assert list(out.succeeded) == succeeded
+        assert list(vec_ages) == ref_ages
+        for c in self.PROBES:
+            assert list(out.probe_counts[c]) == heard[c]
+        # Both consumed the same number of draws.
+        assert rng_vec.random() == rng_ref.random()
+
+    def test_many_stations_match_reference(self):
+        # Over 255 stations the per-slot totals need more than a byte.
+        n, mpr, deadline, slots = 300, 270, 4, 40
+        taus = np.full(n, 0.9)
+        taus[:5], taus[5:10] = 0.0, 1.0
+        probes = (255, 262, 266, 301)
+        rng_ref = np.random.default_rng(8)
+        ages = rng_ref.integers(0, deadline, n)
+        rng_vec = np.random.default_rng(8)
+        rng_vec.integers(0, deadline, n)
+        completed, succeeded, ref_ages, heard = _reference(
+            taus, mpr, deadline, slots, rng_ref, ages, probes
+        )
+        vec_ages = ages.astype(np.int64)
+        out = run_interval(
+            rng_vec, taus, mpr, deadline, slots, vec_ages, probes=probes
+        )
+        assert sum(succeeded) > 0 and sum(heard[266]) > 0
+        assert list(out.completed) == completed
+        assert list(out.succeeded) == succeeded
+        assert list(vec_ages) == ref_ages
+        for c in probes:
+            assert list(out.probe_counts[c]) == heard[c]
+
+
 class TestRunStationary:
     def test_silent_stations_expire_on_schedule(self):
         cfg = ChannelConfig(4, 2, 5)
