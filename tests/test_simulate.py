@@ -166,20 +166,40 @@ def _reference(taus, mpr, deadline, slots, rng, ages, probes):
     )
 
 
+def _assert_matches_reference(taus, mpr, deadline, slots, seed, probes):
+    """Run `run_interval` and the `step_slot` reference on the same stream
+    from the same random ages and require identical results; returns the
+    reference's successes and probe counts."""
+    ages = np.random.default_rng(seed).integers(0, deadline, len(taus))
+    rng_ref = np.random.default_rng(seed)
+    completed, succeeded, ref_ages, heard = _reference(
+        taus, mpr, deadline, slots, rng_ref, ages, probes
+    )
+    rng_vec = np.random.default_rng(seed)
+    vec_ages = ages.astype(np.int64)
+    out = run_interval(
+        rng_vec, taus, mpr, deadline, slots, vec_ages, probes=probes
+    )
+    assert list(out.completed) == completed
+    assert list(out.succeeded) == succeeded
+    assert list(vec_ages) == ref_ages
+    for c in probes:
+        assert list(out.probe_counts[c]) == heard[c]
+    # Both consumed the same number of draws.
+    assert rng_vec.random() == rng_ref.random()
+    return succeeded, heard
+
+
 class TestKernelEdgeCases:
     """`run_interval` against `step_slot`, bit for bit, where the blocked
     kernel has special cases: degenerate tau, the one-slot deadline, ages
-    carried in, intervals shorter than the deadline and probes counted
-    across block boundaries."""
+    carried in, intervals shorter than the deadline, probes counted
+    across block boundaries and more than 255 stations."""
 
     # Two stations that always send and two that never do, around
     # interior ones: every slot carries at least two transmissions.
     TAUS = np.array([0.0, 1.0, 0.35, 0.0, 0.1, 1.0, 0.6])
     PROBES = (0, 1, 2, 4)
-
-    def test_block_counts_fit_float32(self):
-        # The kernel counts with float32 products, exact below 2**24.
-        assert simulate._BLOCK_CELLS < 2**24
 
     @pytest.mark.parametrize("block_cells", [None, 23])
     @pytest.mark.parametrize("slots", [1, 4, 500])
@@ -190,52 +210,18 @@ class TestKernelEdgeCases:
         if block_cells is not None:
             # Blocks of 3 slots (23 cells over 7 stations).
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
-        mpr, seed = 3, 31 * deadline + slots
-        ages = np.random.default_rng(seed).integers(
-            0, deadline, len(self.TAUS)
+        _assert_matches_reference(
+            self.TAUS, 3, deadline, slots, 31 * deadline + slots, self.PROBES
         )
-        rng_ref = np.random.default_rng(seed)
-        completed, succeeded, ref_ages, heard = _reference(
-            self.TAUS, mpr, deadline, slots, rng_ref, ages, self.PROBES
-        )
-
-        rng_vec = np.random.default_rng(seed)
-        vec_ages = ages.astype(np.int64)
-        out = run_interval(
-            rng_vec, self.TAUS, mpr, deadline, slots, vec_ages,
-            probes=self.PROBES,
-        )
-        assert list(out.completed) == completed
-        assert list(out.succeeded) == succeeded
-        assert list(vec_ages) == ref_ages
-        for c in self.PROBES:
-            assert list(out.probe_counts[c]) == heard[c]
-        # Both consumed the same number of draws.
-        assert rng_vec.random() == rng_ref.random()
 
     def test_many_stations_match_reference(self):
         # Over 255 stations the per-slot totals need more than a byte.
-        n, mpr, deadline, slots = 300, 270, 4, 40
-        taus = np.full(n, 0.9)
+        taus = np.full(300, 0.9)
         taus[:5], taus[5:10] = 0.0, 1.0
-        probes = (255, 262, 266, 301)
-        rng_ref = np.random.default_rng(8)
-        ages = rng_ref.integers(0, deadline, n)
-        rng_vec = np.random.default_rng(8)
-        rng_vec.integers(0, deadline, n)
-        completed, succeeded, ref_ages, heard = _reference(
-            taus, mpr, deadline, slots, rng_ref, ages, probes
-        )
-        vec_ages = ages.astype(np.int64)
-        out = run_interval(
-            rng_vec, taus, mpr, deadline, slots, vec_ages, probes=probes
+        succeeded, heard = _assert_matches_reference(
+            taus, 270, 4, 40, 8, (255, 262, 266, 301)
         )
         assert sum(succeeded) > 0 and sum(heard[266]) > 0
-        assert list(out.completed) == completed
-        assert list(out.succeeded) == succeeded
-        assert list(vec_ages) == ref_ages
-        for c in probes:
-            assert list(out.probe_counts[c]) == heard[c]
 
 
 class TestRunStationary:
