@@ -60,19 +60,13 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _fmt(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _write_csv(handle, header, rows) -> None:
+    """Write `rows` as they come, so an iterator is never held whole. The
+    csv module writes floats with repr, which round-trips exactly, and
+    other values with str."""
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+    writer.writerows(rows)
 
 
 def _emit_csv(path: str | None, header, rows) -> None:
@@ -107,7 +101,7 @@ def _solve_row(config: analytic.ChannelConfig, report: analytic.SolveReport):
         report.sdp_max,
         report.iterations,
         report.residual,
-        report.converged,
+        "true" if report.converged else "false",
     ]
 
 
@@ -223,24 +217,39 @@ def _cmd_simulate(args) -> int:
     return EXIT_OK
 
 
+# trace.csv columns; `_trace_rows` reads each from the Trace by this name.
+_TRACE_HEADER = [
+    "interval",
+    "user_id",
+    "n_est",
+    "tau",
+    "packets_completed",
+    "packets_succeeded",
+    "sdp",
+]
+
+# Trace rows converted to Python numbers at a time, which bounds the memory
+# the conversion takes whatever the length of the run.
+_CSV_CHUNK_ROWS = 1 << 16
+
+
+def _trace_rows(trace: scenario.Trace):
+    columns = [getattr(trace, name) for name in _TRACE_HEADER]
+    for start in range(0, len(trace), _CSV_CHUNK_ROWS):
+        stop = start + _CSV_CHUNK_ROWS
+        yield from zip(*(column[start:stop].tolist() for column in columns))
+
+
 def _cmd_dynamic(args) -> int:
     timeline = scenario.load_scenario(args.scenario)
     if args.seed is not None:
         timeline = dataclasses.replace(timeline, seed=args.seed)
-    result = scenario.run_dynamic(timeline)
+    # Before the run, so an unusable directory fails in a moment.
     os.makedirs(args.out, exist_ok=True)
+    result = scenario.run_dynamic(timeline)
     trace_path = os.path.join(args.out, "trace.csv")
     stages_path = os.path.join(args.out, "stages.csv")
-    _emit_csv(
-        trace_path,
-        ["interval", "user_id", "n_est", "tau", "packets_completed",
-         "packets_succeeded", "sdp"],
-        (
-            [r.interval, r.user_id, r.n_est, r.tau, r.packets_completed,
-             r.packets_succeeded, r.sdp]
-            for r in result.trace
-        ),
-    )
+    _emit_csv(trace_path, _TRACE_HEADER, _trace_rows(result.trace))
     _emit_csv(
         stages_path,
         ["stage", "first_interval", "last_interval", "active_users",

@@ -1,25 +1,29 @@
 """Distributed estimation of the active population size at runtime.
 
-Each station runs its own copy of this estimator. During an interval of
-fixed length it watches the channel in the slots where it stays silent and
-tallies how often it sees exactly c total transmissions, for the four probe
-multiplicities low-1, low, high-1, high. At the end of the interval the
-ratio
+Each station runs its own copy of this estimator; `PopulationEstimator`
+holds the copies of every active station side by side in arrays. During an
+interval of fixed length a station watches the channel in the slots where
+it stays silent and tallies how often it sees exactly c total
+transmissions, for the four probe multiplicities low-1, low, high-1, high.
+At the end of the interval the ratio
 
     count(low) * count(high - 1) / (count(high) * count(low - 1))
 
-estimates a quantity that is monotone in the population size and independent
-of the (unknown, possibly mixed) transmission probabilities in use, so it can
-be inverted for the station count. The raw measure is clamped to the feasible
-range, smoothed exponentially, inverted, rounded, and used to retune the
-station's transmission probability via the analytic solver.
+estimates a quantity that is monotone in the population size and, when
+every station transmits with the same probability, independent of that
+probability, so it can be inverted for the station count. Stations with
+different probabilities, as in the transient after a population change,
+bias it. The raw measure is clamped to the feasible range, smoothed
+exponentially, inverted, rounded, and used to retune the station's
+transmission probability via the analytic solver.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
+
+import numpy as np
 
 from .analytic import N_CAP, ChannelConfig, solve_optimal_tau
 
@@ -120,53 +124,103 @@ def tuned_tau(n_users: int, mpr: int, deadline: int) -> float:
 
 
 class PopulationEstimator:
-    """One station's view: probe counters, smoothed measure, current guess.
+    """Every active station's view, one array element per station id.
 
-    A fresh estimator assumes the worst case n_max and transmits with the tau
-    tuned for it; `end_interval` updates the guess from the interval's counts
-    and resets the counters.
+    Each station keeps its own probe counters, smoothed measure, previous
+    raw measure, population guess and tau; the arrays only hold them side
+    by side. A joining station assumes the worst case n_max and transmits
+    with the tau tuned for it; `end_interval` updates every guess from the
+    interval's counts and resets the counters.
     """
 
-    def __init__(self, config: EstimatorConfig):
+    def __init__(self, config: EstimatorConfig, stations: int = 1):
         self.config = config
-        self.counters: dict[int, int] = {c: 0 for c in config.probes}
-        self.mu = config.mu_floor
-        self._mu_raw_prev = config.mu_floor
-        self.n_est = config.n_max
-        self.tau = tuned_tau(config.n_max, config.mpr, config.deadline)
+        self.counters = {
+            c: np.zeros(0, dtype=np.int64) for c in config.probes
+        }
+        self.mu = np.zeros(0)
+        self._mu_raw_prev = np.zeros(0)
+        self.n_est = np.zeros(0, dtype=np.int64)
+        self.tau = np.zeros(0)
+        self.resize(stations)
 
-    def add_counts(self, counts: dict[int, int]) -> None:
-        """Tally probe hits: `counts` maps a multiplicity to the number of
-        slots in which this station stayed silent and saw that many
-        transmissions. Only silent slots carry information, because the
-        station's own transmission would shift the multiplicity it observes.
-        Multiplicities that are not probed are ignored."""
+    def resize(self, stations: int) -> None:
+        """Change the number of active stations: leavers drop the highest
+        ids, joiners get the next ids and start from the worst case."""
+        cfg = self.config
+        joiners = max(0, stations - len(self.n_est))
+
+        def fit(values, fill):
+            return np.concatenate(
+                [values[:stations], np.full(joiners, fill, values.dtype)]
+            )
+
+        self.counters = {c: fit(v, 0) for c, v in self.counters.items()}
+        self.mu = fit(self.mu, cfg.mu_floor)
+        self._mu_raw_prev = fit(self._mu_raw_prev, cfg.mu_floor)
+        self.n_est = fit(self.n_est, cfg.n_max)
+        self.tau = fit(
+            self.tau, tuned_tau(cfg.n_max, cfg.mpr, cfg.deadline)
+        )
+
+    def add_counts(self, counts) -> None:
+        """Tally probe hits: `counts` maps a multiplicity to, per station,
+        the number of slots in which that station stayed silent and saw that
+        many transmissions (an array, or one number for every station), as
+        in `IntervalOutcome.probe_counts`. Only silent slots carry
+        information, because a station's own transmission would shift the
+        multiplicity it observes. Multiplicities that are not probed are
+        ignored."""
         for c, hits in counts.items():
             if c in self.counters:
-                self.counters[c] += int(hits)
+                self.counters[c] += hits
 
-    def end_interval(self) -> int:
-        """Fold the interval's counts into the population estimate, retune
-        tau, reset the counters. Returns the new population estimate."""
+    def end_interval(self) -> np.ndarray:
+        """Fold the interval's counts into every population estimate,
+        retune tau, reset the counters. Returns the new estimates."""
         cfg = self.config
         i1, i2 = cfg.probe_low, cfg.probe_high
-        denom = self.counters[i2] * self.counters[i1 - 1]
-        if denom == 0:
-            # No usable measurement this interval: carry the previous one.
-            mu_raw = self._mu_raw_prev
-        else:
-            mu_raw = (
-                self.counters[i1] * self.counters[i2 - 1]
-            ) / denom
-        mu_raw = min(max(mu_raw, cfg.mu_floor), cfg.mu_cap)
+        # No usable measurement (a zero denominator): carry the previous one.
+        mu_raw = _count_ratio(
+            self.counters[i1],
+            self.counters[i2 - 1],
+            self.counters[i2],
+            self.counters[i1 - 1],
+            self._mu_raw_prev,
+        )
+        mu_raw = np.minimum(np.maximum(mu_raw, cfg.mu_floor), cfg.mu_cap)
         self._mu_raw_prev = mu_raw
         delta = cfg.memory_factor
         self.mu = delta * self.mu + (1.0 - delta) * mu_raw
         # mu >= mu_floor > i2 / i1, so raw_n > i2 > 0 and rounds half up.
         raw_n = i2 * (i2 - i1) / (i1 * self.mu - i2) + i2
-        n = math.floor(raw_n + 0.5)
-        self.n_est = min(max(n, cfg.mpr + 1), cfg.n_max)
-        self.tau = tuned_tau(self.n_est, cfg.mpr, cfg.deadline)
-        for c in self.counters:
-            self.counters[c] = 0
+        self.n_est = np.clip(
+            np.floor(raw_n + 0.5), cfg.mpr + 1, cfg.n_max
+        ).astype(np.int64)
+        estimates, which = np.unique(self.n_est, return_inverse=True)
+        self.tau = np.array(
+            [tuned_tau(int(n), cfg.mpr, cfg.deadline) for n in estimates]
+        )[which]
+        for counter in self.counters.values():
+            counter.fill(0)
         return self.n_est
+
+
+# Below this count the products of two counts stay under 2**53, so they
+# and their quotient are exact and correctly rounded in float64, as the
+# quotient of two Python ints is.
+_EXACT_COUNT = 1 << 26
+
+
+def _count_ratio(a, b, c, d, fallback) -> np.ndarray:
+    """a*b / (c*d) per element, rounded once from the exact integers, or
+    `fallback` where c*d is 0."""
+    ratio = fallback.copy()
+    den = c.astype(np.float64) * d
+    np.divide(a.astype(np.float64) * b, den, out=ratio, where=den != 0)
+    large = np.maximum(np.maximum(a, b), np.maximum(c, d)) >= _EXACT_COUNT
+    for j in np.flatnonzero(large):
+        den_j = int(c[j]) * int(d[j])
+        if den_j:
+            ratio[j] = int(a[j]) * int(b[j]) / den_j
+    return ratio

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from statistics import fmean, pvariance
 
 import numpy as np
@@ -48,7 +48,7 @@ from .simulate import run_interval
 __all__ = [
     "Stage",
     "ScenarioTimeline",
-    "TraceRow",
+    "Trace",
     "StageStats",
     "DynamicResult",
     "ScenarioError",
@@ -124,23 +124,41 @@ class ScenarioTimeline:
             expected_first = stage.last + 1
 
 
-@dataclass(frozen=True)
-class TraceRow:
-    """One station's view of one interval: the estimate and tau it used,
-    and what happened to its packets."""
+@dataclass(frozen=True, eq=False)
+class Trace:
+    """Every station's view of every interval, as columns with one row per
+    station and interval, ordered by interval and then station id: the
+    estimate and tau the station used, and what happened to its packets."""
 
-    interval: int
-    user_id: int
-    n_est: int
-    tau: float
-    packets_completed: int
-    packets_succeeded: int
+    interval: np.ndarray
+    user_id: np.ndarray
+    n_est: np.ndarray
+    tau: np.ndarray
+    packets_completed: np.ndarray
+    packets_succeeded: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.interval)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trace):
+            return NotImplemented
+        return all(
+            np.array_equal(getattr(self, f.name), getattr(other, f.name))
+            for f in fields(self)
+        )
 
     @property
-    def sdp(self) -> float:
-        if self.packets_completed == 0:
-            return math.nan
-        return self.packets_succeeded / self.packets_completed
+    def sdp(self) -> np.ndarray:
+        """Delivery rate per row; NaN where no packet completed."""
+        rate = np.full(len(self), math.nan)
+        np.divide(
+            self.packets_succeeded,
+            self.packets_completed,
+            out=rate,
+            where=self.packets_completed > 0,
+        )
+        return rate
 
 
 @dataclass(frozen=True)
@@ -163,7 +181,7 @@ class StageStats:
 
 @dataclass(frozen=True)
 class DynamicResult:
-    trace: tuple[TraceRow, ...]
+    trace: Trace
     stages: tuple[StageStats, ...]
 
 
@@ -300,69 +318,76 @@ def run_dynamic(timeline: ScenarioTimeline) -> DynamicResult:
     """
     cfg = timeline.estimator
     rng = np.random.default_rng(timeline.seed)
-    estimators: list[PopulationEstimator] = []
+    rows = sum(_stage_rows(stage) for stage in timeline.stages)
+    trace = Trace(
+        interval=np.empty(rows, dtype=np.int64),
+        user_id=np.empty(rows, dtype=np.int64),
+        n_est=np.empty(rows, dtype=np.int64),
+        tau=np.empty(rows),
+        packets_completed=np.empty(rows, dtype=np.int64),
+        packets_succeeded=np.empty(rows, dtype=np.int64),
+    )
+    estimators = PopulationEstimator(cfg, stations=0)
     hol_ages = np.zeros(0, dtype=np.int64)
-    trace: list[TraceRow] = []
+    stop = 0
     for stage in timeline.stages:
         count = stage.active_users
-        present = len(estimators)
-        if count > present:
-            estimators.extend(
-                PopulationEstimator(cfg) for _ in range(count - present)
-            )
-            hol_ages = np.concatenate(
-                [hol_ages, np.zeros(count - present, dtype=np.int64)]
-            )
-        elif count < present:
-            del estimators[count:]
-            hol_ages = hol_ages[:count].copy()
+        estimators.resize(count)
+        joiners = max(0, count - len(hol_ages))
+        hol_ages = np.concatenate(
+            [hol_ages[:count], np.zeros(joiners, dtype=np.int64)]
+        )
+        user_ids = np.arange(count)
         for interval in range(stage.first, stage.last + 1):
-            taus = np.array([est.tau for est in estimators])
-            n_in_force = [est.n_est for est in estimators]
+            start, stop = stop, stop + count
             outcome = run_interval(
                 rng,
-                taus,
+                estimators.tau,
                 cfg.mpr,
                 cfg.deadline,
                 cfg.interval_len,
                 hol_ages,
                 probes=cfg.probes,
             )
-            for j, est in enumerate(estimators):
-                trace.append(
-                    TraceRow(
-                        interval=interval,
-                        user_id=j,
-                        n_est=n_in_force[j],
-                        tau=float(taus[j]),
-                        packets_completed=int(outcome.completed[j]),
-                        packets_succeeded=int(outcome.succeeded[j]),
-                    )
-                )
-                est.add_counts(
-                    {c: arr[j] for c, arr in outcome.probe_counts.items()}
-                )
-                est.end_interval()
-    rows = tuple(trace)
-    return DynamicResult(rows, stage_statistics(timeline, rows))
+            trace.interval[start:stop] = interval
+            trace.user_id[start:stop] = user_ids
+            trace.n_est[start:stop] = estimators.n_est
+            trace.tau[start:stop] = estimators.tau
+            trace.packets_completed[start:stop] = outcome.completed
+            trace.packets_succeeded[start:stop] = outcome.succeeded
+            estimators.add_counts(outcome.probe_counts)
+            estimators.end_interval()
+    return DynamicResult(trace, stage_statistics(timeline, trace))
+
+
+def _stage_rows(stage: Stage) -> int:
+    return (stage.last - stage.first + 1) * stage.active_users
 
 
 def stage_statistics(
-    timeline: ScenarioTimeline, trace: tuple[TraceRow, ...]
+    timeline: ScenarioTimeline, trace: Trace
 ) -> tuple[StageStats, ...]:
-    """Pool per-station per-interval delivery rates within each stage."""
+    """Pool per-station per-interval delivery rates within each stage.
+
+    `trace` is the interval-ordered trace `run_dynamic` made of `timeline`,
+    so each stage is one contiguous slice of its rows.
+    """
     cfg = timeline.estimator
+    rows = sum(_stage_rows(stage) for stage in timeline.stages)
+    if len(trace) != rows:
+        raise ValueError(
+            f"trace has {len(trace)} rows, the timeline's stages {rows}"
+        )
+    sdp = trace.sdp
     stats = []
+    stop = 0
     for number, stage in enumerate(timeline.stages, start=1):
+        start, stop = stop, stop + _stage_rows(stage)
         theory = solve_optimal_tau(
             ChannelConfig(stage.active_users, cfg.mpr, cfg.deadline)
         ).sdp_max
-        samples = [
-            row.sdp
-            for row in trace
-            if stage.first <= row.interval <= stage.last
-            and row.packets_completed > 0
-        ]
+        completed = trace.packets_completed[start:stop]
+        samples = sdp[start:stop][completed > 0].tolist()
         if samples:
             mean = fmean(samples)
             variance = pvariance(samples, mu=mean)

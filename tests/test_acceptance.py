@@ -6,6 +6,7 @@ numbers for every criterion that executed.
 """
 
 import contextlib
+import hashlib
 import io
 import math
 from pathlib import Path
@@ -188,10 +189,9 @@ def test_criterion_7_dynamic_adaptation(name):
     # After the surge recedes the estimators must settle back on the true
     # population: median estimate across the last 50 intervals.
     final_stage = result.stages[-1]
+    trace = result.trace
     recovered = median(
-        r.n_est
-        for r in result.trace
-        if r.interval > final_stage.last - 50
+        trace.n_est[trace.interval > final_stage.last - 50].tolist()
     )
     ok = ok and recovered == final_stage.active_users
     details.append(f"recovered median estimate {recovered}")
@@ -201,6 +201,14 @@ def test_criterion_7_dynamic_adaptation(name):
         ok,
         "; ".join(details) + " (limits: rel 0.05, var 0.01)",
     )
+
+
+DYNAMIC_SHA256 = {
+    "trace.csv":
+        "fba2eb437431a6513c43719c8868987111e3ea4ae00051e3bd03b5870bf7e54f",
+    "stages.csv":
+        "94c8f3b1664af93b88559a6679e12f0d5a76e9b1f44c987b832e8637c28d77f6",
+}
 
 
 def test_criterion_8_byte_identical_reruns(tmp_path):
@@ -243,10 +251,17 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
                 dirs[1] / out_name
             ).read_bytes():
                 mismatches.append(f"{label}/{out_name}")
+    # Any drift in the estimator arithmetic or the CSV path changes these.
+    for out_name, digest in DYNAMIC_SHA256.items():
+        got = hashlib.sha256(
+            (tmp_path / "dynamic_a" / out_name).read_bytes()
+        ).hexdigest()
+        if got != digest:
+            mismatches.append(f"dynamic/{out_name} sha256 {got}")
     _report(
         8,
         "seeded reruns byte-identical",
         not mismatches,
-        "sweep, simulate, dynamic outputs compared"
+        "sweep, simulate, dynamic outputs compared, dynamic pinned by sha256"
         + (f"; mismatched: {mismatches}" if mismatches else ""),
     )

@@ -3,7 +3,7 @@ import dataclasses
 
 import pytest
 
-from mpraloha import analytic, cli
+from mpraloha import analytic, cli, scenario
 
 SCENARIO = """\
 [channel]
@@ -274,6 +274,31 @@ class TestDynamic:
         assert (tmp_path / "a" / "trace.csv").read_bytes() != (
             tmp_path / "b" / "trace.csv"
         ).read_bytes()
+
+    def test_chunked_trace_is_byte_identical(
+        self, scenario_path, tmp_path, monkeypatch
+    ):
+        args = ["dynamic", "--scenario", str(scenario_path), "--seed", "3"]
+        assert cli.main(args + ["--out", str(tmp_path / "whole")]) == 0
+        # 240 rows in chunks of 7: many chunks and a short last one.
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
+        assert cli.main(args + ["--out", str(tmp_path / "chunked")]) == 0
+        assert (tmp_path / "whole" / "trace.csv").read_bytes() == (
+            tmp_path / "chunked" / "trace.csv"
+        ).read_bytes()
+
+    def test_unusable_out_fails_before_the_run(
+        self, scenario_path, tmp_path, monkeypatch
+    ):
+        runs = []
+        monkeypatch.setattr(scenario, "run_dynamic", runs.append)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        assert cli.main(
+            ["dynamic", "--scenario", str(scenario_path),
+             "--out", str(blocker / "out")]
+        ) == 3
+        assert runs == []
 
     def test_missing_scenario_is_io_error(self, tmp_path):
         assert cli.main(

@@ -203,6 +203,135 @@ class TestAddCounts:
         assert est.counters == {1: 0, 2: 3, 4: 0, 5: 1}
 
 
+class _ScalarEstimator:
+    """One station's estimator with Python ints and floats, as it was kept
+    before the stations were held in arrays: the reference that
+    PopulationEstimator must match element for element."""
+
+    def __init__(self, config):
+        self.config = config
+        self.counters = {c: 0 for c in config.probes}
+        self.mu = config.mu_floor
+        self.mu_raw_prev = config.mu_floor
+        self.n_est = config.n_max
+        self.tau = tuned_tau(config.n_max, config.mpr, config.deadline)
+
+    def end_interval(self):
+        cfg = self.config
+        i1, i2 = cfg.probe_low, cfg.probe_high
+        denom = self.counters[i2] * self.counters[i1 - 1]
+        if denom == 0:
+            mu_raw = self.mu_raw_prev
+        else:
+            mu_raw = (self.counters[i1] * self.counters[i2 - 1]) / denom
+        mu_raw = min(max(mu_raw, cfg.mu_floor), cfg.mu_cap)
+        self.mu_raw_prev = mu_raw
+        delta = cfg.memory_factor
+        self.mu = delta * self.mu + (1.0 - delta) * mu_raw
+        raw_n = i2 * (i2 - i1) / (i1 * self.mu - i2) + i2
+        n = math.floor(raw_n + 0.5)
+        self.n_est = min(max(n, cfg.mpr + 1), cfg.n_max)
+        self.tau = tuned_tau(self.n_est, cfg.mpr, cfg.deadline)
+        self.counters = {c: 0 for c in cfg.probes}
+        return self.n_est
+
+
+class TestArraysMatchScalarReference:
+    def _check(self, est, reference):
+        assert est.n_est.tolist() == [r.n_est for r in reference]
+        assert est.mu.tolist() == [r.mu for r in reference]
+        assert est.tau.tolist() == [r.tau for r in reference]
+        for c, counter in est.counters.items():
+            assert counter.tolist() == [r.counters[c] for r in reference]
+
+    def _add(self, est, reference, counts):
+        """counts: one {multiplicity: hits} dict per station."""
+        for r, station in zip(reference, counts):
+            for c, hits in station.items():
+                r.counters[c] += hits
+        est.add_counts({
+            c: np.array([station[c] for station in counts], dtype=np.int64)
+            for c in est.config.probes
+        })
+
+    def _interval(self, est, reference, counts):
+        self._add(est, reference, counts)
+        assert est.end_interval().tolist() == [
+            r.end_interval() for r in reference
+        ]
+        self._check(est, reference)
+
+    def test_element_for_element(self):
+        cfg = _config(memory_factor=0.6)
+        probes = cfg.probes  # (1, 2, 4, 5)
+        est = PopulationEstimator(cfg, stations=5)
+        reference = [_ScalarEstimator(cfg) for _ in range(5)]
+        self._check(est, reference)
+        self._interval(est, reference, [
+            _comb_counts(cfg, 30),
+            dict(zip(probes, (17, 40, 23, 5))),
+            # Zero denominators: the previous raw measure carries over.
+            dict(zip(probes, (0, 40, 23, 5))),
+            dict(zip(probes, (0, 2**30, 2**30, 2**29))),
+            # Products near 2**59, far above 2**53, whose float64 quotient
+            # differs from the exact one in the last bit.
+            dict(zip(probes, (187664724, 452740236, 856875179, 625427705))),
+        ])
+        self._interval(est, reference, [
+            # Nothing seen: the measure of 30 stations carries over.
+            dict(zip(probes, (0, 0, 0, 0))),
+            # Clamped at mu_cap and at mu_floor.
+            {1: 1, 2: 10**9, 4: 10**9, 5: 1},
+            {1: 10**9, 2: 1, 4: 1, 5: 10**9},
+            _comb_counts(cfg, 12),
+            dict(zip(probes, (152924356, 701507560, 240039009, 224032155))),
+        ])
+        # Mid-interval, two leave (the highest ids, with their counts) and
+        # four join at the worst case.
+        self._add(est, reference, [
+            dict(zip(probes, (5 * k, 9, 4, k))) for k in range(5)
+        ])
+        est.resize(3)
+        del reference[3:]
+        self._check(est, reference)
+        est.resize(7)
+        reference += [_ScalarEstimator(cfg) for _ in range(4)]
+        self._check(est, reference)
+        rng = np.random.default_rng(5)
+        for _ in range(6):
+            self._interval(est, reference, [
+                dict(zip(probes, (int(v) for v in rng.integers(
+                    0, 2 ** int(rng.integers(3, 33)), size=len(probes)
+                ))))
+                for _ in reference
+            ])
+
+    def test_halfway_estimate_rounds_up(self):
+        # Measure 7/2 inverts to exactly 12.5 stations.
+        cfg = _config()
+        est = PopulationEstimator(cfg, stations=2)
+        reference = [_ScalarEstimator(cfg) for _ in range(2)]
+        self._interval(est, reference, [
+            dict(zip(cfg.probes, (2, 7, 1, 1))), _comb_counts(cfg, 12),
+        ])
+        assert est.n_est.tolist() == [13, 12]
+
+    def test_every_station_of_a_large_population(self):
+        # Random counts over the whole range, products up to 2**64, many
+        # of them not exact in float64.
+        cfg = _config(memory_factor=0.3, n_max=1000)
+        est = PopulationEstimator(cfg, stations=400)
+        reference = [_ScalarEstimator(cfg) for _ in range(400)]
+        rng = np.random.default_rng(11)
+        for high in (2**8, 2**20, 2**27, 2**32):
+            self._interval(est, reference, [
+                dict(zip(cfg.probes, (int(v) for v in rng.integers(
+                    0, high, size=len(cfg.probes)
+                ))))
+                for _ in reference
+            ])
+
+
 class TestTunedTau:
     def test_matches_solver(self):
         from mpraloha.analytic import ChannelConfig, solve_optimal_tau

@@ -148,36 +148,32 @@ def result():
 
 class TestRunDynamic:
     def test_trace_covers_every_station_interval(self, result):
+        trace = result.trace
+        assert len(trace) == 3 * 20 + 5 * 40 + 2 * 20
         per_interval = {}
-        for row in result.trace:
-            per_interval.setdefault(row.interval, []).append(row.user_id)
+        for interval, user_id in zip(trace.interval, trace.user_id):
+            per_interval.setdefault(int(interval), []).append(int(user_id))
         assert sorted(per_interval) == list(range(1, 11))
         for interval, ids in per_interval.items():
             expected = 40 if 4 <= interval <= 8 else 20
             assert sorted(ids) == list(range(expected))
 
     def test_everyone_starts_from_worst_case(self, result):
-        first = [r for r in result.trace if r.interval == 1]
-        assert {r.n_est for r in first} == {100}
+        trace = result.trace
+        first = trace.interval == 1
+        assert set(trace.n_est[first].tolist()) == {100}
         # A joiner mid-run starts from the worst case too.
-        joiners = [
-            r for r in result.trace if r.interval == 4 and r.user_id >= 20
-        ]
-        assert {r.n_est for r in joiners} == {100}
+        joiners = (trace.interval == 4) & (trace.user_id >= 20)
+        assert set(trace.n_est[joiners].tolist()) == {100}
 
     def test_survivors_keep_their_state_across_shrink(self, result):
-        last_big = {
-            r.user_id: r.n_est
-            for r in result.trace
-            if r.interval == 8 and r.user_id < 20
-        }
-        after = {
-            r.user_id: r.n_est for r in result.trace if r.interval == 9
-        }
+        trace = result.trace
+        last_big = (trace.interval == 8) & (trace.user_id < 20)
+        after = trace.interval == 9
         # Estimates evolve by one end_interval step between the reads, but
         # survivors do not reset to the worst case.
-        assert all(v < 100 for v in after.values())
-        assert set(after) == set(last_big)
+        assert all(v < 100 for v in trace.n_est[after])
+        assert set(trace.user_id[after]) == set(trace.user_id[last_big])
 
     def test_deterministic_and_seed_sensitive(self, result):
         again = run_dynamic(parse_scenario(GOOD))
@@ -192,14 +188,22 @@ class TestRunDynamic:
         stats = stage_statistics(tl, result.trace)
         assert stats == result.stages
         s2 = stats[1]
-        rows = [
-            r.sdp
-            for r in result.trace
-            if 4 <= r.interval <= 8 and r.packets_completed > 0
-        ]
+        trace = result.trace
+        rows = trace.sdp[
+            (4 <= trace.interval)
+            & (trace.interval <= 8)
+            & (trace.packets_completed > 0)
+        ].tolist()
         assert s2.samples == len(rows) == 200
         assert s2.sdp_mean == pytest.approx(sum(rows) / len(rows))
         assert s2.active_users == 40
+
+    def test_stage_stats_reject_a_trace_of_other_stages(self, result):
+        tl = dataclasses.replace(
+            parse_scenario(GOOD), stages=(Stage(1, 10, 20),)
+        )
+        with pytest.raises(ValueError, match="rows"):
+            stage_statistics(tl, result.trace)
 
     def test_theory_column_uses_true_population(self, result):
         from mpraloha.analytic import ChannelConfig, solve_optimal_tau
