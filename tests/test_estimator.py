@@ -204,9 +204,8 @@ class TestAddCounts:
 
 
 class _ScalarEstimator:
-    """One station's estimator with Python ints and floats, as it was kept
-    before the stations were held in arrays: the reference that
-    PopulationEstimator must match element for element."""
+    """One station's estimator in Python ints and floats: the reference
+    that PopulationEstimator must match element for element."""
 
     def __init__(self, config):
         self.config = config
