@@ -27,7 +27,7 @@ from .scenario import (
     parse_scenario,
     run_dynamic,
 )
-from .simulate import SimResult, run_stationary, theoretical_check
+from .simulate import delivery_rate, run_stationary
 
 __version__ = "0.1.0"
 
@@ -39,9 +39,8 @@ __all__ = [
     "lower_bound_tau",
     "solve_optimal_tau",
     "grid_search_optimum",
-    "SimResult",
     "run_stationary",
-    "theoretical_check",
+    "delivery_rate",
     "EstimatorConfig",
     "PopulationEstimator",
     "tuned_tau",

@@ -177,22 +177,25 @@ def _cmd_simulate(args) -> int:
     total_succeeded = 0
     for rep in range(args.reps):
         seed = args.seed + rep
-        result = simulate.run_stationary(config, tau, args.slots, seed)
-        rep_sdps.append(result.pooled_sdp())
-        total_completed += sum(result.packets_completed)
-        total_succeeded += sum(result.packets_succeeded)
-        for user, sdp in enumerate(result.per_user_sdp()):
-            rows.append(
-                [rep, seed, user, result.packets_completed[user],
-                 result.packets_succeeded[user], sdp, "", "", ""]
-            )
+        outcome = simulate.run_stationary(config, tau, args.slots, seed)
+        completed = outcome.completed.tolist()
+        succeeded = outcome.succeeded.tolist()
+        rep_sdps.append(
+            simulate.delivery_rate(sum(succeeded), sum(completed)).item()
+        )
+        total_completed += sum(completed)
+        total_succeeded += sum(succeeded)
+        sdps = simulate.delivery_rate(outcome.succeeded, outcome.completed)
+        for user, row in enumerate(zip(completed, succeeded, sdps.tolist())):
+            rows.append([rep, seed, user, *row, "", "", ""])
     mean = fmean(rep_sdps)
-    if args.reps >= 2:
-        std_error = stdev(rep_sdps) / math.sqrt(args.reps)
-    elif total_completed > 0:
-        std_error = math.sqrt(expected * (1.0 - expected) / total_completed)
-    else:
+    if math.isnan(mean):
+        # Some replication completed no packet.
         std_error = math.nan
+    elif args.reps >= 2:
+        std_error = stdev(rep_sdps) / math.sqrt(args.reps)
+    else:
+        std_error = math.sqrt(expected * (1.0 - expected) / total_completed)
     z = simulate.z_score(mean, expected, std_error)
     # Final row carries the run-level comparison; the per-user rows above
     # leave those columns blank.

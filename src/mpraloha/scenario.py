@@ -36,14 +36,14 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from statistics import fmean, pvariance
 
 import numpy as np
 
 from .analytic import ChannelConfig, solve_optimal_tau
 from .estimator import EstimatorConfig, PopulationEstimator
-from .simulate import run_interval
+from .simulate import delivery_rate, run_interval
 
 __all__ = [
     "Stage",
@@ -140,25 +140,10 @@ class Trace:
     def __len__(self) -> int:
         return len(self.interval)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Trace):
-            return NotImplemented
-        return all(
-            np.array_equal(getattr(self, f.name), getattr(other, f.name))
-            for f in fields(self)
-        )
-
     @property
     def sdp(self) -> np.ndarray:
         """Delivery rate per row; NaN where no packet completed."""
-        rate = np.full(len(self), math.nan)
-        np.divide(
-            self.packets_succeeded,
-            self.packets_completed,
-            out=rate,
-            where=self.packets_completed > 0,
-        )
-        return rate
+        return delivery_rate(self.packets_succeeded, self.packets_completed)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,8 @@ mark the decodable slots and the slots of each probed multiplicity, and a
 station's count over such a set of slots is the popcount of its bits ANDed
 with the set's bits. Expiries come from the gaps between each station's
 transmissions, found in one pass over the matrix. `run_stationary` runs it
-for fresh stations at one fixed tau.
+for fresh stations at one fixed tau, and `delivery_rate` turns the counts
+into delivery rates.
 """
 
 from __future__ import annotations
@@ -27,18 +28,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ChannelConfig, as_probability, delivery_prob
+from .analytic import ChannelConfig, as_probability
 
 __all__ = [
     "UserState",
     "SlotObservation",
-    "SimResult",
     "IntervalOutcome",
-    "TheoryComparison",
     "step_slot",
     "run_interval",
     "run_stationary",
-    "theoretical_check",
+    "delivery_rate",
     "z_score",
 ]
 
@@ -67,28 +66,6 @@ class SlotObservation:
 
     total_transmitters: int
     tagged_transmitted: bool
-
-
-@dataclass(frozen=True)
-class SimResult:
-    """Aggregate counts from a finished run."""
-
-    packets_completed: tuple[int, ...]
-    packets_succeeded: tuple[int, ...]
-
-    def pooled_sdp(self) -> float:
-        """Succeeded over completed, pooled across stations. NaN if nothing
-        completed."""
-        total = sum(self.packets_completed)
-        if total == 0:
-            return math.nan
-        return sum(self.packets_succeeded) / total
-
-    def per_user_sdp(self) -> tuple[float, ...]:
-        return tuple(
-            s / c if c else math.nan
-            for s, c in zip(self.packets_succeeded, self.packets_completed)
-        )
 
 
 @dataclass(frozen=True)
@@ -236,14 +213,14 @@ def _expire(
 
 def run_stationary(
     config: ChannelConfig, tau, slots: int, seed: int
-) -> SimResult:
+) -> IntervalOutcome:
     """Simulate `slots` slots with every station at the same fixed tau.
 
     Fresh stations (hol_age 0), counts from zero. Deterministic in `seed`.
     """
     if slots < 1:
         raise ValueError(f"slots must be >= 1, got {slots}")
-    outcome = run_interval(
+    return run_interval(
         np.random.default_rng(seed),
         np.full(config.n_users, as_probability(tau)),
         config.mpr,
@@ -251,38 +228,15 @@ def run_stationary(
         slots,
         np.zeros(config.n_users, dtype=np.int64),
     )
-    return SimResult(
-        packets_completed=tuple(int(c) for c in outcome.completed),
-        packets_succeeded=tuple(int(s) for s in outcome.succeeded),
-    )
 
 
-@dataclass(frozen=True)
-class TheoryComparison:
-    """Empirical delivery rate against the analytic value."""
-
-    empirical: float
-    analytic: float
-    z_score: float
-    packets: int
-
-
-def theoretical_check(
-    config: ChannelConfig, tau, slots: int, seed: int
-) -> TheoryComparison:
-    """Run `run_stationary` and compare the pooled delivery rate with
-    `delivery_prob`, reporting a binomial z-score."""
-    t = as_probability(tau)
-    result = run_stationary(config, t, slots, seed)
-    analytic = delivery_prob(config, t)
-    total = sum(result.packets_completed)
-    empirical = result.pooled_sdp()
-    if total == 0:
-        return TheoryComparison(empirical, analytic, math.nan, 0)
-    se = math.sqrt(analytic * (1.0 - analytic) / total)
-    return TheoryComparison(
-        empirical, analytic, z_score(empirical, analytic, se), total
-    )
+def delivery_rate(succeeded, completed) -> np.ndarray:
+    """Succeeded over completed, element by element; NaN where nothing
+    completed."""
+    completed = np.asarray(completed)
+    rate = np.full(completed.shape, math.nan)
+    np.divide(succeeded, completed, out=rate, where=completed > 0)
+    return rate
 
 
 def z_score(estimate: float, expected: float, se: float) -> float:

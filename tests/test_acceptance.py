@@ -23,7 +23,7 @@ from mpraloha.analytic import (
 from mpraloha.checks import VerifyGrid
 from mpraloha.estimator import EstimatorConfig, PopulationEstimator
 from mpraloha.scenario import load_scenario, run_dynamic
-from mpraloha.simulate import run_stationary
+from mpraloha.simulate import delivery_rate, run_stationary
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -106,8 +106,12 @@ def test_criterion_4_monte_carlo_agreement():
         tau = report.tau_opt
         sdps = []
         for rep in range(reps):
-            result = run_stationary(cfg, tau, slots, seed=1000 * idx + rep)
-            sdps.append(result.pooled_sdp())
+            outcome = run_stationary(cfg, tau, slots, seed=1000 * idx + rep)
+            sdps.append(
+                delivery_rate(
+                    outcome.succeeded.sum(), outcome.completed.sum()
+                ).item()
+            )
         mean = fmean(sdps)
         se = stdev(sdps) / math.sqrt(reps)
         diff = abs(mean - report.sdp_max)

@@ -210,6 +210,26 @@ class TestSimulate:
         )
         assert total["z_score"] != ""
 
+    def test_replications_completing_nothing_give_nan(
+        self, tmp_path, capsys
+    ):
+        # 20 slots at a deadline of 50 and tau 0.001: a replication can end
+        # with no packet completed, so its delivery rate is NaN.
+        path = tmp_path / "reps.csv"
+        assert cli.main(
+            ["simulate", "--n", "6", "--m", "2", "--d", "50",
+             "--tau", "0.001", "--slots", "20", "--reps", "4",
+             "--seed", "0", "--out", str(path)]
+        ) == 0
+        out = capsys.readouterr().out
+        assert "empirical  = nan" in out
+        assert "std_error  = nan" in out
+        assert "z_score    = nan" in out
+        total = _rows(path)[-1]
+        assert [total[k] for k in ("sdp", "std_error", "z_score")] == [
+            "nan", "nan", "nan"
+        ]
+
     def test_optimal_tau_default(self, capsys):
         assert cli.main(
             ["simulate", "--n", "10", "--m", "2", "--d", "5",

@@ -1,5 +1,6 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from mpraloha.estimator import EstimatorConfig
@@ -146,6 +147,13 @@ def result():
     return run_dynamic(parse_scenario(GOOD))
 
 
+def _same_columns(a, b):
+    return all(
+        np.array_equal(getattr(a, f.name), getattr(b, f.name))
+        for f in dataclasses.fields(a)
+    )
+
+
 class TestRunDynamic:
     def test_trace_covers_every_station_interval(self, result):
         trace = result.trace
@@ -177,11 +185,12 @@ class TestRunDynamic:
 
     def test_deterministic_and_seed_sensitive(self, result):
         again = run_dynamic(parse_scenario(GOOD))
-        assert again == result
+        assert _same_columns(again.trace, result.trace)
+        assert again.stages == result.stages
         other = run_dynamic(
             dataclasses.replace(parse_scenario(GOOD), seed=8)
         )
-        assert other.trace != result.trace
+        assert not _same_columns(other.trace, result.trace)
 
     def test_stage_stats_match_trace(self, result):
         tl = parse_scenario(GOOD)

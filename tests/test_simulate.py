@@ -1,17 +1,17 @@
+import csv
 import math
 
 import numpy as np
 import pytest
 
-from mpraloha import simulate
+from mpraloha import cli, simulate
 from mpraloha.analytic import ChannelConfig, delivery_prob
 from mpraloha.simulate import (
-    SimResult,
     UserState,
+    delivery_rate,
     run_interval,
     run_stationary,
     step_slot,
-    theoretical_check,
     z_score,
 )
 
@@ -227,15 +227,15 @@ class TestKernelEdgeCases:
 class TestRunStationary:
     def test_silent_stations_expire_on_schedule(self):
         cfg = ChannelConfig(4, 2, 5)
-        result = run_stationary(cfg, 0.0, 1003, seed=0)
-        assert set(result.packets_completed) == {1003 // 5}
-        assert set(result.packets_succeeded) == {0}
+        outcome = run_stationary(cfg, 0.0, 1003, seed=0)
+        assert outcome.completed.tolist() == [1003 // 5] * 4
+        assert outcome.succeeded.tolist() == [0] * 4
 
     def test_saturated_collisions_all_fail(self):
         cfg = ChannelConfig(4, 2, 3)
-        result = run_stationary(cfg, 1.0, 500, seed=0)
-        assert set(result.packets_completed) == {500}
-        assert set(result.packets_succeeded) == {0}
+        outcome = run_stationary(cfg, 1.0, 500, seed=0)
+        assert outcome.completed.tolist() == [500] * 4
+        assert outcome.succeeded.tolist() == [0] * 4
 
     def test_validation(self):
         cfg = ChannelConfig(4, 2, 3)
@@ -246,31 +246,50 @@ class TestRunStationary:
 
     def test_empirical_tracks_analytic(self):
         cfg = ChannelConfig(10, 2, 5)
-        result = run_stationary(cfg, 0.2, 300_000, seed=11)
-        assert result.pooled_sdp() == pytest.approx(
-            delivery_prob(cfg, 0.2), abs=0.005
+        outcome = run_stationary(cfg, 0.2, 300_000, seed=11)
+        pooled = delivery_rate(
+            outcome.succeeded.sum(), outcome.completed.sum()
         )
+        assert pooled == pytest.approx(delivery_prob(cfg, 0.2), abs=0.005)
 
-    def test_result_accessors(self):
-        r = SimResult(packets_completed=(4, 0), packets_succeeded=(3, 0))
-        assert r.pooled_sdp() == pytest.approx(0.75)
-        per_user = r.per_user_sdp()
-        assert per_user[0] == pytest.approx(0.75)
-        assert math.isnan(per_user[1])
+
+class TestDeliveryRate:
+    def test_elementwise_with_nan(self):
+        rate = delivery_rate(np.array([3, 0, 2]), np.array([4, 0, 2]))
+        assert rate[0] == pytest.approx(0.75)
+        assert math.isnan(rate[1])
+        assert rate[2] == 1.0
+        assert delivery_rate(3, 4) == pytest.approx(0.75)
+        assert math.isnan(delivery_rate(0, 0))
+
+
+def _aggregate_row(tmp_path, tau, slots, seed):
+    """The aggregate row of `mpraloha simulate` for (10, 2, 5) at one
+    replication."""
+    path = tmp_path / "reps.csv"
+    assert cli.main(
+        ["simulate", "--n", "10", "--m", "2", "--d", "5",
+         "--tau", str(tau), "--slots", str(slots), "--seed", str(seed),
+         "--out", str(path)]
+    ) == 0
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))[-1]
 
 
 class TestTheoreticalCheck:
-    def test_frozen_z_score(self):
-        cmp = theoretical_check(ChannelConfig(10, 2, 5), 0.2, 1_000_000, 1)
-        assert cmp.z_score == pytest.approx(-0.886, abs=1e-3)
-        assert cmp.empirical == pytest.approx(cmp.analytic, abs=0.002)
-        assert cmp.packets > 1_900_000
+    def test_frozen_z_score(self, tmp_path):
+        row = _aggregate_row(tmp_path, 0.2, 1_000_000, 1)
+        assert float(row["z_score"]) == pytest.approx(-0.886, abs=1e-3)
+        assert float(row["sdp"]) == pytest.approx(
+            float(row["analytic"]), abs=0.002
+        )
+        assert int(row["packets_completed"]) > 1_900_000
 
-    def test_degenerate_tau_gives_exact_zero(self):
-        cmp = theoretical_check(ChannelConfig(10, 2, 5), 1.0, 1000, 0)
-        assert cmp.empirical == 0.0
-        assert cmp.analytic == 0.0
-        assert cmp.z_score == 0.0
+    def test_degenerate_tau_gives_exact_zero(self, tmp_path):
+        row = _aggregate_row(tmp_path, 1.0, 1000, 0)
+        assert float(row["sdp"]) == 0.0
+        assert float(row["analytic"]) == 0.0
+        assert float(row["z_score"]) == 0.0
 
     def test_z_score_rule(self):
         assert z_score(0.5, 0.4, 0.05) == pytest.approx(2.0)
