@@ -62,6 +62,11 @@ _RESCALE = 2.0**_RESCALE_BITS
 # Cells of the uniform scan in `grid_search_optimum`.
 _COARSE_POINTS = 2000
 
+# Bracket width at which `solve_optimal_tau` stops, and its cap on gap
+# evaluations; accepted cells up to N = 1000, D = 10^15 need fewer than 70.
+_TOLERANCE = 1e-12
+_MAX_ITER = 10_000
+
 
 @dataclass(frozen=True)
 class ChannelConfig:
@@ -95,8 +100,10 @@ class SolveReport:
     """Outcome of `solve_optimal_tau`.
 
     sdp_max is the delivery probability re-evaluated at tau_opt, not a value
-    carried through the search. `solve_optimal_tau` describes iterations,
-    residual and converged.
+    carried through the search. iterations counts gap evaluations after the
+    bracket is set, residual is the width of the final sign-change bracket
+    (0.0 on an exact zero of the gap), and converged holds when that width
+    is at most the fixed 1e-12 tolerance.
     """
 
     tau_opt: float
@@ -112,14 +119,6 @@ def as_probability(value) -> float:
     if not 0.0 <= v <= 1.0:
         raise ValueError(f"probability must be in [0, 1], got {value!r}")
     return v
-
-
-def _require_tolerance(tolerance: float) -> None:
-    """Reject a tolerance that is not a finite positive number."""
-    if not 0.0 < tolerance < math.inf:
-        raise ValueError(
-            f"tolerance must be finite and positive, got {tolerance!r}"
-        )
 
 
 def _open_probability(value) -> float:
@@ -379,11 +378,7 @@ def _stationarity_gap(config: ChannelConfig, x: float) -> float:
     return weighted / head - x * (config.n_users + d - 1 - d / window)
 
 
-def solve_optimal_tau(
-    config: ChannelConfig,
-    tolerance: float = 1e-12,
-    max_iter: int = 10_000,
-) -> SolveReport:
+def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
     """Find the tau in (0, 1) maximizing `delivery_prob`.
 
     For mpr = 1 the closed form `lower_bound_tau` is returned directly.
@@ -394,15 +389,11 @@ def solve_optimal_tau(
     of the localization interval]; while the gap at the right end is still
     positive, the bracket moves right, halving the distance to 1.
 
-    The report's `iterations` counts gap evaluations after the bracket is
-    set, at most `max_iter`. `residual` is the width of the final sign-change
-    bracket, 0.0 when the gap at tau_opt is exactly zero. `converged` holds
-    when that width is at most `tolerance`, or at most a few ulps of tau_opt
-    where the bracket cannot shrink any further.
+    The search stops converged once the bracket is at most _TOLERANCE
+    (1e-12) wide, which every b <= 1 allows (4 ulp(b) <= 8.9e-16), and
+    unconverged after _MAX_ITER (10,000) gap evaluations. `SolveReport`
+    describes the fields.
     """
-    _require_tolerance(tolerance)
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
     lo = lower_bound_tau(config.n_users, config.deadline)
     if config.mpr == 1:
         return SolveReport(
@@ -424,6 +415,8 @@ def solve_optimal_tau(
     # other end of the bracket, a the previous b.
     c, fc = a, fa
     step = prev_step = b - a
+    # Half the stopping width; also the smallest step taken.
+    tol = 0.5 * _TOLERANCE
     iterations = 0
     while True:
         if (fb > 0.0) == (fc > 0.0):
@@ -433,9 +426,7 @@ def solve_optimal_tau(
             a, b, c = b, c, b
             fa, fb, fc = fb, fc, fb
         width = abs(c - b)
-        # Half the stopping width; also the smallest step that moves b.
-        tol = 0.5 * max(tolerance, 4.0 * math.ulp(b))
-        if fb == 0.0 or width <= 2.0 * tol or iterations == max_iter:
+        if fb == 0.0 or width <= 2.0 * tol or iterations == _MAX_ITER:
             break
         half = 0.5 * (c - b)
         if abs(prev_step) >= tol and abs(fa) > abs(fb):

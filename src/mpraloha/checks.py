@@ -19,7 +19,6 @@ from dataclasses import dataclass, replace
 
 from .analytic import (
     ChannelConfig,
-    _require_tolerance,
     admitted_load,
     binomial_pmf,
     deadline_load,
@@ -42,6 +41,8 @@ _SLOPE_MARGIN = 1e-4
 # Largest scaled error allowed between the closed-form derivative and the
 # finite difference.
 _DERIVATIVE_TOL = 1e-5
+# Largest residual allowed in the moment-ratio and term-matching identities.
+_IDENTITY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -59,7 +60,7 @@ class VerifyGrid:
 
     tau_values: tuple[float, ...] = tuple(i / 100 for i in range(1, 100))
     n_values: tuple[int, ...] = (2, 5, 10, 50)
-    m_values: tuple[int, ...] | None = None
+    m_values: tuple[int, ...] = tuple(range(1, 9))
     d_values: tuple[int, ...] = (1, 5, 20)
     sweep_n: tuple[int, ...] = tuple(range(6, 51))
     sweep_m: tuple[int, ...] = (2, 5, 8)
@@ -78,9 +79,7 @@ class VerifyGrid:
             raise ValueError("grid has no sweep cell with m < n")
 
     def mpr_values(self, n_users: int) -> tuple[int, ...]:
-        if self.m_values is not None:
-            return tuple(m for m in self.m_values if 1 <= m < n_users)
-        return tuple(range(1, min(8, n_users - 1) + 1))
+        return tuple(m for m in self.m_values if 1 <= m < n_users)
 
     def cells(self):
         for n in self.n_values:
@@ -219,9 +218,7 @@ def check_deadline_load_slope(grid: VerifyGrid) -> CheckResult:
                    "{where} (margin {limit:g})")
 
 
-def check_moment_ratio_identity(
-    grid: VerifyGrid, tol: float
-) -> CheckResult:
+def check_moment_ratio_identity(grid: VerifyGrid) -> CheckResult:
     """Decoded-batch moment ratio exceeds the conditional interferer mean
     by exactly one."""
     def pairs():
@@ -237,13 +234,12 @@ def check_moment_ratio_identity(
                     )
                     yield residual, f"n={n} m={m} tau={tau}"
 
-    return _result("moment_ratio_identity", pairs(), tol, "max |ratio - 1 "
-                   "- load| = {worst:.3e} at {where} (tol {limit:g})")
+    return _result("moment_ratio_identity", pairs(), _IDENTITY_TOL,
+                   "max |ratio - 1 - load| = {worst:.3e} at {where} "
+                   "(tol {limit:g})")
 
 
-def check_term_matching_identity(
-    grid: VerifyGrid, tol: float
-) -> CheckResult:
+def check_term_matching_identity(grid: VerifyGrid) -> CheckResult:
     """The term-by-term reindexing behind the moment-ratio identity:
 
         sum_{i=1..m} i   * P(X=i) = n tau * sum_{j<m} P(Y=j)
@@ -271,8 +267,9 @@ def check_term_matching_identity(
                     residual = max(abs(lhs1 - rhs1), abs(lhs2 - rhs2))
                     yield residual, f"n={n} m={m} tau={tau}"
 
-    return _result("term_matching_identity", pairs(), tol, "max reindexing "
-                   "residual = {worst:.3e} at {where} (tol {limit:g})")
+    return _result("term_matching_identity", pairs(), _IDENTITY_TOL,
+                   "max reindexing residual = {worst:.3e} at {where} "
+                   "(tol {limit:g})")
 
 
 def check_window_bound(grid: VerifyGrid) -> CheckResult:
@@ -388,11 +385,8 @@ CHECK_NAMES = (
 )
 
 
-def run_all(
-    grid: VerifyGrid | None = None, identity_tol: float = 1e-12
-) -> list[CheckResult]:
+def run_all(grid: VerifyGrid | None = None) -> list[CheckResult]:
     """Run every property check; order matches CHECK_NAMES."""
-    _require_tolerance(identity_tol)
     g = grid or VerifyGrid()
     return [
         check_sdp_bounds(g),
@@ -400,8 +394,8 @@ def run_all(
         check_derivative_fd(g),
         check_admitted_load_slope(g),
         check_deadline_load_slope(g),
-        check_moment_ratio_identity(g, identity_tol),
-        check_term_matching_identity(g, identity_tol),
+        check_moment_ratio_identity(g),
+        check_term_matching_identity(g),
         check_window_bound(g),
         check_iteration_map_slope(g),
         check_iteration_map_bracketing(g),

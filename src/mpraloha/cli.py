@@ -16,6 +16,7 @@ convergence failure, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
@@ -60,21 +61,25 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _write_csv(handle, header, rows) -> None:
-    """Write `rows` as they come, so an iterator is never held whole. The
-    csv module writes floats with repr, which round-trips exactly, and
+@contextlib.contextmanager
+def _csv_writer(path: str | None, header):
+    """A csv writer on `path` (None or '-': stdout) with `header` written.
+    The csv module writes floats with repr, which round-trips exactly, and
     other values with str."""
-    writer = csv.writer(handle, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
+    if path is None or path == "-":
+        target = contextlib.nullcontext(sys.stdout)
+    else:
+        target = open(path, "w", encoding="utf-8", newline="")
+    with target as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        yield writer
 
 
 def _emit_csv(path: str | None, header, rows) -> None:
-    if path is None or path == "-":
-        _write_csv(sys.stdout, header, rows)
-        return
-    with open(path, "w", encoding="utf-8", newline="") as handle:
-        _write_csv(handle, header, rows)
+    """Write `rows` as they come, so an iterator is never held whole."""
+    with _csv_writer(path, header) as writer:
+        writer.writerows(rows)
 
 
 _SOLVE_HEADER = [
@@ -90,6 +95,11 @@ _SOLVE_HEADER = [
 
 
 _SWEEP_HEADER = _SOLVE_HEADER + ["grid_tau", "grid_sdp", "tau_abs_diff"]
+
+_SIMULATE_HEADER = [
+    "rep", "seed", "user_id", "packets_completed", "packets_succeeded",
+    "sdp", "std_error", "analytic", "z_score",
+]
 
 
 def _solve_row(config: analytic.ChannelConfig, report: analytic.SolveReport):
@@ -107,9 +117,7 @@ def _solve_row(config: analytic.ChannelConfig, report: analytic.SolveReport):
 
 def _cmd_solve(args) -> int:
     config = analytic.ChannelConfig(args.n, args.m, args.d)
-    report = analytic.solve_optimal_tau(
-        config, tolerance=args.tolerance, max_iter=args.max_iter
-    )
+    report = analytic.solve_optimal_tau(config)
     print(f"tau_opt    = {report.tau_opt!r}")
     print(f"sdp_max    = {report.sdp_max!r}")
     print(f"iterations = {report.iterations}")
@@ -124,33 +132,34 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    rows = []
-    unconverged = []
-    for n in args.n:
-        for m in args.m:
-            if m >= n:
-                continue
-            for d in args.d:
-                config = analytic.ChannelConfig(n, m, d)
-                report = analytic.solve_optimal_tau(
-                    config, tolerance=args.tolerance
-                )
-                if not report.converged:
-                    unconverged.append(f"({n},{m},{d})")
-                grid_tau, grid_sdp = analytic.grid_search_optimum(config)
-                rows.append(
-                    _solve_row(config, report)
-                    + [grid_tau, grid_sdp, abs(report.tau_opt - grid_tau)]
-                )
-    if not rows:
+    # Every cell is validated before the first is solved.
+    configs = [
+        analytic.ChannelConfig(n, m, d)
+        for n in args.n for m in args.m if m < n for d in args.d
+    ]
+    if not configs:
         raise ValueError(
             "no valid (n, m, d) combination in the requested sweep"
         )
-    _emit_csv(args.out, _SWEEP_HEADER, rows)
+    unconverged = []
+
+    def rows():
+        for config in configs:
+            report = analytic.solve_optimal_tau(config)
+            if not report.converged:
+                unconverged.append(
+                    f"({config.n_users},{config.mpr},{config.deadline})"
+                )
+            grid_tau, grid_sdp = analytic.grid_search_optimum(config)
+            yield _solve_row(config, report) + [
+                grid_tau, grid_sdp, abs(report.tau_opt - grid_tau)
+            ]
+
+    _emit_csv(args.out, _SWEEP_HEADER, rows())
     if unconverged:
         print(
             f"error: solver did not converge for {len(unconverged)} of "
-            f"{len(rows)} (n,m,d) cells: {' '.join(unconverged)}",
+            f"{len(configs)} (n,m,d) cells: {' '.join(unconverged)}",
             file=sys.stderr,
         )
         return EXIT_VERIFY
@@ -171,65 +180,66 @@ def _cmd_simulate(args) -> int:
     expected = analytic.delivery_prob(config, tau)
     if args.reps < 1:
         raise ValueError(f"--reps must be >= 1, got {args.reps}")
-    rows = []
+    # Here, not at the first replication, so no CSV is started for a run
+    # that cannot happen.
+    if args.slots < 1:
+        raise ValueError(f"--slots must be >= 1, got {args.slots}")
     rep_sdps = []
     total_completed = 0
     total_succeeded = 0
-    for rep in range(args.reps):
-        seed = args.seed + rep
-        outcome = simulate.run_stationary(config, tau, args.slots, seed)
-        completed = outcome.completed.tolist()
-        succeeded = outcome.succeeded.tolist()
-        rep_sdps.append(
-            simulate.delivery_rate(sum(succeeded), sum(completed)).item()
-        )
-        total_completed += sum(completed)
-        total_succeeded += sum(succeeded)
-        sdps = simulate.delivery_rate(outcome.succeeded, outcome.completed)
-        for user, row in enumerate(zip(completed, succeeded, sdps.tolist())):
-            rows.append([rep, seed, user, *row, "", "", ""])
-    mean = fmean(rep_sdps)
-    if math.isnan(mean):
-        # Some replication completed no packet.
-        std_error = math.nan
-    elif args.reps >= 2:
-        std_error = stdev(rep_sdps) / math.sqrt(args.reps)
-    else:
-        std_error = math.sqrt(expected * (1.0 - expected) / total_completed)
-    z = simulate.z_score(mean, expected, std_error)
-    # Final row carries the run-level comparison; the per-user rows above
-    # leave those columns blank.
-    rows.append(
-        ["all", "", "all", total_completed, total_succeeded, mean,
-         std_error, expected, z]
-    )
+    # Station rows go out as each replication ends, so memory does not grow
+    # with --reps.
+    with (
+        _csv_writer(args.out, _SIMULATE_HEADER) if args.out
+        else contextlib.nullcontext()
+    ) as writer:
+        for rep in range(args.reps):
+            seed = args.seed + rep
+            outcome = simulate.run_stationary(config, tau, args.slots, seed)
+            completed = outcome.completed.tolist()
+            succeeded = outcome.succeeded.tolist()
+            rep_sdps.append(
+                simulate.delivery_rate(sum(succeeded), sum(completed)).item()
+            )
+            total_completed += sum(completed)
+            total_succeeded += sum(succeeded)
+            if writer:
+                sdps = simulate.delivery_rate(
+                    outcome.succeeded, outcome.completed
+                ).tolist()
+                writer.writerows(
+                    [rep, seed, user, *row, "", "", ""]
+                    for user, row in enumerate(zip(completed, succeeded, sdps))
+                )
+        mean = fmean(rep_sdps)
+        if math.isnan(mean):
+            # Some replication completed no packet.
+            std_error = math.nan
+        elif args.reps >= 2:
+            std_error = stdev(rep_sdps) / math.sqrt(args.reps)
+        else:
+            std_error = math.sqrt(
+                expected * (1.0 - expected) / total_completed
+            )
+        z = simulate.z_score(mean, expected, std_error)
+        if writer:
+            # The final row carries the run-level comparison; the station
+            # rows above leave those columns blank.
+            writer.writerow(
+                ["all", "", "all", total_completed, total_succeeded, mean,
+                 std_error, expected, z]
+            )
     print(f"tau        = {tau!r}")
     print(f"analytic   = {expected!r}")
     print(f"empirical  = {mean!r}")
     print(f"std_error  = {std_error:.3e}")
     print(f"z_score    = {z:.3f}")
     print(f"reps       = {args.reps}, slots each = {args.slots}")
-    if args.out:
-        _emit_csv(
-            args.out,
-            ["rep", "seed", "user_id", "packets_completed",
-             "packets_succeeded", "sdp", "std_error", "analytic",
-             "z_score"],
-            rows,
-        )
     return EXIT_OK
 
 
-# trace.csv columns; `_trace_rows` reads each from the Trace by this name.
-_TRACE_HEADER = [
-    "interval",
-    "user_id",
-    "n_est",
-    "tau",
-    "packets_completed",
-    "packets_succeeded",
-    "sdp",
-]
+# trace.csv columns: the Trace fields, then the derived `sdp`.
+_TRACE_COLUMNS = [f.name for f in dataclasses.fields(scenario.Trace)] + ["sdp"]
 
 # Trace rows converted to Python numbers at a time, which bounds the memory
 # the conversion takes whatever the length of the run.
@@ -237,7 +247,7 @@ _CSV_CHUNK_ROWS = 1 << 16
 
 
 def _trace_rows(trace: scenario.Trace):
-    columns = [getattr(trace, name) for name in _TRACE_HEADER]
+    columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
     for start in range(0, len(trace), _CSV_CHUNK_ROWS):
         stop = start + _CSV_CHUNK_ROWS
         yield from zip(*(column[start:stop].tolist() for column in columns))
@@ -252,7 +262,7 @@ def _cmd_dynamic(args) -> int:
     result = scenario.run_dynamic(timeline)
     trace_path = os.path.join(args.out, "trace.csv")
     stages_path = os.path.join(args.out, "stages.csv")
-    _emit_csv(trace_path, _TRACE_HEADER, _trace_rows(result.trace))
+    _emit_csv(trace_path, _TRACE_COLUMNS, _trace_rows(result.trace))
     _emit_csv(
         stages_path,
         ["stage", "first_interval", "last_interval", "active_users",
@@ -283,7 +293,7 @@ def _cmd_verify(args) -> int:
     grid = checks.VerifyGrid(
         **{k: v for k, v in overrides.items() if v is not None}
     )
-    results = checks.run_all(grid, identity_tol=args.tolerance)
+    results = checks.run_all(grid)
     for r in results:
         print(f"{'PASS' if r.passed else 'FAIL'} {r.name}: {r.detail}")
     failed = sum(not r.passed for r in results)
@@ -315,11 +325,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="receiver capability (packets decodable per slot)")
     p.add_argument("--d", type=int, required=True,
                    help="per-packet deadline in slots")
-    p.add_argument("--tolerance", type=float, default=1e-12,
-                   help="bracket width at which the solver stops "
-                        "(default 1e-12)")
-    p.add_argument("--max-iter", type=int, default=10_000,
-                   help="cap on solver gap evaluations (default 10000)")
     p.add_argument("--out", help="also write the result as one CSV row")
     p.set_defaults(func=_cmd_solve)
 
@@ -344,9 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="receiver capabilities, e.g. '2,5,8'")
     p.add_argument("--d", type=_int_list, required=True,
                    help="deadlines, e.g. '1,5,10,20'")
-    p.add_argument("--tolerance", type=float, default=1e-12,
-                   help="bracket width at which the solver stops "
-                        "(default 1e-12)")
     p.add_argument("--out", help="CSV path ('-' or omitted: stdout)")
     p.set_defaults(func=_cmd_sweep)
 
@@ -381,8 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "verify", help="run the analytic property checks"
     )
-    p.add_argument("--tolerance", type=float, default=1e-12,
-                   help="tolerance for the exact identities (default 1e-12)")
     p.add_argument("--n", type=_int_list, default=None,
                    help="override grid populations")
     p.add_argument("--m", type=_int_list, default=None,

@@ -41,8 +41,9 @@ class TestSuite:
 
 
 class TestFaultInjection:
-    def test_unreachable_tolerance_reported_as_failure(self):
-        results = checks.run_all(SMALL, identity_tol=1e-18)
+    def test_unreachable_tolerance_reported_as_failure(self, monkeypatch):
+        monkeypatch.setattr(checks, "_IDENTITY_TOL", 1e-18)
+        results = checks.run_all(SMALL)
         by_name = {r.name: r for r in results}
         assert not by_name["moment_ratio_identity"].passed
         assert not by_name["term_matching_identity"].passed

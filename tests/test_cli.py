@@ -1,9 +1,13 @@
+import argparse
 import csv
 import dataclasses
+import pathlib
+import re
+import tracemalloc
 
 import pytest
 
-from mpraloha import analytic, cli, scenario
+from mpraloha import analytic, checks, cli, scenario
 
 SCENARIO = """\
 [channel]
@@ -48,18 +52,16 @@ class TestUsageErrors:
             ["sweep", "--n", "6;9", "--m", "2", "--d", "1"]
         ) == 1
 
-    @pytest.mark.parametrize("tolerance", ["0", "-1", "inf", "nan"])
-    @pytest.mark.parametrize("command", [
-        ["solve", "--n", "20", "--m", "5", "--d", "1"],
-        ["sweep", "--n", "10", "--m", "2", "--d", "1"],
-        ["verify", "--n", "5", "--d", "1,2", "--sweep-n", "6",
-         "--sweep-m", "2", "--sweep-d", "1"],
-    ], ids=["solve", "sweep", "verify"])
-    def test_invalid_tolerance(self, command, tolerance, capsys):
-        assert cli.main(command + ["--tolerance", tolerance]) == 1
+    @pytest.mark.parametrize("flag", [
+        ["--tolerance", "1e-9"], ["--max-iter", "2"],
+    ], ids=["tolerance", "max-iter"])
+    def test_solver_bounds_are_not_flags(self, flag, capsys):
+        assert cli.main(
+            ["solve", "--n", "20", "--m", "5", "--d", "1"] + flag
+        ) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "tolerance must be finite and positive" in captured.err
+        assert f"unrecognized arguments: {flag[0]}" in captured.err
 
 
 class TestSolve:
@@ -79,11 +81,9 @@ class TestSolve:
         assert cli.main(["solve", "--n", "10", "--m", "1", "--d", "1"]) == 0
         assert "tau_opt    = 0.1\n" in capsys.readouterr().out
 
-    def test_nonconvergence_exits_two(self, capsys):
-        code = cli.main(
-            ["solve", "--n", "20", "--m", "5", "--d", "1",
-             "--max-iter", "2"]
-        )
+    def test_nonconvergence_exits_two(self, capsys, monkeypatch):
+        monkeypatch.setattr(analytic, "_MAX_ITER", 2)
+        code = cli.main(["solve", "--n", "20", "--m", "5", "--d", "1"])
         assert code == 2
         assert "converged  = no" in capsys.readouterr().out
 
@@ -154,6 +154,17 @@ class TestSweep:
             ["sweep", "--n", "10", "--m", "2", "--d", "1",
              "--out", str(target)]
         ) == 3
+
+    def test_invalid_cell_fails_before_solving(self, capsys, monkeypatch):
+        solved = []
+        monkeypatch.setattr(analytic, "solve_optimal_tau", solved.append)
+        assert cli.main(
+            ["sweep", "--n", "6,1001", "--m", "2", "--d", "1"]
+        ) == 1
+        assert solved == []
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_users must be in [2, 1000], got 1001" in captured.err
 
     def test_unconverged_row_exits_two(self, tmp_path, capsys,
                                         monkeypatch):
@@ -244,6 +255,35 @@ class TestSimulate:
              "--tau", "lots"]
         ) == 1
         assert "--tau" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("n_users, to_file", [(1000, False), (200, True)],
+                             ids=["stdout-only", "csv"])
+    def test_memory_does_not_grow_with_reps(
+        self, n_users, to_file, tmp_path, capsys
+    ):
+        # Station rows are written as each replication ends and never
+        # kept, so ten times the replications must not raise the peak.
+        args = ["simulate", "--n", str(n_users), "--m", "5", "--d", "5",
+                "--slots", "1"]
+        if to_file:
+            args += ["--out", str(tmp_path / "reps.csv")]
+        peaks = []
+        for reps in ("5", "50"):
+            tracemalloc.start()
+            try:
+                assert cli.main(args + ["--reps", reps]) == 0
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] < peaks[0] + 500_000, peaks
+
+    def test_bad_slots_starts_no_csv(self, tmp_path):
+        path = tmp_path / "reps.csv"
+        assert cli.main(
+            ["simulate", "--n", "10", "--m", "2", "--d", "5",
+             "--slots", "0", "--out", str(path)]
+        ) == 1
+        assert not path.exists()
 
     def test_bad_reps(self):
         assert cli.main(
@@ -364,8 +404,28 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "two distinct deadlines" in captured.err
 
-    def test_impossible_tolerance_fails_honestly(self, capsys):
-        assert cli.main(self.ARGS + ["--tolerance", "1e-18"]) == 2
+    def test_impossible_tolerance_fails_honestly(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "_IDENTITY_TOL", 1e-18)
+        assert cli.main(self.ARGS) == 2
         captured = capsys.readouterr()
         assert "FAIL moment_ratio_identity" in captured.out
         assert "checks failed" in captured.err
+
+
+class TestReadme:
+    def test_command_line_section_names_every_flag(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        section = readme.read_text().split("## Command line", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
+        (subparsers,) = (
+            action for action in cli.build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        defined = {
+            flag
+            for sub in subparsers.choices.values()
+            for action in sub._actions
+            for flag in action.option_strings
+        } - {"-h", "--help"}
+        assert documented == defined
