@@ -44,7 +44,14 @@ __all__ = [
     "window_bound",
     "iteration_map",
     "as_probability",
+    "UnderflowError",
 ]
+
+
+class UnderflowError(ValueError):
+    """A conditional quantity whose conditioning probability underflowed to
+    zero, so that it cannot be computed at this tau."""
+
 
 # Population sizes beyond this are outside the supported regime; the closed
 # forms still hold but the float evaluation here is only validated up to it.
@@ -254,7 +261,7 @@ def admitted_load(config: ChannelConfig, tau) -> float:
     t = _open_probability(tau)
     head, weighted = _head_sums(config.n_users - 1, config.mpr, t)
     if head == 0.0:
-        raise ValueError(
+        raise UnderflowError(
             f"admit probability underflowed to zero at tau={t}; "
             "the conditional mean is not computable here"
         )
@@ -330,7 +337,7 @@ def success_size_ratio(config: ChannelConfig, tau) -> float:
         i * binomial_pmf(n, i, t) for i in range(1, config.mpr + 1)
     )
     if den == 0.0:
-        raise ValueError(
+        raise UnderflowError(
             f"decoded-batch mass underflowed to zero at tau={t}"
         )
     return num / den

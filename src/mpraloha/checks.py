@@ -10,6 +10,10 @@ the solver itself against the derivative-free grid search.
 Strict inequalities are tested with a small outward margin because central
 finite differences carry noise of order 1e-10 and several bounds are
 approached asymptotically on the grid.
+
+Where a side of a check underflows and cannot be computed (the admit
+probability or the decoded-batch mass of a large population at a tau near
+1), the check skips that cell and counts it in its detail.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass, replace
 
 from .analytic import (
     ChannelConfig,
+    UnderflowError,
     admitted_load,
     binomial_pmf,
     deadline_load,
@@ -113,14 +118,20 @@ def _result(
     """Reduce (violation, location) pairs to their largest violation, the
     first one on ties. The check passes when that violation is at most
     `limit` (below it if `strict`); `detail` is formatted with `worst`,
-    `where` and `limit`."""
+    `where` and `limit`. A violation of None marks a cell that could not be
+    computed; such cells are skipped and counted in the detail."""
     worst = -math.inf
     where = ""
+    skipped = 0
     for violation, location in pairs:
-        if violation > worst:
+        if violation is None:
+            skipped += 1
+        elif violation > worst:
             worst, where = violation, location
     passed = worst < limit if strict else worst <= limit
     detail = detail.format(worst=worst, where=where, limit=limit)
+    if skipped:
+        detail += f"; {skipped} cells skipped as not computable"
     return CheckResult(name, passed, worst, detail)
 
 
@@ -192,9 +203,13 @@ def check_admitted_load_slope(grid: VerifyGrid) -> CheckResult:
                 cfg = ChannelConfig(n, m, 1)
                 f = lambda t: admitted_load(cfg, t)
                 for tau in grid.tau_values:
-                    slope = _central_diff(f, tau, _FD_STEP)
-                    out = max(-slope, slope - (n - 1))
-                    yield out, f"n={n} m={m} tau={tau}"
+                    where = f"n={n} m={m} tau={tau}"
+                    try:
+                        slope = _central_diff(f, tau, _FD_STEP)
+                    except UnderflowError:
+                        yield None, where
+                        continue
+                    yield max(-slope, slope - (n - 1)), where
 
     return _result("admitted_load_slope", pairs(), _SLOPE_MARGIN,
                    "max violation of 0 <= slope <= n-1 = {worst:.3e} at "
@@ -227,12 +242,17 @@ def check_moment_ratio_identity(grid: VerifyGrid) -> CheckResult:
                 # Neither side depends on the deadline, so any value works.
                 cfg = ChannelConfig(n, m, 1)
                 for tau in grid.tau_values:
-                    residual = abs(
-                        success_size_ratio(cfg, tau)
-                        - 1.0
-                        - admitted_load(cfg, tau)
-                    )
-                    yield residual, f"n={n} m={m} tau={tau}"
+                    where = f"n={n} m={m} tau={tau}"
+                    try:
+                        residual = abs(
+                            success_size_ratio(cfg, tau)
+                            - 1.0
+                            - admitted_load(cfg, tau)
+                        )
+                    except UnderflowError:
+                        yield None, where
+                        continue
+                    yield residual, where
 
     return _result("moment_ratio_identity", pairs(), _IDENTITY_TOL,
                    "max |ratio - 1 - load| = {worst:.3e} at {where} "
@@ -294,8 +314,13 @@ def check_iteration_map_slope(grid: VerifyGrid) -> CheckResult:
             cfg = ChannelConfig(n, m, d)
             f = lambda t: iteration_map(cfg, t)
             for tau in grid.tau_values:
-                slope = _central_diff(f, tau, _FD_STEP)
-                yield -slope, f"n={n} m={m} d={d} tau={tau}"
+                where = f"n={n} m={m} d={d} tau={tau}"
+                try:
+                    slope = _central_diff(f, tau, _FD_STEP)
+                except UnderflowError:
+                    yield None, where
+                    continue
+                yield -slope, where
 
     return _result("iteration_map_slope", pairs(), _SLOPE_MARGIN,
                    "max negative slope of the map = {worst:.3e} at {where} "
@@ -314,11 +339,15 @@ def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
             for tau in grid.tau_values:
                 if abs(tau - tau_opt) <= exclusion:
                     continue
-                gap = iteration_map(cfg, tau) - tau
+                where = f"n={n} m={m} d={d} tau={tau}"
+                try:
+                    gap = iteration_map(cfg, tau) - tau
+                except UnderflowError:
+                    yield None, where
+                    continue
                 # Wrong-signed gap is a violation; magnitude measures how
                 # badly.
-                out = -gap if tau < tau_opt else gap
-                yield out, f"n={n} m={m} d={d} tau={tau}"
+                yield (-gap if tau < tau_opt else gap), where
 
     return _result("iteration_map_bracketing", pairs(), 0.0, "max "
                    "wrong-signed displacement of g(x) - x = {worst:.3e} at "

@@ -16,14 +16,20 @@ station-major transmission matrix with one bit per slot. Per-slot totals
 mark the decodable slots and the slots of each probed multiplicity, and a
 station's count over such a set of slots is the popcount of its bits ANDed
 with the set's bits. Expiries come from the gaps between each station's
-transmissions, found in one pass over the matrix. `run_stationary` runs it
-for fresh stations at one fixed tau, and `delivery_rate` turns the counts
-into delivery rates.
+transmissions, found in one pass over the matrix. Each block is split into
+slot-contiguous parts, one per usable CPU, that run at once on threads:
+a part draws its own piece of the stream from a copy of the generator moved
+on by PCG64's exact jump-ahead, so the split changes no count and leaves the
+caller's generator where a serial run would. `run_stationary` runs it for
+fresh stations at one fixed tau, and `delivery_rate` turns the counts into
+delivery rates.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -88,6 +94,25 @@ class IntervalOutcome:
 # about 10 MB at a low tau to about 26 MB when every station always sends.
 _BLOCK_CELLS = 1 << 20
 
+# Slot-contiguous parts per block, one per usable CPU. The parts hold one
+# block's draws between them, so the split does not change the peak.
+_PARTS = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
+
+# Fewest station-slots worth a part of their own. Handing a part to
+# another thread and back costs 0.15-0.3 ms, the serial kernel 8-10 ns a
+# station-slot, so a smaller part would cost more than it saves.
+_MIN_PART_CELLS = 1 << 16
+
+# Runs every part but the first. Created, and `concurrent.futures`
+# imported, on first use, so importing the module starts no thread and a
+# process that never splits a block does not pay for the pool.
+_workers = None
+_workers_lock = threading.Lock()
+
 
 def step_slot(
     users: list[UserState],
@@ -136,45 +161,132 @@ def run_interval(
 
     hol_ages is updated in place so consecutive intervals chain exactly like
     repeated `step_slot` calls. The random stream consumption matches
-    `step_slot`: an (n_slots, n_users) uniform block in row-major order.
-    The slots are simulated in blocks of at most _BLOCK_CELLS station-slots,
-    which bounds memory and, because the blocks chain the same way, leaves
-    every count unchanged.
+    `step_slot`: an (n_slots, n_users) uniform block in row-major order, and
+    `rng` is left where the serial draw would leave it. The slots are
+    simulated in blocks of at most _BLOCK_CELLS station-slots, which bounds
+    memory, and each block in up to _PARTS slot-contiguous parts, none much
+    smaller than _MIN_PART_CELLS station-slots, that run at once. Blocks and
+    parts chain the same way, so neither changes a count.
     """
     n_users = len(tx_probs)
     block = max(1, _BLOCK_CELLS // max(1, n_users))
+    bit_gen = rng.bit_generator
+    parts = _PARTS if _exact_advance(bit_gen) else 1
     completed = np.zeros(n_users, dtype=np.int64)
     succeeded = np.zeros(n_users, dtype=np.int64)
     probe_counts = {c: np.zeros(n_users, dtype=np.int64) for c in probes}
     for start in range(0, n_slots, block):
         n = min(block, n_slots - start)
-        transmitted = rng.random((n, n_users)) < tx_probs
-        # Station-major, plus a sentinel transmission after the last slot
-        # for the expiry scan.
-        marks = np.empty((n_users, n + 1), dtype=bool)
-        marks[:, :n] = transmitted.T
-        marks[:, n] = True
-        del transmitted  # not held through the expiry scan
-        sent = marks[:, :n]
-        # Transmitters per slot, in the smallest type that holds n_users.
-        totals = sent.view(np.uint8).sum(
-            axis=0, dtype=np.min_scalar_type(n_users)
-        )
-        bits = np.packbits(sent, axis=1)
-        succeeded += _sent_in(bits, totals <= mpr)
-        for c in probes:
-            # Probe slots the station heard, i.e. those it did not send in.
-            in_probe = totals == c
-            probe_counts[c] += np.count_nonzero(in_probe) - _sent_in(
-                bits, in_probe
-            )
+        k = max(1, min(parts, n, n * n_users // _MIN_PART_CELLS))
+        cuts = [n * i // k for i in range(k + 1)]
+        # Part i draws from slot cuts[i] of the block on; the first part
+        # draws from `rng` itself.
+        rngs = [rng] + [
+            np.random.Generator(_advanced(bit_gen, cut * n_users))
+            for cut in cuts[1:-1]
+        ]
+        jobs = [
+            (part_rng, hi - lo, tx_probs, mpr, deadline, probes)
+            for part_rng, lo, hi in zip(rngs, cuts, cuts[1:])
+        ]
+        for part_succeeded, heard, hits, gaps in _run_parts(jobs):
+            succeeded += part_succeeded
+            for c, part_heard in zip(probes, heard):
+                probe_counts[c] += part_heard
+            if deadline > 1:
+                completed += hits + _expire(gaps, hits, hol_ages, deadline)
+        del gaps  # not held through the next block's draw
         if deadline == 1:
             # Every silent slot expires its packet and no age carries over.
             completed += n
-        else:
-            hits = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
-            completed += hits + _expire(marks, hits, hol_ages, deadline)
+        if k > 1:
+            # The last part ended where the serial draw ends. `random` does
+            # not touch the generator's buffered 32-bit half, so keep it.
+            state = bit_gen.state
+            state["state"] = rngs[-1].bit_generator.state["state"]
+            bit_gen.state = state
     return IntervalOutcome(completed, succeeded, probe_counts)
+
+
+def _exact_advance(bit_gen) -> bool:
+    """Whether `bit_gen.advance(k)` skips exactly k 64-bit outputs, i.e. k
+    float64 uniforms. Philox's counts blocks of four outputs and MT19937
+    has none, so those run every block as one part. (Looked up at call
+    time: numpy loads `numpy.random` on first use, and a process that never
+    simulates should not pay for it.)"""
+    return isinstance(bit_gen, (np.random.PCG64, np.random.PCG64DXSM))
+
+
+def _advanced(bit_gen, outputs: int):
+    """A new bit generator at `outputs` 64-bit outputs past `bit_gen`."""
+    moved = type(bit_gen)()
+    moved.state = bit_gen.state
+    return moved.advance(outputs)
+
+
+def _pool():
+    global _workers
+    with _workers_lock:
+        if _workers is None:
+            from concurrent.futures import ThreadPoolExecutor
+
+            _workers = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1))
+        return _workers
+
+
+def _run_parts(jobs: list[tuple]) -> list[tuple]:
+    """`_part(*job)` for every job, in job order: the first on the calling
+    thread, the others on the worker pool at the same time."""
+    futures = [_pool().submit(_part, *job) for job in jobs[1:]]
+    try:
+        first = _part(*jobs[0])
+    finally:
+        # Wait for every worker part, so none outlives the call, and raise
+        # what a part raised.
+        rest = [future.result() for future in futures]
+    return [first, *rest]
+
+
+def _part(
+    rng: np.random.Generator,
+    n: int,
+    tx_probs: np.ndarray,
+    mpr: int,
+    deadline: int,
+    probes: tuple[int, ...],
+) -> tuple:
+    """Draw and reduce `n` slots of one block from `rng`.
+
+    Returns, per station, its successes and, for each probe in order, its
+    heard probe slots; then, unless `deadline == 1`, its transmissions and
+    the raw gap vector for `_expire`. Only numpy calls that release the
+    interpreter lock do the work, so parts on other threads run at once.
+    """
+    n_users = len(tx_probs)
+    transmitted = rng.random((n, n_users)) < tx_probs
+    # Station-major, plus a sentinel transmission after the last slot for
+    # the expiry scan.
+    marks = np.empty((n_users, n + 1), dtype=bool)
+    marks[:, :n] = transmitted.T
+    marks[:, n] = True
+    del transmitted  # not held through the expiry scan
+    sent = marks[:, :n]
+    # Transmitters per slot, in the smallest type that holds n_users.
+    totals = sent.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n_users))
+    bits = np.packbits(sent, axis=1)
+    succeeded = _sent_in(bits, totals <= mpr)
+    # Probe slots the station heard, i.e. those it did not send in.
+    heard = []
+    for c in probes:
+        in_probe = totals == c
+        heard.append(np.count_nonzero(in_probe) - _sent_in(bits, in_probe))
+    if deadline == 1:
+        return succeeded, heard, None, None
+    hits = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    # Silent slots before each transmission, the sentinel's included.
+    gaps = np.diff(np.flatnonzero(marks), prepend=-1)
+    gaps -= 1
+    return succeeded, heard, hits, gaps
 
 
 def _sent_in(bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -186,21 +298,19 @@ def _sent_in(bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
 
 
 def _expire(
-    marks: np.ndarray,
+    gaps: np.ndarray,
     hits: np.ndarray,
     hol_ages: np.ndarray,
     deadline: int,
 ) -> np.ndarray:
-    """Packets each station let expire in one block; advances hol_ages.
+    """Packets each station let expire in one part; advances hol_ages.
 
-    `marks` is the station-major transmission matrix whose last column is a
-    sentinel transmission after the block. Every full `deadline` silent
-    slots between two of a station's transmissions expire one packet. The
-    sentinel gives every station at least one position and makes its final
-    gap the tail that carries over as its new age.
+    `gaps` holds, station by station, the silent slots before each of the
+    station's `hits` transmissions in the part and before a sentinel
+    transmission after it. Every full `deadline` silent slots in a gap
+    expire one packet. The sentinel gives every station at least one gap and
+    makes its final gap the tail that carries over as its new age.
     """
-    gaps = np.diff(np.flatnonzero(marks), prepend=-1)
-    gaps -= 1
     last = np.cumsum(hits + 1) - 1
     first = last - hits
     # A station's first gap follows its carried-over age rather than the

@@ -404,6 +404,27 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "two distinct deadlines" in captured.err
 
+    def test_large_population_skips_uncomputable_cells(self, capsys):
+        # At n = 200 and tau >= 0.98 the admit probability and the
+        # decoded-batch mass underflow to zero: four checks skip those
+        # cells and say how many, instead of stopping the run.
+        args = ["verify", "--n", "200", "--sweep-n", "6", "--sweep-m", "2",
+                "--sweep-d", "1"]
+        assert cli.main(args) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:12]] == ["PASS"] * 12
+        assert lines[12] == "all 12 checks passed"
+        skipped = {
+            line.split()[1].rstrip(":"): line.rsplit("; ", 1)[1]
+            for line in lines if "skipped" in line
+        }
+        assert skipped == {
+            "admitted_load_slope": "12 cells skipped as not computable",
+            "moment_ratio_identity": "16 cells skipped as not computable",
+            "iteration_map_slope": "36 cells skipped as not computable",
+            "iteration_map_bracketing": "36 cells skipped as not computable",
+        }
+
     def test_impossible_tolerance_fails_honestly(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "_IDENTITY_TOL", 1e-18)
         assert cli.main(self.ARGS) == 2

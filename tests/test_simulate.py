@@ -1,5 +1,10 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -222,6 +227,189 @@ class TestKernelEdgeCases:
             taus, 270, 4, 40, 8, (255, 262, 266, 301)
         )
         assert sum(succeeded) > 0 and sum(heard[266]) > 0
+
+
+def _split(monkeypatch, parts):
+    """Run every block of `run_interval` as up to `parts` parts, however
+    few station-slots it has."""
+    monkeypatch.setattr(simulate, "_PARTS", parts)
+    monkeypatch.setattr(simulate, "_MIN_PART_CELLS", 1)
+
+
+def _outcome(rng, taus, mpr, deadline, slots, ages, probes):
+    """`run_interval` from copies of `ages`: counts, final ages and the
+    caller's generator state after the call."""
+    ages = np.array(ages, dtype=np.int64)
+    out = run_interval(rng, taus, mpr, deadline, slots, ages, probes=probes)
+    return (
+        out.completed.tolist(),
+        out.succeeded.tolist(),
+        {c: out.probe_counts[c].tolist() for c in probes},
+        ages.tolist(),
+        rng.bit_generator.state,
+    )
+
+
+class TestParts:
+    """A block run as several slot-contiguous parts, each drawing from a
+    copy of the stream moved on by `advance`, against the same block run
+    as one part."""
+
+    TAUS = np.array([0.0, 1.0, 0.35, 0.05, 0.1, 0.6, 0.2])
+    PROBES = (0, 1, 2, 4)
+
+    def _compare(self, monkeypatch, parts, taus, deadline, slots, seed,
+                 block_cells=None, buffered=False, mpr=3, probes=PROBES):
+        if block_cells is not None:
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        ages = np.random.default_rng(seed).integers(0, deadline, len(taus))
+        results = []
+        for p in (1, parts):
+            _split(monkeypatch, p)
+            rng = np.random.default_rng(seed)
+            if buffered:
+                # Leaves half of a 64-bit output buffered in the generator.
+                rng.integers(0, 10, dtype=np.int32)
+            results.append(
+                _outcome(rng, taus, mpr, deadline, slots, ages, probes)
+            )
+        one, split = results
+        assert split[:4] == one[:4]
+        assert split[4] == one[4]
+        return one
+
+    @pytest.mark.parametrize("parts", [2, 3])
+    @pytest.mark.parametrize("slots", [1, 2, 999, 2001])
+    @pytest.mark.parametrize("deadline", [1, 2, 6])
+    def test_parts_match_one_part(self, monkeypatch, parts, deadline, slots):
+        self._compare(
+            monkeypatch, parts, self.TAUS, deadline, slots, 7 * slots + deadline
+        )
+
+    def test_more_parts_than_slots(self, monkeypatch):
+        # Eight parts asked for, five slots: five one-slot parts.
+        self._compare(monkeypatch, 8, self.TAUS, 4, 5, 12)
+
+    @pytest.mark.parametrize("deadline", [1, 5])
+    def test_small_blocks_in_three_parts(self, monkeypatch, deadline):
+        # Blocks of 3 slots (23 cells over 7 stations), each 3 parts.
+        self._compare(
+            monkeypatch, 3, self.TAUS, deadline, 2003, 19, block_cells=23
+        )
+
+    def test_many_stations(self, monkeypatch):
+        taus = np.full(300, 0.9)
+        taus[:5], taus[5:10] = 0.0, 1.0
+        # Over 255 stations the per-slot totals need more than a byte.
+        one = self._compare(monkeypatch, 3, taus, 4, 41, 8, mpr=270,
+                            probes=(255, 262, 266, 301))
+        assert sum(one[1]) > 0 and sum(one[2][266]) > 0
+
+    def test_buffered_half_output_is_kept(self, monkeypatch):
+        self._compare(monkeypatch, 3, self.TAUS, 4, 300, 2, buffered=True)
+
+    @pytest.mark.parametrize("bit_generator", [np.random.MT19937,
+                                               np.random.Philox])
+    def test_generator_without_exact_advance(self, monkeypatch,
+                                             bit_generator):
+        # MT19937 has no `advance`, and Philox's moves blocks of four
+        # outputs: both run every block as one part, as `step_slot` does.
+        _split(monkeypatch, 3)
+        ages = np.array([0, 1, 2, 3, 0, 1, 2])
+        rng_ref = np.random.Generator(bit_generator(5))
+        completed, succeeded, ref_ages, heard = _reference(
+            self.TAUS, 3, 4, 300, rng_ref, ages, self.PROBES
+        )
+        rng = np.random.Generator(bit_generator(5))
+        out = _outcome(rng, self.TAUS, 3, 4, 300, ages, self.PROBES)
+        assert out[:4] == (completed, succeeded, heard, ref_ages)
+        assert rng.random() == rng_ref.random()
+
+    @pytest.mark.parametrize("parts", [1, 2])
+    def test_memory_stays_per_block(self, monkeypatch, parts):
+        # Every station always sends, so the expiry scan's arrays are as
+        # large as they get; five blocks must peak like one.
+        _split(monkeypatch, parts)
+        monkeypatch.setattr(simulate, "_BLOCK_CELLS", 50 * 2000)
+        taus = np.ones(50)
+
+        def peak(slots):
+            ages = np.zeros(50, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                run_interval(np.random.default_rng(0), taus, 3, 4, slots,
+                             ages)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(2000)  # first use: numpy's caches, the worker thread
+        assert peak(5 * 2000) <= 1.05 * peak(2000)
+
+    def test_part_failure_propagates(self, monkeypatch):
+        _split(monkeypatch, 2)
+        part = simulate._part
+
+        def fail_off_the_calling_thread(*job):
+            if threading.current_thread() is not threading.main_thread():
+                raise RuntimeError("part 2 failed")
+            return part(*job)
+
+        monkeypatch.setattr(simulate, "_part", fail_off_the_calling_thread)
+        with pytest.raises(RuntimeError, match="part 2 failed"):
+            run_interval(
+                np.random.default_rng(0), self.TAUS, 3, 4, 100,
+                np.zeros(len(self.TAUS), dtype=np.int64),
+            )
+
+    def test_concurrent_callers(self, monkeypatch):
+        # Six callers share the worker pool at once, with frequent thread
+        # switches; each must get its one-part result.
+        _split(monkeypatch, 1)
+        expected = [
+            _outcome(np.random.default_rng(s), self.TAUS, 3, 4, 400,
+                     np.zeros(7), self.PROBES)
+            for s in range(6)
+        ]
+        _split(monkeypatch, 3)
+        got = [None] * 6
+
+        def call(s):
+            got[s] = _outcome(np.random.default_rng(s), self.TAUS, 3, 4,
+                              400, np.zeros(7), self.PROBES)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=call, args=(s,))
+                       for s in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
+    def test_import_starts_no_thread(self):
+        # Nor does it load the pool's module or numpy's random module:
+        # `solve`, `sweep` and `verify` never draw and should not pay for
+        # them in start-up time or memory.
+        code = (
+            "import sys, threading\n"
+            "before = threading.active_count()\n"
+            "import mpraloha\n"
+            "from mpraloha import simulate\n"
+            "assert threading.active_count() == before\n"
+            "assert simulate._workers is None\n"
+            "assert 'concurrent.futures' not in sys.modules\n"
+            "assert 'numpy.random' not in sys.modules\n"
+        )
+        src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+        env = dict(os.environ, PYTHONPATH=src)
+        subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                       timeout=60)
 
 
 class TestRunStationary:
