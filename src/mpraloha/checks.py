@@ -119,15 +119,21 @@ def _result(
     first one on ties. The check passes when that violation is at most
     `limit` (below it if `strict`); `detail` is formatted with `worst`,
     `where` and `limit`. A violation of None marks a cell that could not be
-    computed; such cells are skipped and counted in the detail."""
+    computed; such cells are skipped and counted in the detail. A check
+    with no cell left to compute fails, since it has shown nothing."""
     worst = -math.inf
     where = ""
-    skipped = 0
+    skipped = evaluated = 0
     for violation, location in pairs:
         if violation is None:
             skipped += 1
-        elif violation > worst:
+            continue
+        evaluated += 1
+        if violation > worst:
             worst, where = violation, location
+    if not evaluated:
+        return CheckResult(name, False, math.nan, f"{skipped} cells skipped as not "
+                           "computable, none left to check")
     passed = worst < limit if strict else worst <= limit
     detail = detail.format(worst=worst, where=where, limit=limit)
     if skipped:

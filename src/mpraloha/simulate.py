@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 import os
-import threading
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -107,11 +107,19 @@ _PARTS = (
 # station-slot, so a smaller part would cost more than it saves.
 _MIN_PART_CELLS = 1 << 16
 
-# Runs every part but the first. Created, and `concurrent.futures`
-# imported, on first use, so importing the module starts no thread and a
-# process that never splits a block does not pay for the pool.
-_workers = None
-_workers_lock = threading.Lock()
+
+def _new_pool() -> None:
+    """Give the module a fresh pool for every part but the first. It starts
+    its threads on first use, so importing the module starts none."""
+    global _workers
+    _workers = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1))
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    # A forked child inherits the pool's record of its threads but not the
+    # threads, so the inherited pool would queue parts that no thread runs.
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def step_slot(
@@ -224,20 +232,10 @@ def _advanced(bit_gen, outputs: int):
     return moved.advance(outputs)
 
 
-def _pool():
-    global _workers
-    with _workers_lock:
-        if _workers is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            _workers = ThreadPoolExecutor(max_workers=max(1, _PARTS - 1))
-        return _workers
-
-
 def _run_parts(jobs: list[tuple]) -> list[tuple]:
     """`_part(*job)` for every job, in job order: the first on the calling
     thread, the others on the worker pool at the same time."""
-    futures = [_pool().submit(_part, *job) for job in jobs[1:]]
+    futures = [_workers.submit(_part, *job) for job in jobs[1:]]
     try:
         first = _part(*jobs[0])
     finally:

@@ -70,6 +70,23 @@ class TestFaultInjection:
         assert not result.passed
         assert "max |sdp diff| = 1.000e-06" in result.detail
 
+    def test_check_with_every_cell_skipped_fails(self):
+        # At n=500 and tau=0.99 the admit probability and the decoded-batch
+        # mass underflow in every cell, so these checks compute nothing.
+        grid = VerifyGrid(tau_values=(0.99,), n_values=(500,))
+        for check, skipped in (
+            (checks.check_admitted_load_slope, 8),
+            (checks.check_moment_ratio_identity, 8),
+            (checks.check_iteration_map_slope, 24),
+            (checks.check_iteration_map_bracketing, 24),
+        ):
+            result = check(grid)
+            assert not result.passed
+            assert result.detail == (
+                f"{skipped} cells skipped as not computable, "
+                "none left to check"
+            )
+
 
 class TestGrid:
     def test_mpr_values_respect_population(self):

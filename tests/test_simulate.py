@@ -1,6 +1,8 @@
 import csv
 import math
 import os
+import select
+import signal
 import subprocess
 import sys
 import threading
@@ -397,18 +399,46 @@ class TestParts:
             sys.setswitchinterval(interval)
         assert got == expected
 
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    @pytest.mark.filterwarnings("ignore:.*fork:DeprecationWarning")
+    def test_forked_child_runs_parts(self, monkeypatch):
+        # The parent's worker thread is running when it forks; the child
+        # must still get its parts run, not wait on the inherited pool.
+        _split(monkeypatch, 1)
+        expected = _outcome(np.random.default_rng(3), self.TAUS, 3, 4, 400,
+                            np.zeros(7), self.PROBES)
+        _split(monkeypatch, 2)
+        assert _outcome(np.random.default_rng(3), self.TAUS, 3, 4, 400,
+                        np.zeros(7), self.PROBES) == expected
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:
+            try:
+                got = _outcome(np.random.default_rng(3), self.TAUS, 3, 4,
+                               400, np.zeros(7), self.PROBES)
+                os.write(write, b"1" if got == expected else b"0")
+            finally:
+                os._exit(0)
+        os.close(write)
+        try:
+            ready, _, _ = select.select([read], [], [], 60)
+            answer = os.read(read, 1) if ready else b"timed out"
+        finally:
+            os.close(read)
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        assert answer == b"1"
+
     def test_import_starts_no_thread(self):
-        # Nor does it load the pool's module or numpy's random module:
-        # `solve`, `sweep` and `verify` never draw and should not pay for
-        # them in start-up time or memory.
+        # Nor does it load numpy's random module: `solve`, `sweep` and
+        # `verify` never draw and should not pay for it in start-up time or
+        # memory.
         code = (
             "import sys, threading\n"
             "before = threading.active_count()\n"
             "import mpraloha\n"
             "from mpraloha import simulate\n"
             "assert threading.active_count() == before\n"
-            "assert simulate._workers is None\n"
-            "assert 'concurrent.futures' not in sys.modules\n"
             "assert 'numpy.random' not in sys.modules\n"
         )
         src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
