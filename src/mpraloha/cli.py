@@ -221,7 +221,7 @@ def _cmd_simulate(args) -> int:
             std_error = math.sqrt(
                 expected * (1.0 - expected) / total_completed
             )
-        z = simulate.z_score(mean, expected, std_error)
+        z = _z_score(mean, expected, std_error)
         if writer:
             # The final row carries the run-level comparison; the station
             # rows above leave those columns blank.
@@ -236,6 +236,16 @@ def _cmd_simulate(args) -> int:
     print(f"z_score    = {z:.3f}")
     print(f"reps       = {args.reps}, slots each = {args.slots}")
     return EXIT_OK
+
+
+def _z_score(estimate: float, expected: float, se: float) -> float:
+    """(estimate - expected) / se. A zero standard error gives 0 when the
+    estimate is exact and an infinity of the deviation's sign otherwise."""
+    if se == 0.0:
+        if estimate == expected:
+            return 0.0
+        return math.copysign(math.inf, estimate - expected)
+    return (estimate - expected) / se
 
 
 # trace.csv columns: the Trace fields, then the derived `sdp`.

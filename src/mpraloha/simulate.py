@@ -7,22 +7,22 @@ the slot carries at most `mpr` transmissions in total, and is lost otherwise.
 If the station stays silent for `deadline` consecutive slots, the packet
 expires unsent and counts as a failure.
 
-`step_slot` advances one slot for explicit per-user state and is the
-reference semantics. `run_interval` is a vectorized implementation of the
-same process that consumes the random stream identically (one uniform draw
-per user per slot, slot-major then user-index order), so both produce
-bit-identical counts for the same seed. It turns each block of draws into a
-station-major transmission matrix with one bit per slot. Per-slot totals
-mark the decodable slots and the slots of each probed multiplicity, and a
-station's count over such a set of slots is the popcount of its bits ANDed
-with the set's bits. Expiries come from the gaps between each station's
-transmissions, found in one pass over the matrix. Each block is split into
-slot-contiguous parts, one per usable CPU, that run at once on threads:
-a part draws its own piece of the stream from a copy of the generator moved
-on by PCG64's exact jump-ahead, so the split changes no count and leaves the
-caller's generator where a serial run would. `run_stationary` runs it for
-fresh stations at one fixed tau, and `delivery_rate` turns the counts into
-delivery rates.
+`run_interval` simulates the process for many stations at once. It
+consumes one uniform draw per station per slot, slot-major then
+station-index order, so it gives the same counts as a per-slot simulation
+of the same stream (the tests keep such a reference). It turns each block
+of draws into a station-major transmission matrix with one bit per slot.
+Per-slot totals mark the decodable slots and the slots of each probed
+multiplicity, and a station's count over such a set of slots is the
+popcount of its bits ANDed with the set's bits. Expiries come from the
+gaps between each station's transmissions, found in one pass over the
+matrix (a sparse one is read a byte of eight cells at a time). Each block
+is split into slot-contiguous parts, one per usable CPU, that run at once
+on threads: a part draws its own piece of the stream from a copy of the
+generator moved on by PCG64's exact jump-ahead, so the split changes no
+count and leaves the caller's generator where a serial run would.
+`run_stationary` runs it for fresh stations at one fixed tau, and
+`delivery_rate` turns the counts into delivery rates.
 """
 
 from __future__ import annotations
@@ -37,41 +37,11 @@ import numpy as np
 from .analytic import ChannelConfig, as_probability
 
 __all__ = [
-    "UserState",
-    "SlotObservation",
     "IntervalOutcome",
-    "step_slot",
     "run_interval",
     "run_stationary",
     "delivery_rate",
-    "z_score",
 ]
-
-
-@dataclass
-class UserState:
-    """Mutable per-station simulation state.
-
-    hol_age counts consecutive silent slots for the current head-of-line
-    packet and always stays below the deadline; reaching it expires the
-    packet and resets the counter.
-    """
-
-    tx_prob: float
-    hol_age: int = 0
-    packets_completed: int = 0
-    packets_succeeded: int = 0
-
-    def __post_init__(self) -> None:
-        self.tx_prob = as_probability(self.tx_prob)
-
-
-@dataclass(frozen=True)
-class SlotObservation:
-    """What one station sees of one slot."""
-
-    total_transmitters: int
-    tagged_transmitted: bool
 
 
 @dataclass(frozen=True)
@@ -107,6 +77,14 @@ _PARTS = (
 # station-slot, so a smaller part would cost more than it saves.
 _MIN_PART_CELLS = 1 << 16
 
+# Largest share of set cells at which the expiry scan reads the packed
+# bytes. At or below 10 % numpy's `flatnonzero` switches to a slower loop
+# that skips runs of unset cells, and the packed scan takes about half its
+# time (0.30 against 0.71 ms on 40 stations by 10,000 slots at tau 0.069);
+# above it numpy's loop is the faster (0.18 against 0.27 ms on 20 stations
+# at tau 0.13).
+_SPARSE_SCAN_SHARE = 0.1
+
 
 def _new_pool() -> None:
     """Give the module a fresh pool for every part but the first. It starts
@@ -122,40 +100,6 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
-def step_slot(
-    users: list[UserState],
-    mpr: int,
-    deadline: int,
-    rng: np.random.Generator,
-) -> list[SlotObservation]:
-    """Advance every station one slot, mutating `users` in place.
-
-    Draws exactly len(users) uniforms from `rng`, in user-index order.
-    Returns one observation per station.
-    """
-    draws = rng.random(len(users))
-    transmitted = [d < u.tx_prob for d, u in zip(draws, users)]
-    total = sum(transmitted)
-    decodable = total <= mpr
-    observations = []
-    for user, sent in zip(users, transmitted):
-        if sent:
-            user.packets_completed += 1
-            if decodable:
-                user.packets_succeeded += 1
-            user.hol_age = 0
-        else:
-            user.hol_age += 1
-            if user.hol_age >= deadline:
-                # Deadline passed without a transmission: expired failure.
-                user.packets_completed += 1
-                user.hol_age = 0
-        observations.append(
-            SlotObservation(total_transmitters=total, tagged_transmitted=sent)
-        )
-    return observations
-
-
 def run_interval(
     rng: np.random.Generator,
     tx_probs: np.ndarray,
@@ -168,9 +112,9 @@ def run_interval(
     """Vectorized simulation of `n_slots` slots for len(tx_probs) stations.
 
     hol_ages is updated in place so consecutive intervals chain exactly like
-    repeated `step_slot` calls. The random stream consumption matches
-    `step_slot`: an (n_slots, n_users) uniform block in row-major order, and
-    `rng` is left where the serial draw would leave it. The slots are
+    one longer interval. The stream is consumed as an (n_slots, n_users)
+    uniform block in row-major order, one draw per station per slot, and
+    `rng` is left where that serial draw would leave it. The slots are
     simulated in blocks of at most _BLOCK_CELLS station-slots, which bounds
     memory, and each block in up to _PARTS slot-contiguous parts, none much
     smaller than _MIN_PART_CELLS station-slots, that run at once. Blocks and
@@ -281,10 +225,23 @@ def _part(
     if deadline == 1:
         return succeeded, heard, None, None
     hits = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    # Set cells: the transmissions and one sentinel per station.
+    sparse = hits.sum() + n_users <= _SPARSE_SCAN_SHARE * marks.size
+    scan = _packed_flatnonzero if sparse else np.flatnonzero
     # Silent slots before each transmission, the sentinel's included.
-    gaps = np.diff(np.flatnonzero(marks), prepend=-1)
+    gaps = np.diff(scan(marks), prepend=-1)
     gaps -= 1
     return succeeded, heard, hits, gaps
+
+
+def _packed_flatnonzero(marks: np.ndarray) -> np.ndarray:
+    """`np.flatnonzero(marks)` for a bool array, found a byte of eight cells
+    at a time: the set bytes of the packed array first, then the set bits
+    of those bytes alone."""
+    packed = np.packbits(marks.ravel())
+    used = np.flatnonzero(packed != 0)
+    cells = np.flatnonzero(np.unpackbits(packed[used]).view(bool))
+    return (used[cells >> 3] << 3) | (cells & 7)
 
 
 def _sent_in(bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
@@ -345,13 +302,3 @@ def delivery_rate(succeeded, completed) -> np.ndarray:
     rate = np.full(completed.shape, math.nan)
     np.divide(succeeded, completed, out=rate, where=completed > 0)
     return rate
-
-
-def z_score(estimate: float, expected: float, se: float) -> float:
-    """(estimate - expected) / se. A zero standard error gives 0 when the
-    estimate is exact and an infinity of the deviation's sign otherwise."""
-    if se == 0.0:
-        if estimate == expected:
-            return 0.0
-        return math.copysign(math.inf, estimate - expected)
-    return (estimate - expected) / se

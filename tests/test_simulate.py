@@ -10,17 +10,13 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpraloha import cli, simulate
 from mpraloha.analytic import ChannelConfig, delivery_prob
-from mpraloha.simulate import (
-    UserState,
-    delivery_rate,
-    run_interval,
-    run_stationary,
-    step_slot,
-    z_score,
-)
+from mpraloha.simulate import delivery_rate, run_interval, run_stationary
+from reference import UserState, step_slot
 
 
 class _ScriptedRng:
@@ -39,9 +35,9 @@ class TestStepSlot:
     def test_decodable_slot_counts_successes(self):
         users = [UserState(0.5), UserState(0.5), UserState(0.5)]
         rng = _ScriptedRng([[0.1, 0.9, 0.1]])
-        obs = step_slot(users, mpr=2, deadline=4, rng=rng)
-        assert [o.tagged_transmitted for o in obs] == [True, False, True]
-        assert all(o.total_transmitters == 2 for o in obs)
+        total, sent = step_slot(users, mpr=2, deadline=4, rng=rng)
+        assert sent == [True, False, True]
+        assert total == 2
         assert [u.packets_completed for u in users] == [1, 0, 1]
         assert [u.packets_succeeded for u in users] == [1, 0, 1]
         assert [u.hol_age for u in users] == [0, 1, 0]
@@ -49,8 +45,8 @@ class TestStepSlot:
     def test_collision_completes_without_success(self):
         users = [UserState(1.0), UserState(1.0), UserState(1.0)]
         rng = _ScriptedRng([[0.0, 0.0, 0.0]])
-        obs = step_slot(users, mpr=2, deadline=4, rng=rng)
-        assert all(o.total_transmitters == 3 for o in obs)
+        total, _ = step_slot(users, mpr=2, deadline=4, rng=rng)
+        assert total == 3
         assert [u.packets_completed for u in users] == [1, 1, 1]
         assert [u.packets_succeeded for u in users] == [0, 0, 0]
 
@@ -139,13 +135,11 @@ class TestVectorizedEquivalence:
         users = [UserState(float(t)) for t in taus]
         manual = {c: [0] * n for c in probes}
         for _ in range(slots):
-            for j, obs in enumerate(
-                step_slot(users, mpr, deadline, rng_ref)
-            ):
-                if not obs.tagged_transmitted and (
-                    obs.total_transmitters in manual
-                ):
-                    manual[obs.total_transmitters][j] += 1
+            total, sent = step_slot(users, mpr, deadline, rng_ref)
+            if total in manual:
+                for j, tagged in enumerate(sent):
+                    if not tagged:
+                        manual[total][j] += 1
 
         rng_vec = np.random.default_rng(77)
         ages = np.zeros(n, dtype=np.int64)
@@ -162,9 +156,11 @@ def _reference(taus, mpr, deadline, slots, rng, ages, probes):
     users = [UserState(float(t), hol_age=int(a)) for t, a in zip(taus, ages)]
     heard = {c: [0] * len(users) for c in probes}
     for _ in range(slots):
-        for j, obs in enumerate(step_slot(users, mpr, deadline, rng)):
-            if not obs.tagged_transmitted and obs.total_transmitters in heard:
-                heard[obs.total_transmitters][j] += 1
+        total, sent = step_slot(users, mpr, deadline, rng)
+        if total in heard:
+            for j, tagged in enumerate(sent):
+                if not tagged:
+                    heard[total][j] += 1
     return (
         [u.packets_completed for u in users],
         [u.packets_succeeded for u in users],
@@ -229,6 +225,66 @@ class TestKernelEdgeCases:
             taus, 270, 4, 40, 8, (255, 262, 266, 301)
         )
         assert sum(succeeded) > 0 and sum(heard[266]) > 0
+
+
+def _marks(n_users, slots, density, seed, n_silent=0, n_busy=0):
+    """A station-major transmission matrix with the expiry scan's sentinel
+    column: cells set at `density`, then `n_silent` rows that never send
+    and `n_busy` rows that always do, at random rows."""
+    rng = np.random.default_rng(seed)
+    marks = np.empty((n_users, slots + 1), dtype=bool)
+    marks[:, :slots] = rng.random((n_users, slots)) < density
+    rows = rng.permutation(n_users)
+    marks[rows[:n_silent], :slots] = False
+    marks[rows[n_silent:n_silent + n_busy], :slots] = True
+    marks[:, slots] = True
+    return marks
+
+
+@st.composite
+def _station_major_marks(draw):
+    n_users = draw(st.one_of(st.integers(1, 40), st.integers(250, 300)))
+    n_silent = draw(st.integers(0, n_users))
+    return _marks(
+        n_users,
+        draw(st.integers(1, 45)),
+        draw(st.one_of(st.floats(0.0, 0.2), st.floats(0.0, 1.0))),
+        draw(st.integers(0, 2**32 - 1)),
+        n_silent,
+        draw(st.integers(0, n_users - n_silent)),
+    )
+
+
+class TestSparseScan:
+    """The expiry scan's packed-byte path against `np.flatnonzero`, and
+    `run_interval` against the reference with each scan forced."""
+
+    @given(marks=_station_major_marks())
+    @example(marks=_marks(300, 13, 0.05, 1, n_silent=40, n_busy=3))
+    @example(marks=_marks(20, 8, 0.5, 2, n_silent=20))
+    @example(marks=_marks(7, 1, 1.0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_flatnonzero(self, marks):
+        got = simulate._packed_flatnonzero(marks)
+        want = np.flatnonzero(marks)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    # Silent, always-sending and low-tau stations.
+    TAUS = np.array([0.0, 0.02, 1.0, 0.05, 0.0, 0.1, 0.01, 0.15, 0.03])
+    PROBES = (0, 1, 2)
+
+    @pytest.mark.parametrize("block_cells", [None, 23])
+    @pytest.mark.parametrize("share", [0.0, 1.0])
+    def test_each_scan_matches_reference(self, monkeypatch, share,
+                                         block_cells):
+        # A share of 0 sends every part to `np.flatnonzero`, 1 to the
+        # packed scan.
+        monkeypatch.setattr(simulate, "_SPARSE_SCAN_SHARE", share)
+        if block_cells is not None:
+            # Blocks of 2 slots (23 cells over 9 stations).
+            monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
+        _assert_matches_reference(self.TAUS, 2, 6, 700, 41, self.PROBES)
 
 
 def _split(monkeypatch, parts):
@@ -515,6 +571,7 @@ class TestTheoreticalCheck:
         assert float(row["z_score"]) == 0.0
 
     def test_z_score_rule(self):
+        z_score = cli._z_score
         assert z_score(0.5, 0.4, 0.05) == pytest.approx(2.0)
         assert z_score(0.4, 0.4, 0.0) == 0.0
         assert z_score(0.5, 0.4, 0.0) == math.inf
