@@ -18,11 +18,17 @@ the solver, because it contracts with a slope near 1 when mpr/n_users or the
 deadline is large. `grid_search_optimum` is a derivative-free maximizer used
 to cross-check the solver: a uniform coarse scan, evaluated in one numpy pass,
 chooses the bracket that a scalar golden-section search then refines.
+
+The private `_*_row` functions evaluate the closed forms over a whole array
+of tau at once, with the scalar functions' values bit for bit; `checks`
+evaluates its property checks with them.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -196,39 +202,87 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
     return math.ldexp(head, shift), math.ldexp(weighted, shift)
 
 
-def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
-    """`delivery_prob` at every element of `tau`, all strictly inside (0, 1).
+def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
+    """func(v, *args) for every element v of the 1-D array `values`.
 
-    The head sum runs the recurrence of `_head_sums` on the whole vector,
-    one step per i < mpr, so memory stays at a few vectors for any mpr.
-    Elements whose start underflows are carried scaled, as there; the
-    others never pass 2**_RESCALE_BITS and keep a shift of 0. numpy's
-    power, log1p and expm1 may differ from libm's by an ulp, so the values
-    match the scalar ones to rounding, not bit for bit.
+    The array forms below take their transcendental factors from here, so
+    that each comes from libm exactly as the scalar closed forms compute
+    it: numpy's own power, log1p and expm1 differ from libm's in the last
+    bit for a few percent of arguments.
     """
-    n = config.n_users - 1
-    term = (1.0 - tau) ** n
-    ratio = tau / (1.0 - tau)
-    shift = np.zeros(tau.shape, dtype=np.int64)
+    extra = [itertools.repeat(a) for a in args]
+    return np.fromiter(
+        map(func, values.tolist(), *extra), dtype=float, count=values.size
+    )
+
+
+def _libm_power(base: np.ndarray, exponent: int) -> np.ndarray:
+    """base ** exponent element by element, as Python's float power."""
+    return _elementwise(pow, base, exponent)
+
+
+def _head_sums_row(
+    n: int, m: int, tau: np.ndarray, power=_libm_power, weighted=True
+):
+    """`_head_sums` at every element of `tau`, all strictly inside (0, 1).
+
+    The recurrence runs on the whole vector, one step per i < m and in the
+    scalar operation order, so memory stays at a few vectors for any m.
+    Elements whose start underflows are carried scaled, as there; the
+    others never pass 2**_RESCALE_BITS and keep a shift of 0. `power`
+    computes the starts (1-tau)^n and frac^n: with the default libm power
+    the sums are bit-identical to `_head_sums`. Returns (head, weighted
+    sum), the second None unless `weighted`.
+    """
+    complement = 1.0 - tau
+    term = power(complement, n)
+    ratio = tau / complement
     scaled = term <= _SCALED_BELOW
     any_scaled = bool(scaled.any())
     if any_scaled:
-        frac, exp2 = np.frexp(1.0 - tau[scaled])
-        term[scaled] = frac**n
+        frac, exp2 = np.frexp(complement[scaled])
+        term[scaled] = power(frac, n)
+        shift = np.zeros(tau.shape, dtype=np.int64)
         shift[scaled] = exp2.astype(np.int64) * n
     head = np.zeros_like(tau)
-    for i in range(config.mpr):
+    sums = np.zeros_like(tau) if weighted else None
+    for i in range(m):
         head += term
+        if weighted:
+            sums += i * term
         term *= ((n - i) / (i + 1)) * ratio
         if any_scaled:
             big = term > _RESCALE
             term[big] /= _RESCALE
             head[big] /= _RESCALE
+            if weighted:
+                sums[big] /= _RESCALE
             shift[big] += _RESCALE_BITS
-    head = np.minimum(np.ldexp(head, shift), 1.0)
+    if any_scaled:
+        head = np.ldexp(head, shift)
+        if weighted:
+            sums = np.ldexp(sums, shift)
+    return head, sums
+
+
+def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
+    """`delivery_prob` at every element of `tau`, all strictly inside (0, 1),
+    for the coarse scan of `grid_search_optimum`.
+
+    The head sum is `_head_sums_row` with numpy's power, and the window
+    uses numpy's log1p and expm1. These may differ from libm's by an ulp,
+    so the values match the scalar ones to rounding, not bit for bit. The
+    scan only chooses a bracket: on the 643 cells of the `analytic`
+    benchmark the libm factors of `_delivery_prob_row` move no argmax but
+    take a 2000-point scan from 0.17 to 0.80 ms.
+    """
+    head, _ = _head_sums_row(
+        config.n_users - 1, config.mpr, tau, power=operator.pow,
+        weighted=False,
+    )
     d = config.deadline
     window = tau if d == 1 else -np.expm1(d * np.log1p(-tau))
-    return window * head
+    return window * np.minimum(head, 1.0)
 
 
 def _window_prob(tau: float, deadline: int) -> float:
@@ -370,6 +424,146 @@ def iteration_map(config: ChannelConfig, x) -> float:
         * (admitted_load(config, v) + 1.0)
         / (deadline_load(config, v) + 1.0)
     )
+
+
+# Array forms of the closed forms above, for the property checks. Each takes
+# a 1-D float array and returns what its scalar function returns at every
+# element, bit for bit: numpy does the arithmetic in the scalar operation
+# order, and the transcendental factors come from libm through
+# `_elementwise`. Where the scalar function raises UnderflowError, the array
+# form returns NaN and marks the element in a second array, `computable`.
+
+
+def _open_row(tau: np.ndarray) -> np.ndarray:
+    """`tau`, once `_open_probability` accepts each element."""
+    outside = ~((tau > 0.0) & (tau < 1.0))
+    if outside.any():
+        _open_probability(float(tau[outside][0]))
+    return tau
+
+
+def _window_prob_row(tau: np.ndarray, deadline: int) -> np.ndarray:
+    """`_window_prob` at every element of `tau`, all strictly inside (0, 1)."""
+    if deadline == 1:
+        return tau
+    miss = float(deadline) * _elementwise(math.log1p, -tau)
+    return -_elementwise(math.expm1, miss)
+
+
+def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """num / den element by element, as Python divides floats: a zero
+    divisor raises ZeroDivisionError, an overflow gives inf unwarned."""
+    if not np.all(den):
+        raise ZeroDivisionError("float division by zero")
+    with np.errstate(over="ignore"):
+        return num / den
+
+
+def _conditional_row(num: np.ndarray, den: np.ndarray):
+    """num / den, and where den is 0 (the scalar's UnderflowError) NaN,
+    with no floating-point warning."""
+    computable = den != 0.0
+    values = np.full_like(num, math.nan)
+    np.divide(num, den, out=values, where=computable)
+    return values, computable
+
+
+def _admitted_load_row(config: ChannelConfig, tau: np.ndarray):
+    """`admitted_load` at every element: (values, computable)."""
+    head, weighted = _head_sums_row(config.n_users - 1, config.mpr,
+                                    _open_row(tau))
+    return _conditional_row(weighted, head)
+
+
+def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
+    """`deadline_load` at every element."""
+    d = config.deadline
+    window = _window_prob_row(_open_row(tau), d)
+    load = float(config.n_users + d - 1) - _quotient(float(d), window)
+    return tau * load
+
+
+def _delivery_prob_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
+    """`delivery_prob` at every element, all in [0, 1]."""
+    outside = ~((tau >= 0.0) & (tau <= 1.0))
+    if outside.any():
+        as_probability(float(tau[outside][0]))
+    inside = (tau > 0.0) & (tau < 1.0)
+    if not inside.all():
+        # Both endpoints give 0.0 as in the scalar form: no transmission at
+        # tau = 0, no decodable slot at tau = 1.
+        values = np.zeros_like(tau)
+        values[inside] = _delivery_prob_row(config, tau[inside])
+        return values
+    head, _ = _head_sums_row(config.n_users - 1, config.mpr, tau,
+                             weighted=False)
+    admit = np.where(head < 1.0, head, 1.0)
+    return _window_prob_row(tau, config.deadline) * admit
+
+
+def _delivery_prob_derivative_row(
+    config: ChannelConfig, tau: np.ndarray
+) -> np.ndarray:
+    """`delivery_prob_derivative` at every element."""
+    n = config.n_users
+    d = config.deadline
+    head, weighted = _head_sums_row(n - 1, config.mpr, _open_row(tau))
+    window = _window_prob_row(tau, d)
+    miss = _libm_power(1.0 - tau, d)
+    inner = float(n - 1) - float(n + d - 1) * miss
+    return _quotient(window * weighted - inner * tau * head,
+                     tau * (1.0 - tau))
+
+
+def _iteration_map_row(config: ChannelConfig, x: np.ndarray):
+    """`iteration_map` at every element: (values, computable)."""
+    load, computable = _admitted_load_row(config, x)
+    values = _quotient(
+        x * (load + 1.0), _deadline_load_row(config, x) + 1.0
+    )
+    return values, computable
+
+
+def _window_bound_row(deadline: int, x: np.ndarray) -> np.ndarray:
+    """`window_bound` at every element."""
+    if deadline < 1:
+        raise ValueError(f"deadline must be >= 1, got {deadline}")
+    window = _window_prob_row(_open_row(x), deadline)
+    return _quotient(
+        _libm_power(float(deadline) * x, 2)
+        * _libm_power(1.0 - x, deadline - 1),
+        _libm_power(window, 2),
+    )
+
+
+def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:
+    """`binomial_pmf` at every element of `p`, all in [0, 1]."""
+    c = math.comb(n, i) if 0 <= i <= n else None
+    if c is None or c.bit_length() > 1023 or not (
+        (p >= 0.0) & (p <= 1.0)
+    ).all():
+        # The scalar's argument errors and its log-domain branch.
+        return _elementwise(lambda q: binomial_pmf(n, i, q), p)
+    return float(c) * _libm_power(p, i) * _libm_power(1.0 - p, n - i)
+
+
+def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
+    """math.fsum of each column of the equal-length rows."""
+    columns = zip(*(row.tolist() for row in rows))
+    return np.fromiter(map(math.fsum, columns), dtype=float,
+                       count=rows[0].size)
+
+
+def _success_size_ratio_row(config: ChannelConfig, tau: np.ndarray):
+    """`success_size_ratio` at every element: (values, computable)."""
+    _open_row(tau)
+    terms = [
+        _binomial_pmf_row(config.n_users, i, tau)
+        for i in range(1, config.mpr + 1)
+    ]
+    num = _fsum_columns([i * i * t for i, t in enumerate(terms, 1)])
+    den = _fsum_columns([i * t for i, t in enumerate(terms, 1)])
+    return _conditional_row(num, den)
 
 
 def _stationarity_gap(config: ChannelConfig, x: float) -> float:

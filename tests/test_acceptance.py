@@ -269,3 +269,46 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
         "sweep, simulate, dynamic outputs compared, dynamic pinned by sha256"
         + (f"; mismatched: {mismatches}" if mismatches else ""),
     )
+
+
+# The outputs of the `analytic` benchmark workload: the stdout and exit code
+# of `verify` on the default grid and at n = 200 and n = 500 (whose three
+# FAILs are ROADMAP item 6), and the CSV of its sweep. Any drift in the
+# closed forms, the property checks or the solver changes these.
+VERIFY_SHA256 = {
+    (): (
+        0, "c3d24d29b1f9411d5a9c14eda7d7344619405942702614945cdee12b31358965"
+    ),
+    ("--n", "200"): (
+        0, "78b6c9994cb8ba71e6dcc7095206b6d7625e7df4787e4a44352a0edf4a12dfd7"
+    ),
+    ("--n", "500"): (
+        2, "11b6ed0b4a89840295dec45a1861c93f86f4a52633c5483b757e9439c91db7b0"
+    ),
+}
+SWEEP_SHA256 = (
+    "1770cc9eacfb048693f20222785316baf06c50e61245535b720cd84872de14b4"
+)
+
+
+def test_analytic_outputs_pinned(tmp_path):
+    mismatches = []
+    for extra, (code, digest) in VERIFY_SHA256.items():
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            got_code = cli.main(["verify", *extra])
+        got = hashlib.sha256(out.getvalue().encode()).hexdigest()
+        if (got_code, got) != (code, digest):
+            mismatches.append(f"verify {extra}: exit {got_code}, {got}")
+    sweep = tmp_path / "sweep.csv"
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main([
+            "sweep", "--n", "10,50,200",
+            "--m", "1,2,5,9,20,25,45,49,100,180,199",
+            "--d", "1,5,20,100,1000", "--out", str(sweep),
+        ]) == 0
+    got = hashlib.sha256(sweep.read_bytes()).hexdigest()
+    if got != SWEEP_SHA256:
+        mismatches.append(f"sweep.csv {got}")
+    assert not mismatches, mismatches

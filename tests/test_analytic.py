@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpraloha import analytic
@@ -397,3 +397,121 @@ class TestDerivativeAndMap:
         for d in (2, 5, 20):
             for x in (0.01, 0.3, 0.99):
                 assert window_bound(d, x) < 1.0
+
+
+def _bits(values) -> list[int]:
+    """The float64 bit patterns, so that equality is bit for bit."""
+    return np.asarray(values, dtype=float).view(np.int64).tolist()
+
+
+def _scalar_row(func, args, taus):
+    """func(*args, tau) at each tau, with NaN and a False mark where it
+    raises UnderflowError; None if it raises ZeroDivisionError anywhere."""
+    values, computable = [], []
+    for t in taus:
+        try:
+            values.append(func(*args, t))
+            computable.append(True)
+        except analytic.UnderflowError:
+            values.append(math.nan)
+            computable.append(False)
+        except ZeroDivisionError:
+            return None
+    return values, computable
+
+
+@st.composite
+def _cells(draw):
+    n = draw(st.integers(2, analytic.N_CAP))
+    m = draw(st.integers(1, n - 1))
+    d = draw(st.one_of(st.integers(1, 30), st.integers(1, 10**6)))
+    return n, m, d
+
+
+# Interior tau, and tau near 1 where (1 - tau)^(n-1) runs scaled or the
+# admit probability underflows to zero.
+_TAUS = st.lists(
+    st.one_of(
+        st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+        st.floats(1e-16, 0.5).map(lambda e: 1.0 - e),
+    ),
+    min_size=1,
+    max_size=12,
+)
+
+
+class TestArrayForms:
+    """The array forms that `checks` evaluates a tau row with are the scalar
+    closed forms bit for bit, and mark exactly where the scalar raises
+    UnderflowError."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(cell=_cells(), taus=_TAUS, i=st.floats(0.0, 1.0))
+    @example(cell=(1000, 999, 10**6), taus=[0.3, 0.6, 0.9, 0.999], i=0.5)
+    @example(cell=(200, 7, 1), taus=[0.97, 0.98, 0.995], i=1.0)
+    @example(cell=(1000, 1, 5), taus=[1e-300, 0.5, 1.0 - 2**-53], i=0.0)
+    def test_bit_identical_to_scalar(self, cell, taus, i):
+        n, m, d = cell
+        cfg = ChannelConfig(n, m, d)
+        row = np.array(taus)
+        closed = np.array([0.0, 1.0, *taus])
+        k = round(i * n)
+
+        head, weighted = analytic._head_sums_row(n - 1, m, row)
+        pairs = [analytic._head_sums(n - 1, m, t) for t in taus]
+        assert _bits(head) == _bits([h for h, _ in pairs])
+        assert _bits(weighted) == _bits([w for _, w in pairs])
+        # (array form, scalar function, leading arguments, taus, whether
+        # the form marks the elements where the scalar underflows)
+        for form, scalar, args, x, marks in (
+            (analytic._window_prob_row, analytic._window_prob, None, row,
+             False),
+            (analytic._deadline_load_row, deadline_load, (cfg,), row, False),
+            (analytic._delivery_prob_row, delivery_prob, (cfg,), closed,
+             False),
+            (analytic._delivery_prob_derivative_row,
+             delivery_prob_derivative, (cfg,), row, False),
+            (analytic._window_bound_row, window_bound, (d,), row, False),
+            (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed, False),
+            (analytic._admitted_load_row, admitted_load, (cfg,), row, True),
+            (analytic._iteration_map_row, iteration_map, (cfg,), row, True),
+            (analytic._success_size_ratio_row, success_size_ratio, (cfg,),
+             row, True),
+        ):
+            if args is None:
+                # `_window_prob` takes the deadline after tau.
+                want = _scalar_row(lambda t: scalar(t, d), (), x.tolist())
+                got = lambda: form(x, d)
+            else:
+                want = _scalar_row(scalar, args, x.tolist())
+                got = lambda: form(*args, x)
+            if want is None:
+                with pytest.raises(ZeroDivisionError):
+                    got()
+                continue
+            values, computable = got() if marks else (got(), None)
+            assert _bits(values) == _bits(want[0]), form.__name__
+            if marks:
+                assert computable.tolist() == want[1], form.__name__
+            else:
+                assert all(want[1]), form.__name__
+
+    def test_underflow_marks_raise_no_warning(self):
+        # Tier-1 turns warnings into errors: the marked elements must be
+        # skipped without a floating-point warning.
+        cfg = ChannelConfig(500, 8, 5)
+        row = np.array([0.5, 0.99, 0.999])
+        for form in (analytic._admitted_load_row,
+                     analytic._iteration_map_row,
+                     analytic._success_size_ratio_row):
+            _, computable = form(cfg, row)
+            assert computable.tolist() == [True, False, False]
+
+    def test_domain_errors_match_scalar(self):
+        cfg = ChannelConfig(10, 3, 5)
+        with pytest.raises(ValueError, match="strictly inside"):
+            analytic._deadline_load_row(cfg, np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match="must be in \\[0, 1\\]"):
+            analytic._delivery_prob_row(cfg, np.array([0.5, 1.5]))
+        with pytest.raises(ValueError, match="i must be in"):
+            analytic._binomial_pmf_row(10, 11, np.array([0.5]))

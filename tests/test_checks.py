@@ -1,3 +1,6 @@
+import math
+
+import numpy as np
 import pytest
 
 from mpraloha import checks
@@ -86,6 +89,33 @@ class TestFaultInjection:
                 f"{skipped} cells skipped as not computable, "
                 "none left to check"
             )
+
+
+    def test_nan_violation_fails_at_its_location(self, monkeypatch):
+        # A NaN is the worst violation there is: the first one is reported
+        # where it occurred and fails the check.
+        row_form = checks._delivery_prob_row
+
+        def poisoned(cfg, tau):
+            values = row_form(cfg, tau)
+            if (cfg.n_users, cfg.deadline) == (10, 5) and cfg.mpr in (2, 3):
+                values[tau == 0.6] = math.nan
+            return values
+
+        monkeypatch.setattr(checks, "_delivery_prob_row", poisoned)
+        result = checks.check_sdp_bounds(SMALL)
+        assert not result.passed
+        assert math.isnan(result.worst)
+        assert result.detail.endswith("= nan at n=10 m=2 d=5 tau=0.6")
+
+    def test_only_nan_violations_fail(self):
+        result = checks._reduce(
+            "probe", [("cell", np.array([math.nan, math.nan]), None)],
+            lambda key, k: f"{key} {k}", 0.0, "{worst} at {where}",
+        )
+        assert not result.passed
+        assert math.isnan(result.worst)
+        assert result.detail == "nan at cell 0"
 
 
 class TestGrid:
