@@ -183,9 +183,14 @@ def _reduce(
     return CheckResult(name, passed, worst, detail)
 
 
-def _cell_tau(taus):
-    """`where` for rows keyed by (n, m, d) over the tau values."""
-    return lambda cell, k: "n={} m={} d={} tau={}".format(*cell, taus[k])
+def _cell_tau(taus, names=("n", "m", "d")):
+    """`where` for rows keyed by a cell, a tuple of the parameters `names`,
+    over the tau values: "n=5 m=2 d=1 tau=0.3"."""
+    def where(cell, k):
+        params = " ".join(f"{name}={v}" for name, v in zip(names, cell))
+        return f"{params} tau={taus[k]}"
+
+    return where
 
 
 def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
@@ -271,8 +276,8 @@ def check_admitted_load_slope(grid: VerifyGrid) -> CheckResult:
                        _both_halves(computable))
 
     return _reduce("admitted_load_slope", rows(),
-                   lambda c, k: f"n={c[0]} m={c[1]} tau={taus[k]}",
-                   _SLOPE_MARGIN, "max violation of 0 <= slope <= n-1 = "
+                   _cell_tau(taus, ("n", "m")), _SLOPE_MARGIN,
+                   "max violation of 0 <= slope <= n-1 = "
                    "{worst:.3e} at {where} (margin {limit:g})")
 
 
@@ -289,8 +294,8 @@ def check_deadline_load_slope(grid: VerifyGrid) -> CheckResult:
                 yield (n, d), (n - 1) - _central_diff_row(load), None
 
     return _reduce("deadline_load_slope", rows(),
-                   lambda c, k: f"n={c[0]} d={c[1]} tau={taus[k]}",
-                   _SLOPE_MARGIN, "max shortfall below slope > n-1 = "
+                   _cell_tau(taus, ("n", "d")), _SLOPE_MARGIN,
+                   "max shortfall below slope > n-1 = "
                    "{worst:.3e} at {where} (margin {limit:g})")
 
 
@@ -310,8 +315,8 @@ def check_moment_ratio_identity(grid: VerifyGrid) -> CheckResult:
                 yield (n, m), np.abs(ratio - 1.0 - load), ratio_ok & load_ok
 
     return _reduce("moment_ratio_identity", rows(),
-                   lambda c, k: f"n={c[0]} m={c[1]} tau={taus[k]}",
-                   _IDENTITY_TOL, "max |ratio - 1 - load| = {worst:.3e} at "
+                   _cell_tau(taus, ("n", "m")), _IDENTITY_TOL,
+                   "max |ratio - 1 - load| = {worst:.3e} at "
                    "{where} (tol {limit:g})")
 
 
@@ -346,8 +351,8 @@ def check_term_matching_identity(grid: VerifyGrid) -> CheckResult:
                                        np.abs(lhs2 - rhs2)), None)
 
     return _reduce("term_matching_identity", rows(),
-                   lambda c, k: f"n={c[0]} m={c[1]} tau={taus[k]}",
-                   _IDENTITY_TOL, "max reindexing residual = {worst:.3e} at "
+                   _cell_tau(taus, ("n", "m")), _IDENTITY_TOL,
+                   "max reindexing residual = {worst:.3e} at "
                    "{where} (tol {limit:g})")
 
 
@@ -360,10 +365,10 @@ def check_window_bound(grid: VerifyGrid) -> CheckResult:
     def rows():
         for d in sorted(set(grid.d_values) | {1, 2}):
             w = _window_bound_row(d, row)
-            yield d, np.abs(w - 1.0) - 1e-12 if d == 1 else w - 1.0, None
+            yield (d,), np.abs(w - 1.0) - 1e-12 if d == 1 else w - 1.0, None
 
     return _reduce("window_bound", rows(),
-                   lambda d, k: f"d={d} tau={taus[k]}", 0.0,
+                   _cell_tau(taus, ("d",)), 0.0,
                    "max of (factor - 1), d=1 as identity residual = "
                    "{worst:.3e} at {where}", strict=True)
 
