@@ -178,27 +178,15 @@ def _advanced(bit_gen, outputs: int):
 
 def _run_parts(jobs: list[tuple]) -> list[tuple]:
     """`_part(*job)` for every job, in job order: the first on the calling
-    thread, the others on the worker pool at the same time. Once its own
-    part is done, the calling thread takes back, last first, every part
-    that no worker has started and runs it itself, so a busy or late
-    worker delays the block by at most the part it is running."""
+    thread, the others on the worker pool at the same time."""
     futures = [_workers.submit(_part, *job) for job in jobs[1:]]
-    results = [None] * len(jobs)
     try:
-        results[0] = _part(*jobs[0])
-        for k in range(len(futures), 0, -1):
-            if futures[k - 1].cancel():
-                results[k] = _part(*jobs[k])
+        first = _part(*jobs[0])
     finally:
-        # Wait for the parts that workers started, so none outlives the
-        # call, and raise what a part raised. After an error on this
-        # thread, the parts not yet started are dropped.
-        for future in futures:
-            future.cancel()
-        for k, future in enumerate(futures, 1):
-            if not future.cancelled():
-                results[k] = future.result()
-    return results
+        # Wait for every worker part, so none outlives the call, and raise
+        # what a part raised.
+        rest = [future.result() for future in futures]
+    return [first, *rest]
 
 
 def _part(

@@ -7,7 +7,6 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -414,15 +413,9 @@ class TestParts:
         _split(monkeypatch, 2)
         part = simulate._part
 
-        started = threading.Event()
-
         def fail_off_the_calling_thread(*job):
             if threading.current_thread() is not threading.main_thread():
-                started.set()
                 raise RuntimeError("part 2 failed")
-            # Hold the calling thread's part until a worker has started the
-            # other one; the caller would otherwise take it back.
-            started.wait(timeout=60)
             return part(*job)
 
         monkeypatch.setattr(simulate, "_part", fail_off_the_calling_thread)
@@ -431,36 +424,6 @@ class TestParts:
                 np.random.default_rng(0), self.TAUS, 3, 4, 100,
                 np.zeros(len(self.TAUS), dtype=np.int64),
             )
-
-    def test_caller_takes_back_unstarted_parts(self, monkeypatch):
-        # The pool's only worker is held by another task, so it never
-        # starts the second part: the calling thread must run that part
-        # itself instead of waiting for the worker.
-        _split(monkeypatch, 1)
-        expected = _outcome(np.random.default_rng(4), self.TAUS, 3, 4, 400,
-                            np.zeros(7), self.PROBES)
-        _split(monkeypatch, 2)
-        pool = ThreadPoolExecutor(max_workers=1)
-        monkeypatch.setattr(simulate, "_workers", pool)
-        release = threading.Event()
-        pool.submit(release.wait)
-        got = []
-        caller = threading.Thread(
-            target=lambda: got.append(_outcome(
-                np.random.default_rng(4), self.TAUS, 3, 4, 400, np.zeros(7),
-                self.PROBES,
-            )),
-            daemon=True,
-        )
-        try:
-            caller.start()
-            caller.join(timeout=30)
-            assert not caller.is_alive(), "run_interval waited on the pool"
-        finally:
-            release.set()
-            caller.join(timeout=30)
-            pool.shutdown()
-        assert got == [expected]
 
     def test_concurrent_callers(self, monkeypatch):
         # Six callers share the worker pool at once, with frequent thread
