@@ -432,14 +432,9 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # order, and the transcendental factors come from libm through
 # `_elementwise`. Where the scalar function raises UnderflowError, the array
 # form returns NaN and marks the element in a second array, `computable`.
-
-
-def _open_row(tau: np.ndarray) -> np.ndarray:
-    """`tau`, once `_open_probability` accepts each element."""
-    outside = ~((tau > 0.0) & (tau < 1.0))
-    if outside.any():
-        _open_probability(float(tau[outside][0]))
-    return tau
+# The forms take a valid config and tau strictly inside (0, 1), and also 0
+# and 1 for `_delivery_prob_row`. `checks.VerifyGrid` guarantees both, so the
+# forms do not check them again.
 
 
 def _window_prob_row(tau: np.ndarray, deadline: int) -> np.ndarray:
@@ -470,24 +465,20 @@ def _conditional_row(num: np.ndarray, den: np.ndarray):
 
 def _admitted_load_row(config: ChannelConfig, tau: np.ndarray):
     """`admitted_load` at every element: (values, computable)."""
-    head, weighted = _head_sums_row(config.n_users - 1, config.mpr,
-                                    _open_row(tau))
+    head, weighted = _head_sums_row(config.n_users - 1, config.mpr, tau)
     return _conditional_row(weighted, head)
 
 
 def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
     """`deadline_load` at every element."""
     d = config.deadline
-    window = _window_prob_row(_open_row(tau), d)
+    window = _window_prob_row(tau, d)
     load = float(config.n_users + d - 1) - _quotient(float(d), window)
     return tau * load
 
 
 def _delivery_prob_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
     """`delivery_prob` at every element, all in [0, 1]."""
-    outside = ~((tau >= 0.0) & (tau <= 1.0))
-    if outside.any():
-        as_probability(float(tau[outside][0]))
     inside = (tau > 0.0) & (tau < 1.0)
     if not inside.all():
         # Both endpoints give 0.0 as in the scalar form: no transmission at
@@ -507,7 +498,7 @@ def _delivery_prob_derivative_row(
     """`delivery_prob_derivative` at every element."""
     n = config.n_users
     d = config.deadline
-    head, weighted = _head_sums_row(n - 1, config.mpr, _open_row(tau))
+    head, weighted = _head_sums_row(n - 1, config.mpr, tau)
     window = _window_prob_row(tau, d)
     miss = _libm_power(1.0 - tau, d)
     inner = float(n - 1) - float(n + d - 1) * miss
@@ -526,9 +517,7 @@ def _iteration_map_row(config: ChannelConfig, x: np.ndarray):
 
 def _window_bound_row(deadline: int, x: np.ndarray) -> np.ndarray:
     """`window_bound` at every element."""
-    if deadline < 1:
-        raise ValueError(f"deadline must be >= 1, got {deadline}")
-    window = _window_prob_row(_open_row(x), deadline)
+    window = _window_prob_row(x, deadline)
     return _quotient(
         _libm_power(float(deadline) * x, 2)
         * _libm_power(1.0 - x, deadline - 1),
@@ -537,14 +526,9 @@ def _window_bound_row(deadline: int, x: np.ndarray) -> np.ndarray:
 
 
 def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:
-    """`binomial_pmf` at every element of `p`, all in [0, 1]."""
-    c = math.comb(n, i) if 0 <= i <= n else None
-    if c is None or c.bit_length() > 1023 or not (
-        (p >= 0.0) & (p <= 1.0)
-    ).all():
-        # The scalar's argument errors and its log-domain branch.
-        return _elementwise(lambda q: binomial_pmf(n, i, q), p)
-    return float(c) * _libm_power(p, i) * _libm_power(1.0 - p, n - i)
+    """`binomial_pmf` at every element of `p`, for 0 <= i <= n <= N_CAP."""
+    c = float(math.comb(n, i))
+    return c * _libm_power(p, i) * _libm_power(1.0 - p, n - i)
 
 
 def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
@@ -556,7 +540,6 @@ def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
 
 def _success_size_ratio_row(config: ChannelConfig, tau: np.ndarray):
     """`success_size_ratio` at every element: (values, computable)."""
-    _open_row(tau)
     terms = [
         _binomial_pmf_row(config.n_users, i, tau)
         for i in range(1, config.mpr + 1)

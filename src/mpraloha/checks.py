@@ -68,7 +68,9 @@ class VerifyGrid:
     only for the solver-versus-grid-search comparison. A grid without tau
     values, (n, m, d) cells, two distinct deadlines or sweep cells is
     rejected, because the checks would pass on it without evaluating
-    anything.
+    anything. This is also the one place that checks the domain: each tau
+    must stay inside (0, 1) when moved by the finite-difference step, and
+    each `ChannelConfig(n, 1, d)` and each sweep cell must be valid.
     """
 
     tau_values: tuple[float, ...] = tuple(i / 100 for i in range(1, 100))
@@ -82,6 +84,13 @@ class VerifyGrid:
     def __post_init__(self) -> None:
         if not self.tau_values:
             raise ValueError("grid has no tau values")
+        for tau in self.tau_values:
+            if not (tau - _FD_STEP > 0.0 and tau + _FD_STEP < 1.0):
+                raise ValueError(f"tau {tau!r} is not inside (0, 1) by the "
+                                 f"finite-difference step {_FD_STEP:g}")
+        for n in self.n_values:
+            for d in self.d_values:
+                ChannelConfig(n, 1, d)
         if next(self.cells(), None) is None:
             raise ValueError("grid has no (n, m, d) cell with 1 <= m < n")
         if len(set(self.d_values)) < 2:
@@ -90,6 +99,8 @@ class VerifyGrid:
             )
         if next(self.sweep_cells(), None) is None:
             raise ValueError("grid has no sweep cell with m < n")
+        for cell in self.sweep_cells():
+            ChannelConfig(*cell)
 
     def mpr_values(self, n_users: int) -> tuple[int, ...]:
         return tuple(m for m in self.m_values if 1 <= m < n_users)

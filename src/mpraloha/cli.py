@@ -47,17 +47,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _int_list(text: str) -> tuple[int, ...]:
-    """Parse '2,5,8' or '6:50' (inclusive) or a mix of both."""
+    """Parse '2,5,8' or '6:50' (inclusive, b >= a in 'a:b') or a mix."""
     out: list[int] = []
     for part in text.split(","):
-        part = part.strip()
-        if ":" in part:
-            lo, _, hi = part.partition(":")
-            out.extend(range(int(lo), int(hi) + 1))
-        else:
-            out.append(int(part))
-    if not out:
-        raise ValueError("empty list")
+        lo, colon, hi = part.partition(":")
+        if colon and int(hi) < int(lo):
+            raise argparse.ArgumentTypeError(f"reversed range {part!r}")
+        out.extend(range(int(lo), int(hi if colon else lo) + 1))
     return tuple(out)
 
 
@@ -184,6 +180,8 @@ def _cmd_simulate(args) -> int:
     # that cannot happen.
     if args.slots < 1:
         raise ValueError(f"--slots must be >= 1, got {args.slots}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be >= 0, got {args.seed}")
     rep_sdps = []
     total_completed = 0
     total_succeeded = 0

@@ -90,7 +90,7 @@ class ScenarioTimeline:
     """A validated scenario: contiguous stages plus estimator parameters.
 
     Stages cover the intervals contiguously from 1, none is empty, and each
-    holds mpr < active_users <= n_max stations.
+    holds mpr < active_users <= n_max stations. The seed is at least 0.
     """
 
     stages: tuple[Stage, ...]
@@ -98,6 +98,8 @@ class ScenarioTimeline:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not self.stages:
             raise ValueError("scenario needs at least one stage in [stages]")
         cfg = self.estimator

@@ -506,12 +506,3 @@ class TestArrayForms:
                      analytic._success_size_ratio_row):
             _, computable = form(cfg, row)
             assert computable.tolist() == [True, False, False]
-
-    def test_domain_errors_match_scalar(self):
-        cfg = ChannelConfig(10, 3, 5)
-        with pytest.raises(ValueError, match="strictly inside"):
-            analytic._deadline_load_row(cfg, np.array([0.5, 1.0]))
-        with pytest.raises(ValueError, match="must be in \\[0, 1\\]"):
-            analytic._delivery_prob_row(cfg, np.array([0.5, 1.5]))
-        with pytest.raises(ValueError, match="i must be in"):
-            analytic._binomial_pmf_row(10, 11, np.array([0.5]))

@@ -148,6 +148,27 @@ class TestGrid:
             with pytest.raises(ValueError, match="two distinct deadlines"):
                 VerifyGrid(d_values=d_values)
 
+    @pytest.mark.parametrize("override", [
+        {"tau_values": (1e-6,)},
+        {"tau_values": (1.0,)},
+        {"tau_values": (1.0 - 1e-6,)},
+        {"tau_values": (math.nan,)},
+        {"n_values": (1, 5)},
+        {"n_values": (5, 1001)},
+        {"d_values": (0, 5)},
+        {"sweep_n": (2000,)},
+        {"sweep_m": (0,)},
+    ], ids=["tau-1e-6", "tau-1", "tau-1-1e-6", "tau-nan", "n-1", "n-1001",
+            "d-0", "sweep-n-2000", "sweep-m-0"])
+    def test_out_of_domain_rejected(self, override):
+        # The one domain check: no property check gets such a grid.
+        with pytest.raises(ValueError):
+            VerifyGrid(**override)
+
+    def test_tau_just_inside_the_step_accepted(self):
+        # tau - 1e-6 > 0 holds, so every shifted tau is inside (0, 1).
+        assert VerifyGrid(tau_values=(1.0000001e-6,)).tau_values
+
     def test_default_tau_grid(self):
         grid = VerifyGrid()
         assert len(grid.tau_values) == 99

@@ -48,9 +48,15 @@ class TestUsageErrors:
         assert "mpr" in capsys.readouterr().err
 
     def test_bad_list_syntax(self):
-        assert cli.main(
-            ["sweep", "--n", "6;9", "--m", "2", "--d", "1"]
-        ) == 1
+        for n in ("6;9", "50:6,60"):
+            assert cli.main(
+                ["sweep", "--n", n, "--m", "2", "--d", "1"]
+            ) == 1
+
+    def test_reversed_range_is_named(self, capsys):
+        # The error names the reversed part.
+        assert cli.main(["sweep", "--n", "50:6", "--m", "2", "--d", "1"]) == 1
+        assert "'50:6'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag", [
         ["--tolerance", "1e-9"], ["--max-iter", "2"],
@@ -279,11 +285,12 @@ class TestSimulate:
 
     def test_bad_slots_starts_no_csv(self, tmp_path):
         path = tmp_path / "reps.csv"
-        assert cli.main(
-            ["simulate", "--n", "10", "--m", "2", "--d", "5",
-             "--slots", "0", "--out", str(path)]
-        ) == 1
-        assert not path.exists()
+        for flag in (["--slots", "0"], ["--seed", "-1"]):
+            assert cli.main(
+                ["simulate", "--n", "10", "--m", "2", "--d", "5",
+                 *flag, "--out", str(path)]
+            ) == 1
+            assert not path.exists()
 
     def test_bad_reps(self):
         assert cli.main(
@@ -334,6 +341,17 @@ class TestDynamic:
         assert (tmp_path / "a" / "trace.csv").read_bytes() != (
             tmp_path / "b" / "trace.csv"
         ).read_bytes()
+
+    def test_negative_seed_creates_no_output(
+        self, scenario_path, tmp_path, capsys
+    ):
+        out_dir = tmp_path / "out"
+        assert cli.main(
+            ["dynamic", "--scenario", str(scenario_path),
+             "--out", str(out_dir), "--seed", "-1"]
+        ) == 1
+        assert not out_dir.exists()
+        assert "seed" in capsys.readouterr().err
 
     def test_chunked_trace_is_byte_identical(
         self, scenario_path, tmp_path, monkeypatch
@@ -403,6 +421,21 @@ class TestVerify:
         captured = capsys.readouterr()
         assert "PASS" not in captured.out
         assert "two distinct deadlines" in captured.err
+
+    @pytest.mark.parametrize("override", [
+        ["--sweep-n", "2000"], ["--n", "1,5"],
+    ], ids=["sweep-n-2000", "n-1"])
+    def test_out_of_domain_grid_runs_no_check(
+        self, override, capsys, monkeypatch
+    ):
+        def run_all(grid):
+            raise AssertionError("run_all called on an out-of-domain grid")
+
+        monkeypatch.setattr(checks, "run_all", run_all)
+        assert cli.main(["verify", *override]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n_users must be in" in captured.err
 
     def test_large_population_skips_uncomputable_cells(self, capsys):
         # At n = 200 and tau >= 0.98 the admit probability and the

@@ -107,6 +107,11 @@ class TestParser:
         with pytest.raises(ScenarioError, match="decodable"):
             parse_scenario(text, source="bad.cfg")
 
+    def test_negative_seed_rejected(self):
+        text = GOOD.replace("seed = 7", "seed = -3")
+        with pytest.raises(ScenarioError, match="seed"):
+            parse_scenario(text)
+
     def test_load_scenario_reads_file(self, tmp_path):
         path = tmp_path / "s.cfg"
         path.write_text(GOOD)
