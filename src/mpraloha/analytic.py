@@ -174,22 +174,18 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
     1 - tau = frac * 2**e and frac in [0.5, 1), the start is frac**n (a normal
     float for n <= 1021) times the exact power 2**(e*n).
     """
-    if tau == 0.0:
-        return 1.0, 0.0
     if tau == 1.0:
         return 0.0, 0.0
     head = 0.0
     weighted = 0.0
     term = (1.0 - tau) ** n
     ratio = tau / (1.0 - tau)
-    if term > _SCALED_BELOW:
-        for i in range(m):
-            head += term
-            weighted += i * term
-            term *= ((n - i) / (i + 1)) * ratio
-        return head, weighted
-    frac, exp2 = math.frexp(1.0 - tau)
-    term, shift = frac**n, exp2 * n
+    # Unscaled terms are at most 1, never pass 2**_RESCALE_BITS and keep a
+    # shift of 0, which the final ldexp leaves exact.
+    shift = 0
+    if term <= _SCALED_BELOW:
+        frac, exp2 = math.frexp(1.0 - tau)
+        term, shift = frac**n, exp2 * n
     for i in range(m):
         head += term
         weighted += i * term
@@ -287,8 +283,6 @@ def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
 
 def _window_prob(tau: float, deadline: int) -> float:
     """Probability of at least one transmission in `deadline` slots."""
-    if tau == 0.0:
-        return 0.0
     if tau == 1.0:
         return 1.0
     if deadline == 1:
@@ -432,9 +426,11 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # order, and the transcendental factors come from libm through
 # `_elementwise`. Where the scalar function raises UnderflowError, the array
 # form returns NaN and marks the element in a second array, `computable`.
-# The forms take a valid config and tau strictly inside (0, 1), and also 0
-# and 1 for `_delivery_prob_row`. `checks.VerifyGrid` guarantees both, so the
-# forms do not check them again.
+# The forms take a valid config and tau strictly inside (0, 1);
+# `checks.VerifyGrid` guarantees both, so the forms do not check them again.
+# A form exists only where a check would otherwise loop the scalar function
+# at real cost; the checks evaluate cheap functions, and the endpoints, with
+# the scalar functions themselves.
 
 
 def _window_prob_row(tau: np.ndarray, deadline: int) -> np.ndarray:
@@ -478,14 +474,7 @@ def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
 
 
 def _delivery_prob_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
-    """`delivery_prob` at every element, all in [0, 1]."""
-    inside = (tau > 0.0) & (tau < 1.0)
-    if not inside.all():
-        # Both endpoints give 0.0 as in the scalar form: no transmission at
-        # tau = 0, no decodable slot at tau = 1.
-        values = np.zeros_like(tau)
-        values[inside] = _delivery_prob_row(config, tau[inside])
-        return values
+    """`delivery_prob` at every element."""
     head, _ = _head_sums_row(config.n_users - 1, config.mpr, tau,
                              weighted=False)
     admit = np.where(head < 1.0, head, 1.0)
@@ -513,16 +502,6 @@ def _iteration_map_row(config: ChannelConfig, x: np.ndarray):
         x * (load + 1.0), _deadline_load_row(config, x) + 1.0
     )
     return values, computable
-
-
-def _window_bound_row(deadline: int, x: np.ndarray) -> np.ndarray:
-    """`window_bound` at every element."""
-    window = _window_prob_row(x, deadline)
-    return _quotient(
-        _libm_power(float(deadline) * x, 2)
-        * _libm_power(1.0 - x, deadline - 1),
-        _libm_power(window, 2),
-    )
 
 
 def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:

@@ -13,7 +13,9 @@ approached asymptotically on the grid.
 
 Each check evaluates the tau values of one (n, m, d) cell in one pass, with
 the array forms of `analytic` that give the scalar closed forms' values bit
-for bit, and formats the location of its worst violation only.
+for bit, and formats the location of its worst violation only. The window
+factor and the delivery probability at tau = 0 and 1 are cheap enough to
+evaluate with the public functions themselves.
 
 Where a side of a check underflows and cannot be computed (the admit
 probability or the decoded-batch mass of a large population at a tau near
@@ -37,12 +39,13 @@ from .analytic import (
     _fsum_columns,
     _iteration_map_row,
     _success_size_ratio_row,
-    _window_bound_row,
     admitted_load,
     deadline_load,
+    delivery_prob,
     grid_search_optimum,
     lower_bound_tau,
     solve_optimal_tau,
+    window_bound,
 )
 
 __all__ = ["VerifyGrid", "CheckResult", "run_all", "CHECK_NAMES"]
@@ -58,6 +61,14 @@ _DERIVATIVE_TOL = 1e-5
 _IDENTITY_TOL = 1e-12
 
 
+def _valid_cell(where: str, n: int, m: int, d: int) -> None:
+    """Raise `ChannelConfig`'s error for (n, m, d), prefixed with `where`."""
+    try:
+        ChannelConfig(n, m, d)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class VerifyGrid:
     """Parameter grid the property checks run over.
@@ -70,7 +81,9 @@ class VerifyGrid:
     rejected, because the checks would pass on it without evaluating
     anything. This is also the one place that checks the domain: each tau
     must stay inside (0, 1) when moved by the finite-difference step, and
-    each `ChannelConfig(n, 1, d)` and each sweep cell must be valid.
+    each `ChannelConfig(n, 1, d)`, each (n, m, d) cell of the check grid
+    (n_values, m_values, d_values) and each cell of the sweep grid must be
+    valid. A config error names the grid and the cell it came from.
     """
 
     tau_values: tuple[float, ...] = tuple(i / 100 for i in range(1, 100))
@@ -90,7 +103,9 @@ class VerifyGrid:
                                  f"finite-difference step {_FD_STEP:g}")
         for n in self.n_values:
             for d in self.d_values:
-                ChannelConfig(n, 1, d)
+                _valid_cell(f"check grid n={n} d={d}", n, 1, d)
+        for n, m, d in self.cells():
+            _valid_cell(f"check grid cell n={n} m={m} d={d}", n, m, d)
         if next(self.cells(), None) is None:
             raise ValueError("grid has no (n, m, d) cell with 1 <= m < n")
         if len(set(self.d_values)) < 2:
@@ -99,11 +114,11 @@ class VerifyGrid:
             )
         if next(self.sweep_cells(), None) is None:
             raise ValueError("grid has no sweep cell with m < n")
-        for cell in self.sweep_cells():
-            ChannelConfig(*cell)
+        for n, m, d in self.sweep_cells():
+            _valid_cell(f"sweep grid cell n={n} m={m} d={d}", n, m, d)
 
     def mpr_values(self, n_users: int) -> tuple[int, ...]:
-        return tuple(m for m in self.m_values if 1 <= m < n_users)
+        return tuple(m for m in self.m_values if m < n_users)
 
     def cells(self):
         for n in self.n_values:
@@ -207,14 +222,14 @@ def _cell_tau(taus, names=("n", "m", "d")):
 def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
     """delivery_prob stays in [0, 1] and vanishes at tau = 0 and tau = 1."""
     taus = (0.0, 1.0, *grid.tau_values)
-    row = np.array(taus, dtype=float)
+    row = np.array(grid.tau_values, dtype=float)
 
     def rows():
         for n, m, d in grid.cells():
-            v = _delivery_prob_row(ChannelConfig(n, m, d), row)
-            out = _larger(-v, v - 1.0)
-            out[:2] = np.abs(v[:2])
-            yield (n, m, d), out, None
+            cfg = ChannelConfig(n, m, d)
+            ends = [abs(delivery_prob(cfg, t)) for t in (0.0, 1.0)]
+            v = _delivery_prob_row(cfg, row)
+            yield (n, m, d), np.concatenate([ends, _larger(-v, v - 1.0)]), None
 
     return _reduce("sdp_bounds", rows(), _cell_tau(taus), 0.0,
                    "max excursion outside [0, 1] (and endpoint residual) = "
@@ -371,11 +386,10 @@ def check_window_bound(grid: VerifyGrid) -> CheckResult:
     """The contraction factor: identically 1 for a one-slot deadline and
     strictly below 1 on (0, 1) for every longer deadline."""
     taus = grid.tau_values
-    row = np.array(taus, dtype=float)
 
     def rows():
         for d in sorted(set(grid.d_values) | {1, 2}):
-            w = _window_bound_row(d, row)
+            w = np.array([window_bound(d, t) for t in taus])
             yield (d,), np.abs(w - 1.0) - 1e-12 if d == 1 else w - 1.0, None
 
     return _reduce("window_bound", rows(),

@@ -121,6 +121,15 @@ def run_interval(
     parts chain the same way, so neither changes a count.
     """
     n_users = len(tx_probs)
+    if deadline < 1:
+        raise ValueError(f"deadline must be >= 1, got {deadline}")
+    if n_slots < 0:
+        raise ValueError(f"n_slots must be >= 0, got {n_slots}")
+    if len(hol_ages) != n_users:
+        raise ValueError(
+            f"hol_ages must have one entry per station ({n_users}), "
+            f"got {len(hol_ages)}"
+        )
     block = max(1, _BLOCK_CELLS // max(1, n_users))
     bit_gen = rng.bit_generator
     parts = _PARTS if _exact_advance(bit_gen) else 1

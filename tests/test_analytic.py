@@ -133,6 +133,16 @@ class TestDeliveryProb:
         assert delivery_prob(cfg, 0.0) == 0.0
         assert delivery_prob(cfg, 1.0) == 0.0
 
+    def test_silent_channel_is_exact(self):
+        # At tau = 0 the general formulas give exact values and a positive
+        # zero: nothing is sent, and every transmission would be decoded.
+        for d in (1, 5, 10**9):
+            cfg = ChannelConfig(10, 3, d)
+            assert repr(delivery_prob(cfg, 0.0)) == "0.0"
+            assert admit_prob(cfg, 0.0) == 1.0
+        for n, m in ((9, 3), (999, 1), (999, 998)):
+            assert analytic._head_sums(n, m, 0.0) == (1.0, 0.0)
+
     def test_admit_prob_is_binomial_head(self):
         cfg = ChannelConfig(10, 3, 5)
         direct = sum(binomial_pmf(9, i, 0.2) for i in range(3))
@@ -467,11 +477,9 @@ class TestArrayForms:
             (analytic._window_prob_row, analytic._window_prob, None, row,
              False),
             (analytic._deadline_load_row, deadline_load, (cfg,), row, False),
-            (analytic._delivery_prob_row, delivery_prob, (cfg,), closed,
-             False),
+            (analytic._delivery_prob_row, delivery_prob, (cfg,), row, False),
             (analytic._delivery_prob_derivative_row,
              delivery_prob_derivative, (cfg,), row, False),
-            (analytic._window_bound_row, window_bound, (d,), row, False),
             (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed, False),
             (analytic._admitted_load_row, admitted_load, (cfg,), row, True),
             (analytic._iteration_map_row, iteration_map, (cfg,), row, True),

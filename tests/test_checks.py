@@ -108,6 +108,28 @@ class TestFaultInjection:
         assert math.isnan(result.worst)
         assert result.detail.endswith("= nan at n=10 m=2 d=5 tau=0.6")
 
+    def test_window_bound_is_the_public_function(self, monkeypatch):
+        public = checks.window_bound
+
+        def faulty(d, x):
+            return 1.001 if d == 2 else public(d, x)
+
+        monkeypatch.setattr(checks, "window_bound", faulty)
+        result = checks.check_window_bound(SMALL)
+        assert not result.passed
+        assert result.detail.endswith("at d=2 tau=0.1")
+
+    def test_sdp_endpoints_are_the_public_function(self, monkeypatch):
+        public = checks.delivery_prob
+
+        def faulty(cfg, tau):
+            return 1e-3 if tau == 1.0 else public(cfg, tau)
+
+        monkeypatch.setattr(checks, "delivery_prob", faulty)
+        result = checks.check_sdp_bounds(SMALL)
+        assert not result.passed
+        assert "tau=1.0" in result.detail
+
     def test_only_nan_violations_fail(self):
         result = checks._reduce(
             "probe", [("cell", np.array([math.nan, math.nan]), None)],
@@ -158,8 +180,9 @@ class TestGrid:
         {"d_values": (0, 5)},
         {"sweep_n": (2000,)},
         {"sweep_m": (0,)},
+        {"m_values": (0, 2)},
     ], ids=["tau-1e-6", "tau-1", "tau-1-1e-6", "tau-nan", "n-1", "n-1001",
-            "d-0", "sweep-n-2000", "sweep-m-0"])
+            "d-0", "sweep-n-2000", "sweep-m-0", "m-0"])
     def test_out_of_domain_rejected(self, override):
         # The one domain check: no property check gets such a grid.
         with pytest.raises(ValueError):

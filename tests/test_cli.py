@@ -422,11 +422,13 @@ class TestVerify:
         assert "PASS" not in captured.out
         assert "two distinct deadlines" in captured.err
 
-    @pytest.mark.parametrize("override", [
-        ["--sweep-n", "2000"], ["--n", "1,5"],
-    ], ids=["sweep-n-2000", "n-1"])
+    @pytest.mark.parametrize("override, message", [
+        (["--sweep-n", "2000"], "n_users must be in"),
+        (["--n", "1,5"], "n_users must be in"),
+        (["--m", "0,2"], "mpr must satisfy 1 <= mpr"),
+    ], ids=["sweep-n-2000", "n-1", "m-0"])
     def test_out_of_domain_grid_runs_no_check(
-        self, override, capsys, monkeypatch
+        self, override, message, capsys, monkeypatch
     ):
         def run_all(grid):
             raise AssertionError("run_all called on an out-of-domain grid")
@@ -435,7 +437,16 @@ class TestVerify:
         assert cli.main(["verify", *override]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "n_users must be in" in captured.err
+        assert message in captured.err
+
+    def test_domain_error_names_its_grid(self, capsys):
+        errors = {}
+        for flag, grid in (("--n", "check grid n=2000 d=1: "),
+                           ("--sweep-n", "sweep grid cell n=2000 m=2 d=1: ")):
+            assert cli.main(["verify", flag, "2000"]) == 1
+            errors[flag] = capsys.readouterr().err
+            assert grid in errors[flag]
+        assert errors["--n"] != errors["--sweep-n"]
 
     def test_large_population_skips_uncomputable_cells(self, capsys):
         # At n = 200 and tau >= 0.98 the admit probability and the
@@ -483,3 +494,13 @@ class TestReadme:
             for flag in action.option_strings
         } - {"-h", "--help"}
         assert documented == defined
+
+    def test_scenario_section_names_every_key(self):
+        readme = pathlib.Path(__file__).parents[1] / "README.md"
+        section = readme.read_text().split("## Scenario files", 1)[1]
+        section = section.split("\n## ", 1)[0]
+        sections = set(re.findall(r"^\[([a-z_]+)\]", section, re.M))
+        keys = set(re.findall(r"^([a-z_]+) *=", section, re.M))
+        assert sections == set(scenario._SECTION_KEYS)
+        assert keys == set().union(*filter(None,
+                                           scenario._SECTION_KEYS.values()))

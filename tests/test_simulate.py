@@ -227,6 +227,17 @@ class TestKernelEdgeCases:
         assert sum(succeeded) > 0 and sum(heard[266]) > 0
 
 
+@pytest.mark.parametrize("deadline, slots, n_ages, name", [
+    (0, 10, 3, "deadline"), (2, -1, 3, "n_slots"), (2, 10, 2, "hol_ages"),
+], ids=["deadline-0", "slots-negative", "ages-length"])
+def test_run_interval_rejects_what_it_cannot_simulate(
+    deadline, slots, n_ages, name
+):
+    with pytest.raises(ValueError, match=name):
+        run_interval(np.random.default_rng(0), np.full(3, 0.5), 2, deadline,
+                     slots, np.zeros(n_ages, dtype=np.int64))
+
+
 def _marks(n_users, slots, density, seed, n_silent=0, n_busy=0):
     """A station-major transmission matrix with the expiry scan's sentinel
     column: cells set at `density`, then `n_silent` rows that never send
