@@ -50,17 +50,15 @@ __all__ = [
     "window_bound",
     "iteration_map",
     "as_probability",
-    "UnderflowError",
 ]
-
-
-class UnderflowError(ValueError):
-    """A conditional quantity whose conditioning probability underflowed to
-    zero, so that it cannot be computed at this tau."""
 
 
 # Population sizes beyond this are outside the supported regime; the closed
 # forms still hold but the float evaluation here is only validated up to it.
+# The conditional quantities divide the scaled head sums, whose start
+# frac**n with frac >= 1/2 must stay a normal float: 0.5**N_CAP must be at
+# least sys.float_info.min, which holds up to 1021, or a denominator can be
+# zero.
 N_CAP = 1000
 
 # Binomial terms whose start (1 - tau)^n is at most _SCALED_BELOW are carried
@@ -166,36 +164,42 @@ def binomial_pmf(n: int, i: int, p: float) -> float:
     return math.exp(log_pmf)
 
 
-def _head_sums(n: int, m: int, tau: float) -> tuple[float, float]:
-    """Return (sum_{i<m} P(Y=i), sum_{i<m} i*P(Y=i)) for Y ~ Binomial(n, tau).
+def _head_sums(
+    n: int, m: int, tau: float, k: int = 1
+) -> tuple[float, float, int]:
+    """Return (head, weighted, shift) with head * 2**shift = sum_{i<m}
+    i^(k-1) P(Y=i) and weighted * 2**shift = sum_{i<m} i^k P(Y=i), for
+    Y ~ Binomial(n, tau).
 
     Terms are built by the ratio recurrence from (1-tau)^n. When that starting
     value underflows, the terms are carried scaled by 2**-shift instead: with
     1 - tau = frac * 2**e and frac in [0.5, 1), the start is frac**n (a normal
-    float for n <= 1021) times the exact power 2**(e*n).
+    float for n <= 1021) times the exact power 2**(e*n). A quotient of the
+    two sums is taken before any ldexp, where both are still normal.
     """
     if tau == 1.0:
-        return 0.0, 0.0
+        return 0.0, 0.0, 0
     head = 0.0
     weighted = 0.0
     term = (1.0 - tau) ** n
     ratio = tau / (1.0 - tau)
     # Unscaled terms are at most 1, never pass 2**_RESCALE_BITS and keep a
-    # shift of 0, which the final ldexp leaves exact.
+    # shift of 0, which an ldexp leaves exact.
     shift = 0
     if term <= _SCALED_BELOW:
         frac, exp2 = math.frexp(1.0 - tau)
         term, shift = frac**n, exp2 * n
     for i in range(m):
-        head += term
-        weighted += i * term
+        part = term if k == 1 else i ** (k - 1) * term
+        head += part
+        weighted += i * part
         term *= ((n - i) / (i + 1)) * ratio
         if term > _RESCALE:
             term /= _RESCALE
             head /= _RESCALE
             weighted /= _RESCALE
             shift += _RESCALE_BITS
-    return math.ldexp(head, shift), math.ldexp(weighted, shift)
+    return head, weighted, shift
 
 
 def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
@@ -218,7 +222,8 @@ def _libm_power(base: np.ndarray, exponent: int) -> np.ndarray:
 
 
 def _head_sums_row(
-    n: int, m: int, tau: np.ndarray, power=_libm_power, weighted=True
+    n: int, m: int, tau: np.ndarray, k: int = 1, power=_libm_power,
+    weighted=True,
 ):
     """`_head_sums` at every element of `tau`, all strictly inside (0, 1).
 
@@ -228,13 +233,15 @@ def _head_sums_row(
     others never pass 2**_RESCALE_BITS and keep a shift of 0. `power`
     computes the starts (1-tau)^n and frac^n: with the default libm power
     the sums are bit-identical to `_head_sums`. Returns (head, weighted
-    sum), the second None unless `weighted`.
+    sum, shift), the second None unless `weighted`, the shift an int array,
+    or 0 if no element is scaled.
     """
     complement = 1.0 - tau
     term = power(complement, n)
     ratio = tau / complement
     scaled = term <= _SCALED_BELOW
     any_scaled = bool(scaled.any())
+    shift = 0
     if any_scaled:
         frac, exp2 = np.frexp(complement[scaled])
         term[scaled] = power(frac, n)
@@ -243,9 +250,10 @@ def _head_sums_row(
     head = np.zeros_like(tau)
     sums = np.zeros_like(tau) if weighted else None
     for i in range(m):
-        head += term
+        part = term if k == 1 else i ** (k - 1) * term
+        head += part
         if weighted:
-            sums += i * term
+            sums += i * part
         term *= ((n - i) / (i + 1)) * ratio
         if any_scaled:
             big = term > _RESCALE
@@ -254,11 +262,7 @@ def _head_sums_row(
             if weighted:
                 sums[big] /= _RESCALE
             shift[big] += _RESCALE_BITS
-    if any_scaled:
-        head = np.ldexp(head, shift)
-        if weighted:
-            sums = np.ldexp(sums, shift)
-    return head, sums
+    return head, sums, shift
 
 
 def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
@@ -272,10 +276,11 @@ def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
     benchmark the libm factors of `_delivery_prob_row` move no argmax but
     take a 2000-point scan from 0.17 to 0.80 ms.
     """
-    head, _ = _head_sums_row(
+    head, _, shift = _head_sums_row(
         config.n_users - 1, config.mpr, tau, power=operator.pow,
         weighted=False,
     )
+    head = np.ldexp(head, shift)
     d = config.deadline
     window = tau if d == 1 else -np.expm1(d * np.log1p(-tau))
     return window * np.minimum(head, 1.0)
@@ -296,7 +301,8 @@ def admit_prob(config: ChannelConfig, tau) -> float:
     1, which the summed binomial head can exceed by rounding when mpr is far
     above the mean interferer count."""
     t = as_probability(tau)
-    head, _ = _head_sums(config.n_users - 1, config.mpr, t)
+    head, _, shift = _head_sums(config.n_users - 1, config.mpr, t)
+    head = math.ldexp(head, shift)
     return head if head < 1.0 else 1.0
 
 
@@ -307,12 +313,7 @@ def admitted_load(config: ChannelConfig, tau) -> float:
     i < mpr, divided by admit_prob, with Y the interferer count.
     """
     t = _open_probability(tau)
-    head, weighted = _head_sums(config.n_users - 1, config.mpr, t)
-    if head == 0.0:
-        raise UnderflowError(
-            f"admit probability underflowed to zero at tau={t}; "
-            "the conditional mean is not computable here"
-        )
+    head, weighted, _ = _head_sums(config.n_users - 1, config.mpr, t)
     return weighted / head
 
 
@@ -344,7 +345,9 @@ def delivery_prob_derivative(config: ChannelConfig, tau) -> float:
     t = _open_probability(tau)
     n = config.n_users
     d = config.deadline
-    head, weighted = _head_sums(n - 1, config.mpr, t)
+    head, weighted, shift = _head_sums(n - 1, config.mpr, t)
+    head = math.ldexp(head, shift)
+    weighted = math.ldexp(weighted, shift)
     window = _window_prob(t, d)
     miss = (1.0 - t) ** d
     inner = (n - 1) - (n + d - 1) * miss
@@ -377,17 +380,7 @@ def success_size_ratio(config: ChannelConfig, tau) -> float:
     one, which is what the identity checks pin down.
     """
     t = _open_probability(tau)
-    n = config.n_users
-    num = math.fsum(
-        i * i * binomial_pmf(n, i, t) for i in range(1, config.mpr + 1)
-    )
-    den = math.fsum(
-        i * binomial_pmf(n, i, t) for i in range(1, config.mpr + 1)
-    )
-    if den == 0.0:
-        raise UnderflowError(
-            f"decoded-batch mass underflowed to zero at tau={t}"
-        )
+    den, num, _ = _head_sums(config.n_users, config.mpr + 1, t, k=2)
     return num / den
 
 
@@ -424,10 +417,9 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # a 1-D float array and returns what its scalar function returns at every
 # element, bit for bit: numpy does the arithmetic in the scalar operation
 # order, and the transcendental factors come from libm through
-# `_elementwise`. Where the scalar function raises UnderflowError, the array
-# form returns NaN and marks the element in a second array, `computable`.
-# The forms take a valid config and tau strictly inside (0, 1);
-# `checks.VerifyGrid` guarantees both, so the forms do not check them again.
+# `_elementwise`. The forms take a valid config and tau strictly inside
+# (0, 1); `checks.VerifyGrid` guarantees both, so the forms do not check
+# them again.
 # A form exists only where a check would otherwise loop the scalar function
 # at real cost; the checks evaluate cheap functions, and the endpoints, with
 # the scalar functions themselves.
@@ -450,19 +442,10 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return num / den
 
 
-def _conditional_row(num: np.ndarray, den: np.ndarray):
-    """num / den, and where den is 0 (the scalar's UnderflowError) NaN,
-    with no floating-point warning."""
-    computable = den != 0.0
-    values = np.full_like(num, math.nan)
-    np.divide(num, den, out=values, where=computable)
-    return values, computable
-
-
-def _admitted_load_row(config: ChannelConfig, tau: np.ndarray):
-    """`admitted_load` at every element: (values, computable)."""
-    head, weighted = _head_sums_row(config.n_users - 1, config.mpr, tau)
-    return _conditional_row(weighted, head)
+def _admitted_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
+    """`admitted_load` at every element."""
+    head, weighted, _ = _head_sums_row(config.n_users - 1, config.mpr, tau)
+    return weighted / head
 
 
 def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
@@ -475,8 +458,9 @@ def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
 
 def _delivery_prob_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
     """`delivery_prob` at every element."""
-    head, _ = _head_sums_row(config.n_users - 1, config.mpr, tau,
-                             weighted=False)
+    head, _, shift = _head_sums_row(config.n_users - 1, config.mpr, tau,
+                                    weighted=False)
+    head = np.ldexp(head, shift)
     admit = np.where(head < 1.0, head, 1.0)
     return _window_prob_row(tau, config.deadline) * admit
 
@@ -487,7 +471,9 @@ def _delivery_prob_derivative_row(
     """`delivery_prob_derivative` at every element."""
     n = config.n_users
     d = config.deadline
-    head, weighted = _head_sums_row(n - 1, config.mpr, tau)
+    head, weighted, shift = _head_sums_row(n - 1, config.mpr, tau)
+    head = np.ldexp(head, shift)
+    weighted = np.ldexp(weighted, shift)
     window = _window_prob_row(tau, d)
     miss = _libm_power(1.0 - tau, d)
     inner = float(n - 1) - float(n + d - 1) * miss
@@ -495,13 +481,10 @@ def _delivery_prob_derivative_row(
                      tau * (1.0 - tau))
 
 
-def _iteration_map_row(config: ChannelConfig, x: np.ndarray):
-    """`iteration_map` at every element: (values, computable)."""
-    load, computable = _admitted_load_row(config, x)
-    values = _quotient(
-        x * (load + 1.0), _deadline_load_row(config, x) + 1.0
-    )
-    return values, computable
+def _iteration_map_row(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
+    """`iteration_map` at every element."""
+    load = _admitted_load_row(config, x)
+    return _quotient(x * (load + 1.0), _deadline_load_row(config, x) + 1.0)
 
 
 def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:
@@ -517,25 +500,18 @@ def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
                        count=rows[0].size)
 
 
-def _success_size_ratio_row(config: ChannelConfig, tau: np.ndarray):
-    """`success_size_ratio` at every element: (values, computable)."""
-    terms = [
-        _binomial_pmf_row(config.n_users, i, tau)
-        for i in range(1, config.mpr + 1)
-    ]
-    num = _fsum_columns([i * i * t for i, t in enumerate(terms, 1)])
-    den = _fsum_columns([i * t for i, t in enumerate(terms, 1)])
-    return _conditional_row(num, den)
+def _success_size_ratio_row(
+    config: ChannelConfig, tau: np.ndarray
+) -> np.ndarray:
+    """`success_size_ratio` at every element."""
+    den, num, _ = _head_sums_row(config.n_users, config.mpr + 1, tau, k=2)
+    return num / den
 
 
 def _stationarity_gap(config: ChannelConfig, x: float) -> float:
     """admitted_load(x) - deadline_load(x), which has the sign of the
-    delivery-probability derivative. Where the admit probability underflows
-    to zero, P(x) is below its value anywhere to the left, so x lies past
-    the optimum and the gap is reported as -inf."""
-    head, weighted = _head_sums(config.n_users - 1, config.mpr, x)
-    if head == 0.0:
-        return -math.inf
+    delivery-probability derivative."""
+    head, weighted, _ = _head_sums(config.n_users - 1, config.mpr, x)
     window = _window_prob(x, config.deadline)
     d = config.deadline
     return weighted / head - x * (config.n_users + d - 1 - d / window)

@@ -16,10 +16,6 @@ the array forms of `analytic` that give the scalar closed forms' values bit
 for bit, and formats the location of its worst violation only. The window
 factor and the delivery probability at tau = 0 and 1 are cheap enough to
 evaluate with the public functions themselves.
-
-Where a side of a check underflows and cannot be computed (the admit
-probability or the decoded-batch mass of a large population at a tau near
-1), the check skips that cell and counts it in its detail.
 """
 
 from __future__ import annotations
@@ -153,11 +149,6 @@ def _central_diff_row(values: np.ndarray) -> np.ndarray:
     return (values[:half] - values[half:]) / (2.0 * _FD_STEP)
 
 
-def _both_halves(computable: np.ndarray) -> np.ndarray:
-    half = computable.size // 2
-    return computable[:half] & computable[half:]
-
-
 def _larger(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """max(a, b) element by element, as Python's max: b only where b > a."""
     return np.where(b > a, b, a)
@@ -168,44 +159,29 @@ def _reduce(
 ) -> CheckResult:
     """Reduce a check's violations to the largest, the first one on ties.
 
-    `rows` yields (key, violations, computable) in the check's order: a
-    float array of violations, a bool array marking those that could be
-    computed (None when all could) and a key from which `where(key, k)`
-    formats the location of violation k. A NaN violation is the largest
-    (the first NaN, if several) and fails the check. The check passes when
-    the largest violation is at most `limit` (below it if `strict`);
-    `detail` is formatted with `worst`, `where` and `limit`. Violations
-    that could not be computed are skipped and counted in the detail. A
-    check with no violation left to compute fails, since it has shown
-    nothing."""
+    `rows` yields (key, violations) in the check's order: a float array of
+    violations and a key from which `where(key, k)` formats the location of
+    violation k. A NaN violation is the largest (the first NaN, if several)
+    and fails the check. The check passes when the largest violation is at
+    most `limit` (below it if `strict`); `detail` is formatted with
+    `worst`, `where` and `limit`. A check that evaluated no violation
+    fails, since it has shown nothing."""
     worst = -math.inf
     worst_at = None
-    skipped = evaluated = 0
-    for key, violations, computable in rows:
-        if computable is not None:
-            count = int(np.count_nonzero(computable))
-            skipped += violations.size - count
-            violations = np.where(computable, violations, -math.inf)
-        else:
-            count = violations.size
-        if not count:
+    for key, violations in rows:
+        if not violations.size:
             continue
-        evaluated += count
         # numpy's argmax takes the first NaN, else the first maximum.
         k = int(np.argmax(violations))
         value = float(violations[k])
-        if value > worst or (math.isnan(value) and not math.isnan(worst)):
+        if (worst_at is None or value > worst
+                or (math.isnan(value) and not math.isnan(worst))):
             worst, worst_at = value, (key, k)
-    if not evaluated:
-        return CheckResult(name, False, math.nan, f"{skipped} cells skipped "
-                           "as not computable, none left to check")
+    if worst_at is None:
+        return CheckResult(name, False, math.nan,
+                           "no violation evaluated, nothing to check")
     passed = worst < limit if strict else worst <= limit
-    detail = detail.format(
-        worst=worst, where="" if worst_at is None else where(*worst_at),
-        limit=limit,
-    )
-    if skipped:
-        detail += f"; {skipped} cells skipped as not computable"
+    detail = detail.format(worst=worst, where=where(*worst_at), limit=limit)
     return CheckResult(name, passed, worst, detail)
 
 
@@ -229,7 +205,7 @@ def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
             cfg = ChannelConfig(n, m, d)
             ends = [abs(delivery_prob(cfg, t)) for t in (0.0, 1.0)]
             v = _delivery_prob_row(cfg, row)
-            yield (n, m, d), np.concatenate([ends, _larger(-v, v - 1.0)]), None
+            yield (n, m, d), np.concatenate([ends, _larger(-v, v - 1.0)])
 
     return _reduce("sdp_bounds", rows(), _cell_tau(taus), 0.0,
                    "max excursion outside [0, 1] (and endpoint residual) = "
@@ -251,7 +227,7 @@ def check_sdp_monotone_deadline(grid: VerifyGrid) -> CheckResult:
                     for d in d_sorted
                 ])
                 # Tau by tau, each deadline step in turn.
-                yield (n, m), (values[:-1] - values[1:]).T.ravel(), None
+                yield (n, m), (values[:-1] - values[1:]).T.ravel()
 
     def where(cell, k):
         t, j = divmod(k, steps)
@@ -277,7 +253,7 @@ def check_derivative_fd(grid: VerifyGrid) -> CheckResult:
             cfg = ChannelConfig(n, m, d)
             a = _delivery_prob_derivative_row(cfg, row)
             fd = _central_diff_row(_delivery_prob_row(cfg, shifted))
-            yield (n, m, d), np.abs(a - fd) / (1.0 + np.abs(a)), None
+            yield (n, m, d), np.abs(a - fd) / (1.0 + np.abs(a))
 
     return _reduce("derivative_finite_difference", rows(),
                    _cell_tau(grid.tau_values), _DERIVATIVE_TOL,
@@ -294,12 +270,9 @@ def check_admitted_load_slope(grid: VerifyGrid) -> CheckResult:
     def rows():
         for n in grid.n_values:
             for m in grid.mpr_values(n):
-                load, computable = _admitted_load_row(
-                    ChannelConfig(n, m, 1), shifted
-                )
+                load = _admitted_load_row(ChannelConfig(n, m, 1), shifted)
                 slope = _central_diff_row(load)
-                yield ((n, m), _larger(-slope, slope - (n - 1)),
-                       _both_halves(computable))
+                yield (n, m), _larger(-slope, slope - (n - 1))
 
     return _reduce("admitted_load_slope", rows(),
                    _cell_tau(taus, ("n", "m")), _SLOPE_MARGIN,
@@ -317,7 +290,7 @@ def check_deadline_load_slope(grid: VerifyGrid) -> CheckResult:
         for n in grid.n_values:
             for d in grid.d_values:
                 load = _deadline_load_row(ChannelConfig(n, 1, d), shifted)
-                yield (n, d), (n - 1) - _central_diff_row(load), None
+                yield (n, d), (n - 1) - _central_diff_row(load)
 
     return _reduce("deadline_load_slope", rows(),
                    _cell_tau(taus, ("n", "d")), _SLOPE_MARGIN,
@@ -336,9 +309,9 @@ def check_moment_ratio_identity(grid: VerifyGrid) -> CheckResult:
             for m in grid.mpr_values(n):
                 # Neither side depends on the deadline, so any value works.
                 cfg = ChannelConfig(n, m, 1)
-                ratio, ratio_ok = _success_size_ratio_row(cfg, row)
-                load, load_ok = _admitted_load_row(cfg, row)
-                yield (n, m), np.abs(ratio - 1.0 - load), ratio_ok & load_ok
+                ratio = _success_size_ratio_row(cfg, row)
+                load = _admitted_load_row(cfg, row)
+                yield (n, m), np.abs(ratio - 1.0 - load)
 
     return _reduce("moment_ratio_identity", rows(),
                    _cell_tau(taus, ("n", "m")), _IDENTITY_TOL,
@@ -373,8 +346,8 @@ def check_term_matching_identity(grid: VerifyGrid) -> CheckResult:
                 rhs2 = n * row * _fsum_columns(
                     [(j + 1) * y[j] for j in range(m)]
                 )
-                yield ((n, m), _larger(np.abs(lhs1 - rhs1),
-                                       np.abs(lhs2 - rhs2)), None)
+                yield (n, m), _larger(np.abs(lhs1 - rhs1),
+                                      np.abs(lhs2 - rhs2))
 
     return _reduce("term_matching_identity", rows(),
                    _cell_tau(taus, ("n", "m")), _IDENTITY_TOL,
@@ -390,7 +363,7 @@ def check_window_bound(grid: VerifyGrid) -> CheckResult:
     def rows():
         for d in sorted(set(grid.d_values) | {1, 2}):
             w = np.array([window_bound(d, t) for t in taus])
-            yield (d,), np.abs(w - 1.0) - 1e-12 if d == 1 else w - 1.0, None
+            yield (d,), np.abs(w - 1.0) - 1e-12 if d == 1 else w - 1.0
 
     return _reduce("window_bound", rows(),
                    _cell_tau(taus, ("d",)), 0.0,
@@ -404,9 +377,8 @@ def check_iteration_map_slope(grid: VerifyGrid) -> CheckResult:
 
     def rows():
         for n, m, d in grid.cells():
-            g, computable = _iteration_map_row(ChannelConfig(n, m, d),
-                                               shifted)
-            yield (n, m, d), -_central_diff_row(g), _both_halves(computable)
+            g = _iteration_map_row(ChannelConfig(n, m, d), shifted)
+            yield (n, m, d), -_central_diff_row(g)
 
     return _reduce("iteration_map_slope", rows(), _cell_tau(grid.tau_values),
                    _SLOPE_MARGIN, "max negative slope of the map = "
@@ -428,12 +400,10 @@ def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
             # checked at all.
             kept = np.flatnonzero(~(np.abs(row - tau_opt) <= exclusion))
             x = row[kept]
-            g, computable = _iteration_map_row(cfg, x)
-            gap = g - x
+            gap = _iteration_map_row(cfg, x) - x
             # Wrong-signed gap is a violation; magnitude measures how
             # badly.
-            yield ((n, m, d, kept), np.where(x < tau_opt, -gap, gap),
-                   computable)
+            yield (n, m, d, kept), np.where(x < tau_opt, -gap, gap)
 
     def where(key, k):
         n, m, d, kept = key
@@ -459,7 +429,7 @@ def check_solver_oracle(grid: VerifyGrid) -> CheckResult:
     worst_sdp = max(sdp_diffs)
     result = _reduce(
         "solver_vs_grid_search",
-        [(None, np.array(tau_diffs), None)],
+        [(None, np.array(tau_diffs))],
         lambda _, k: "n={} m={} d={}".format(*cells[k]),
         1e-6,
         "max |tau diff| = {worst:.3e} at {where}, max |sdp diff| = "
@@ -485,7 +455,7 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
             crossing = abs(admitted_load(cfg, tau) - deadline_load(cfg, tau))
             out = max(out, crossing - 1e-9)
         violations.append(out)
-    return _reduce("solver_localization", [(None, np.array(violations), None)],
+    return _reduce("solver_localization", [(None, np.array(violations))],
                    lambda _, k: "n={} m={} d={}".format(*cells[k]), 0.0,
                    "max violation of interval/crossing conditions = "
                    "{worst:.3e} at {where}")

@@ -272,18 +272,21 @@ def test_criterion_8_byte_identical_reruns(tmp_path):
 
 
 # The outputs of the `analytic` benchmark workload: the stdout and exit code
-# of `verify` on the default grid and at n = 200 and n = 500 (whose three
-# FAILs are ROADMAP item 6), and the CSV of its sweep. Any drift in the
-# closed forms, the property checks or the solver changes these.
+# of `verify` on the default grid and at n = 200, 500 and 1000, and the CSV
+# of its sweep. Any drift in the closed forms, the property checks or the
+# solver changes these.
 VERIFY_SHA256 = {
     (): (
-        0, "c3d24d29b1f9411d5a9c14eda7d7344619405942702614945cdee12b31358965"
+        0, "c077e7762c5344793697dc2cc3d3444a11ba01d048a8e3257fd0dfd6a51b765a"
     ),
     ("--n", "200"): (
-        0, "78b6c9994cb8ba71e6dcc7095206b6d7625e7df4787e4a44352a0edf4a12dfd7"
+        0, "cd862573819acce0b686d2dbb7f16307adf07d4777aae5d45221d1a46c42e7fc"
     ),
     ("--n", "500"): (
-        2, "11b6ed0b4a89840295dec45a1861c93f86f4a52633c5483b757e9439c91db7b0"
+        0, "fd65a04c6691baa7519636b48c75061fe97e5e9f09ef6979ad9af16dbbcc03c9"
+    ),
+    ("--n", "1000"): (
+        0, "e814bd3d17eaa5ea730b369a34abf87c693de82d3c55f273852e62d92fb0be85"
     ),
 }
 SWEEP_SHA256 = (

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -141,7 +143,7 @@ class TestDeliveryProb:
             assert repr(delivery_prob(cfg, 0.0)) == "0.0"
             assert admit_prob(cfg, 0.0) == 1.0
         for n, m in ((9, 3), (999, 1), (999, 998)):
-            assert analytic._head_sums(n, m, 0.0) == (1.0, 0.0)
+            assert analytic._head_sums(n, m, 0.0) == (1.0, 0.0, 0)
 
     def test_admit_prob_is_binomial_head(self):
         cfg = ChannelConfig(10, 3, 5)
@@ -215,6 +217,61 @@ class TestLoadCurves:
             5 / 3, rel=1e-14
         )
 
+
+
+def _exact_quotient(n: int, lo: int, hi: int, tau: float, k: int) -> Fraction:
+    """sum_{lo<=i<hi} i^k P(X=i) / sum_{lo<=i<hi} i^(k-1) P(X=i) for
+    X ~ Binomial(n, tau), in exact rational arithmetic."""
+    t = Fraction(tau)
+    a, b = t.numerator, t.denominator - t.numerator
+    num = den = 0
+    for i in range(lo, hi):
+        # P(X=i) times the common factor denominator**n.
+        w = math.comb(n, i) * a**i * b ** (n - i)
+        num += i**k * w
+        den += i ** (k - 1) * w
+    return Fraction(num, den)
+
+
+class TestConditionalOracle:
+    """The conditional quantities divide the scaled head sums, so they stay
+    accurate where the sums themselves underflow (large n, tau near 1)."""
+
+    @staticmethod
+    def _assert_exact(n: int, m: int, tau: float) -> None:
+        cfg = ChannelConfig(n, m, 1)
+        row = np.array([tau])
+        load = _exact_quotient(n - 1, 0, m, tau, 1)
+        ratio = _exact_quotient(n, 1, m + 1, tau, 2)
+        for got, want in (
+            (admitted_load(cfg, tau), load),
+            (analytic._admitted_load_row(cfg, row)[0], load),
+            (success_size_ratio(cfg, tau), ratio),
+            (analytic._success_size_ratio_row(cfg, row)[0], ratio),
+        ):
+            assert abs(Fraction(float(got)) - want) <= want * 1e-15, (
+                n, m, tau, got, float(want)
+            )
+        gap = success_size_ratio(cfg, tau) - 1.0 - admitted_load(cfg, tau)
+        assert abs(gap) <= 1e-12
+
+    @pytest.mark.parametrize("n, m, tau", [
+        (1000, 3, 0.52), (1000, 3, 0.53), (1000, 3, 0.60), (500, 7, 0.79),
+        (1000, 8, 0.99),
+    ])
+    def test_edge_cells(self, n, m, tau):
+        self._assert_exact(n, m, tau)
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.integers(2, analytic.N_CAP), m=st.integers(1, 8),
+           tau=st.floats(1e-16, 0.5).map(lambda e: 1.0 - e))
+    def test_near_one(self, n, m, tau):
+        self._assert_exact(n, min(m, n - 1), tau)
+
+    def test_scaled_start_normal_up_to_the_cap(self):
+        # The scaled start frac**n, frac >= 1/2, stays a normal float up to
+        # the cap, so neither quotient's denominator can round to zero.
+        assert 0.5**analytic.N_CAP >= sys.float_info.min
 
 class TestLowerBound:
     def test_single_slot_deadline_is_reciprocal(self):
@@ -415,19 +472,12 @@ def _bits(values) -> list[int]:
 
 
 def _scalar_row(func, args, taus):
-    """func(*args, tau) at each tau, with NaN and a False mark where it
-    raises UnderflowError; None if it raises ZeroDivisionError anywhere."""
-    values, computable = [], []
-    for t in taus:
-        try:
-            values.append(func(*args, t))
-            computable.append(True)
-        except analytic.UnderflowError:
-            values.append(math.nan)
-            computable.append(False)
-        except ZeroDivisionError:
-            return None
-    return values, computable
+    """func(*args, tau) at each tau; None if it raises ZeroDivisionError
+    anywhere."""
+    try:
+        return [func(*args, t) for t in taus]
+    except ZeroDivisionError:
+        return None
 
 
 @st.composite
@@ -438,7 +488,7 @@ def _cells(draw):
     return n, m, d
 
 
-# Interior tau, and tau near 1 where (1 - tau)^(n-1) runs scaled or the
+# Interior tau, and tau near 1 where (1 - tau)^(n-1) runs scaled and the
 # admit probability underflows to zero.
 _TAUS = st.lists(
     st.one_of(
@@ -452,14 +502,17 @@ _TAUS = st.lists(
 
 class TestArrayForms:
     """The array forms that `checks` evaluates a tau row with are the scalar
-    closed forms bit for bit, and mark exactly where the scalar raises
-    UnderflowError."""
+    closed forms bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(cell=_cells(), taus=_TAUS, i=st.floats(0.0, 1.0))
     @example(cell=(1000, 999, 10**6), taus=[0.3, 0.6, 0.9, 0.999], i=0.5)
     @example(cell=(200, 7, 1), taus=[0.97, 0.98, 0.995], i=1.0)
     @example(cell=(1000, 1, 5), taus=[1e-300, 0.5, 1.0 - 2**-53], i=0.0)
+    # Past the edge where the admit probability underflows.
+    @example(cell=(1000, 3, 20), taus=[0.52, 0.53, 0.60], i=0.5)
+    @example(cell=(500, 7, 5), taus=[0.79], i=0.5)
+    @example(cell=(1000, 8, 1), taus=[0.99], i=0.5)
     def test_bit_identical_to_scalar(self, cell, taus, i):
         n, m, d = cell
         cfg = ChannelConfig(n, m, d)
@@ -467,24 +520,29 @@ class TestArrayForms:
         closed = np.array([0.0, 1.0, *taus])
         k = round(i * n)
 
-        head, weighted = analytic._head_sums_row(n - 1, m, row)
-        pairs = [analytic._head_sums(n - 1, m, t) for t in taus]
-        assert _bits(head) == _bits([h for h, _ in pairs])
-        assert _bits(weighted) == _bits([w for _, w in pairs])
-        # (array form, scalar function, leading arguments, taus, whether
-        # the form marks the elements where the scalar underflows)
-        for form, scalar, args, x, marks in (
-            (analytic._window_prob_row, analytic._window_prob, None, row,
-             False),
-            (analytic._deadline_load_row, deadline_load, (cfg,), row, False),
-            (analytic._delivery_prob_row, delivery_prob, (cfg,), row, False),
+        for sums_n, sums_m, weight in ((n - 1, m, 1), (n, m + 1, 2)):
+            head, weighted, shift = analytic._head_sums_row(
+                sums_n, sums_m, row, k=weight
+            )
+            want = [analytic._head_sums(sums_n, sums_m, t, k=weight)
+                    for t in taus]
+            assert _bits(head) == _bits([w[0] for w in want])
+            assert _bits(weighted) == _bits([w[1] for w in want])
+            assert (np.zeros(row.size, dtype=int) + shift).tolist() == [
+                w[2] for w in want
+            ]
+        # (array form, scalar function, leading arguments, taus)
+        for form, scalar, args, x in (
+            (analytic._window_prob_row, analytic._window_prob, None, row),
+            (analytic._deadline_load_row, deadline_load, (cfg,), row),
+            (analytic._delivery_prob_row, delivery_prob, (cfg,), row),
             (analytic._delivery_prob_derivative_row,
-             delivery_prob_derivative, (cfg,), row, False),
-            (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed, False),
-            (analytic._admitted_load_row, admitted_load, (cfg,), row, True),
-            (analytic._iteration_map_row, iteration_map, (cfg,), row, True),
+             delivery_prob_derivative, (cfg,), row),
+            (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed),
+            (analytic._admitted_load_row, admitted_load, (cfg,), row),
+            (analytic._iteration_map_row, iteration_map, (cfg,), row),
             (analytic._success_size_ratio_row, success_size_ratio, (cfg,),
-             row, True),
+             row),
         ):
             if args is None:
                 # `_window_prob` takes the deadline after tau.
@@ -497,20 +555,17 @@ class TestArrayForms:
                 with pytest.raises(ZeroDivisionError):
                     got()
                 continue
-            values, computable = got() if marks else (got(), None)
-            assert _bits(values) == _bits(want[0]), form.__name__
-            if marks:
-                assert computable.tolist() == want[1], form.__name__
-            else:
-                assert all(want[1]), form.__name__
+            assert _bits(got()) == _bits(want), form.__name__
 
-    def test_underflow_marks_raise_no_warning(self):
-        # Tier-1 turns warnings into errors: the marked elements must be
-        # skipped without a floating-point warning.
+    def test_conditional_forms_finite_past_the_underflow_edge(self):
+        # The admit probability and the decoded-batch mass underflow to
+        # zero here, but the quotients of the scaled sums stay finite, and
+        # tier-1 turns any floating-point warning into an error.
         cfg = ChannelConfig(500, 8, 5)
         row = np.array([0.5, 0.99, 0.999])
+        assert analytic._delivery_prob_row(cfg, row)[1:].tolist() == [0.0,
+                                                                      0.0]
         for form in (analytic._admitted_load_row,
                      analytic._iteration_map_row,
                      analytic._success_size_ratio_row):
-            _, computable = form(cfg, row)
-            assert computable.tolist() == [True, False, False]
+            assert np.isfinite(form(cfg, row)).all(), form.__name__

@@ -73,22 +73,32 @@ class TestFaultInjection:
         assert not result.passed
         assert "max |sdp diff| = 1.000e-06" in result.detail
 
-    def test_check_with_every_cell_skipped_fails(self):
+    def test_checks_past_the_underflow_edge_pass(self):
         # At n=500 and tau=0.99 the admit probability and the decoded-batch
-        # mass underflow in every cell, so these checks compute nothing.
+        # mass underflow in every cell; the conditional quantities are
+        # still evaluated there, from the scaled sums.
         grid = VerifyGrid(tau_values=(0.99,), n_values=(500,))
-        for check, skipped in (
-            (checks.check_admitted_load_slope, 8),
-            (checks.check_moment_ratio_identity, 8),
-            (checks.check_iteration_map_slope, 24),
-            (checks.check_iteration_map_bracketing, 24),
+        for check in (
+            checks.check_admitted_load_slope,
+            checks.check_moment_ratio_identity,
+            checks.check_iteration_map_slope,
+            checks.check_iteration_map_bracketing,
         ):
             result = check(grid)
-            assert not result.passed
-            assert result.detail == (
-                f"{skipped} cells skipped as not computable, "
-                "none left to check"
-            )
+            assert result.passed, result
+            assert "tau=0.99" in result.detail
+
+    def test_check_with_no_violation_fails(self, monkeypatch):
+        # A check that evaluated nothing has shown nothing, so it fails
+        # instead of passing vacuously.
+        def empty(cfg, tau):
+            return np.empty(0)
+
+        monkeypatch.setattr(checks, "_admitted_load_row", empty)
+        result = checks.check_admitted_load_slope(SMALL)
+        assert not result.passed
+        assert math.isnan(result.worst)
+        assert result.detail == "no violation evaluated, nothing to check"
 
 
     def test_nan_violation_fails_at_its_location(self, monkeypatch):
@@ -132,7 +142,7 @@ class TestFaultInjection:
 
     def test_only_nan_violations_fail(self):
         result = checks._reduce(
-            "probe", [("cell", np.array([math.nan, math.nan]), None)],
+            "probe", [("cell", np.array([math.nan, math.nan]))],
             lambda key, k: f"{key} {k}", 0.0, "{worst} at {where}",
         )
         assert not result.passed
