@@ -13,8 +13,8 @@ attempt lands in a decodable slot before the deadline passes.
 and `solve_optimal_tau` finds the tau that maximizes it: Brent's bracketed
 zero search on the stationarity gap admitted_load - deadline_load inside
 [lower_bound_tau, 1). The paper characterises the same optimum as the fixed
-point of `iteration_map`, which `checks` verifies but which no longer drives
-the solver, because it contracts with a slope near 1 when mpr/n_users or the
+point of `iteration_map`, which `checks` verifies; the solver does not
+iterate it, because it contracts with a slope near 1 when mpr/n_users or the
 deadline is large. `grid_search_optimum` is a derivative-free maximizer used
 to cross-check the solver: a uniform coarse scan, evaluated in one numpy pass,
 chooses the bracket that a scalar golden-section search then refines.
@@ -511,10 +511,7 @@ def _success_size_ratio_row(
 def _stationarity_gap(config: ChannelConfig, x: float) -> float:
     """admitted_load(x) - deadline_load(x), which has the sign of the
     delivery-probability derivative."""
-    head, weighted, _ = _head_sums(config.n_users - 1, config.mpr, x)
-    window = _window_prob(x, config.deadline)
-    d = config.deadline
-    return weighted / head - x * (config.n_users + d - 1 - d / window)
+    return admitted_load(config, x) - deadline_load(config, x)
 
 
 def solve_optimal_tau(config: ChannelConfig) -> SolveReport:

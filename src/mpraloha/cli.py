@@ -9,8 +9,8 @@ Subcommands:
     dynamic   run a scenario file with the runtime population estimator
     verify    the analytic property checks, one PASS/FAIL line each
 
-Exit codes: 0 success, 1 bad usage or configuration, 2 verification or
-convergence failure, 3 I/O failure.
+Exit codes: 0 success, 1 bad usage, configuration or allocation failure,
+2 verification or convergence failure, 3 I/O failure.
 """
 
 from __future__ import annotations
@@ -78,17 +78,12 @@ def _emit_csv(path: str | None, header, rows) -> None:
         writer.writerows(rows)
 
 
+# solve/sweep columns: the ChannelConfig fields, then the SolveReport fields.
 _SOLVE_HEADER = [
-    "n_users",
-    "mpr",
-    "deadline",
-    "tau_opt",
-    "sdp_max",
-    "iterations",
-    "residual",
-    "converged",
+    field.name
+    for cls in (analytic.ChannelConfig, analytic.SolveReport)
+    for field in dataclasses.fields(cls)
 ]
-
 
 _SWEEP_HEADER = _SOLVE_HEADER + ["grid_tau", "grid_sdp", "tau_abs_diff"]
 
@@ -99,15 +94,10 @@ _SIMULATE_HEADER = [
 
 
 def _solve_row(config: analytic.ChannelConfig, report: analytic.SolveReport):
+    """The `_SOLVE_HEADER` values; a bool is written as true/false."""
     return [
-        config.n_users,
-        config.mpr,
-        config.deadline,
-        report.tau_opt,
-        report.sdp_max,
-        report.iterations,
-        report.residual,
-        "true" if report.converged else "false",
+        str(value).lower() if isinstance(value, bool) else value
+        for value in dataclasses.astuple(config) + dataclasses.astuple(report)
     ]
 
 
@@ -249,6 +239,12 @@ def _z_score(estimate: float, expected: float, se: float) -> float:
 # trace.csv columns: the Trace fields, then the derived `sdp`.
 _TRACE_COLUMNS = [f.name for f in dataclasses.fields(scenario.Trace)] + ["sdp"]
 
+# stages.csv columns: the StageStats fields, in order, under their own names.
+_STAGES_HEADER = [
+    "stage", "first_interval", "last_interval", "active_users",
+    "sdp_theory", "sdp_mean", "sdp_variance", "samples",
+]
+
 # Trace rows converted to Python numbers at a time, which bounds the memory
 # the conversion takes whatever the length of the run.
 _CSV_CHUNK_ROWS = 1 << 16
@@ -273,13 +269,8 @@ def _cmd_dynamic(args) -> int:
     _emit_csv(trace_path, _TRACE_COLUMNS, _trace_rows(result.trace))
     _emit_csv(
         stages_path,
-        ["stage", "first_interval", "last_interval", "active_users",
-         "sdp_theory", "sdp_mean", "sdp_variance", "samples"],
-        (
-            [s.number, s.first, s.last, s.active_users, s.sdp_theory,
-             s.sdp_mean, s.sdp_variance, s.samples]
-            for s in result.stages
-        ),
+        _STAGES_HEADER,
+        (dataclasses.astuple(s) for s in result.stages),
     )
     for s in result.stages:
         print(
@@ -417,6 +408,10 @@ def main(argv=None) -> int:
         return args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        # An array larger than the address space fails at once.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -172,30 +172,33 @@ class DynamicResult:
     stages: tuple[StageStats, ...]
 
 
+# Each section's keys and the converters of their values; [stages] holds
+# ranges, not keys. The [channel] and [estimator] keys are the
+# EstimatorConfig fields, all required; [run] holds optional
+# ScenarioTimeline fields.
 _SECTION_KEYS = {
-    "channel": {"mpr", "deadline"},
+    "channel": {"mpr": int, "deadline": int},
     "estimator": {
-        "interval_len",
-        "memory_factor",
-        "probe_low",
-        "probe_high",
-        "n_max",
+        "interval_len": int,
+        "memory_factor": float,
+        "probe_low": int,
+        "probe_high": int,
+        "n_max": int,
     },
-    "run": {"seed"},
+    "run": {"seed": int},
     "stages": None,
 }
 
 _STAGE_RANGE = re.compile(r"(\d+)\s*-\s*(\d+)")
 
-_REQUIRED = object()
-
 
 def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
     """Parse scenario text into a validated timeline.
 
-    Raises ScenarioError naming the offending line for anything malformed.
+    Raises ScenarioError naming the first malformed line in file order;
+    missing keys and timeline rules are checked after the last line.
     """
-    values: dict[tuple[str, str], tuple[str, int]] = {}
+    values: dict[str, dict] = {name: {} for name in _SECTION_KEYS}
     stages: list[Stage] = []
     stage_lines: list[int] = []
     section: str | None = None
@@ -242,47 +245,36 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
             stages.append(Stage(int(match[1]), int(match[2]), count))
             stage_lines.append(line_no)
             continue
-        if key not in _SECTION_KEYS[section]:
+        convert = _SECTION_KEYS[section].get(key)
+        if convert is None:
             raise ScenarioError(
                 source, line_no, f"unknown key {key!r} in [{section}]"
             )
-        if (section, key) in values:
+        if key in values[section]:
             raise ScenarioError(
                 source, line_no, f"duplicate key {key!r} in [{section}]"
             )
-        values[(section, key)] = (value, line_no)
-
-    def pick(sect: str, key: str, convert, default=_REQUIRED):
-        if (sect, key) not in values:
-            if default is _REQUIRED:
-                raise ScenarioError(
-                    source, None, f"missing required key '{key}' in [{sect}]"
-                )
-            return default
-        value, line_no = values[(sect, key)]
         try:
-            return convert(value)
+            values[section][key] = convert(value)
         except ValueError:
             raise ScenarioError(
                 source, line_no, f"bad value for {key!r}: {value!r}"
             ) from None
 
+    for sect in ("estimator", "channel"):
+        for key in _SECTION_KEYS[sect]:
+            if key not in values[sect]:
+                raise ScenarioError(
+                    source, None, f"missing required key '{key}' in [{sect}]"
+                )
     try:
         return ScenarioTimeline(
             stages=tuple(stages),
             estimator=EstimatorConfig(
-                interval_len=pick("estimator", "interval_len", int),
-                memory_factor=pick("estimator", "memory_factor", float),
-                probe_low=pick("estimator", "probe_low", int),
-                probe_high=pick("estimator", "probe_high", int),
-                n_max=pick("estimator", "n_max", int),
-                mpr=pick("channel", "mpr", int),
-                deadline=pick("channel", "deadline", int),
+                **values["estimator"], **values["channel"]
             ),
-            seed=pick("run", "seed", int, default=0),
+            **values["run"],
         )
-    except ScenarioError:
-        raise
     except _StageError as exc:
         raise ScenarioError(source, stage_lines[exc.index], str(exc)) from None
     except ValueError as exc:

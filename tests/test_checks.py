@@ -67,7 +67,7 @@ class TestFaultInjection:
             return report.tau_opt, report.sdp_max + 1e-6
 
         monkeypatch.setattr(checks, "grid_search_optimum", oracle)
-        result = checks.check_solver_oracle(SMALL)
+        result = checks.check_solver_vs_grid_search(SMALL)
         assert result.name == "solver_vs_grid_search"
         assert result.worst == 0.0
         assert not result.passed

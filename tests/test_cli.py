@@ -1,8 +1,11 @@
 import argparse
 import csv
 import dataclasses
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import pytest
@@ -384,6 +387,26 @@ class TestDynamic:
              "--out", str(tmp_path)]
         ) == 3
 
+    def test_oversized_stage_exits_one_without_traceback(self, tmp_path):
+        # The trace would take 1.42 PiB, more than any 64-bit address
+        # space, so the allocation fails at once and takes no memory.
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            SCENARIO.replace("n_max = 100", "n_max = 1000")
+            .replace("1-4 = 20\n5-8 = 40", "1-200000000000 = 1000")
+        )
+        src = pathlib.Path(__file__).parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpraloha.cli", "dynamic", "--scenario",
+             str(path), "--out", str(tmp_path / "out")],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error: ")
+        assert proc.stderr.count("\n") == 1
+
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
         path.write_text(SCENARIO.replace("1-4 = 20", "1-4 = 200"))
@@ -467,11 +490,15 @@ class TestVerify:
         assert "checks failed" in captured.err
 
 
+def _readme_section(title):
+    readme = pathlib.Path(__file__).parents[1] / "README.md"
+    section = readme.read_text().split(f"## {title}", 1)[1]
+    return section.split("\n## ", 1)[0]
+
+
 class TestReadme:
     def test_command_line_section_names_every_flag(self):
-        readme = pathlib.Path(__file__).parents[1] / "README.md"
-        section = readme.read_text().split("## Command line", 1)[1]
-        section = section.split("\n## ", 1)[0]
+        section = _readme_section("Command line")
         documented = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", section))
         (subparsers,) = (
             action for action in cli.build_parser()._actions
@@ -485,10 +512,29 @@ class TestReadme:
         } - {"-h", "--help"}
         assert documented == defined
 
+    def test_command_line_section_lists_every_csv_column(self):
+        # The solve and trace headers come from dataclass fields, so a
+        # field reorder would reorder a CSV; the README pins the order.
+        bullets = {
+            bullet.split("`", 1)[0]: bullet
+            for bullet in _readme_section("Command line").split("\n- `")[1:]
+        }
+
+        def columns(command):
+            return [
+                listed.split(",") for listed in
+                re.findall(r"`([a-z_]+(?:,[a-z_]+)+)`", bullets[command])
+            ]
+
+        assert columns("sweep") == [cli._SWEEP_HEADER]
+        assert columns("simulate") == [cli._SIMULATE_HEADER]
+        assert columns("dynamic") == [cli._TRACE_COLUMNS, cli._STAGES_HEADER]
+        assert len(cli._STAGES_HEADER) == len(
+            dataclasses.fields(scenario.StageStats)
+        )
+
     def test_scenario_section_names_every_key(self):
-        readme = pathlib.Path(__file__).parents[1] / "README.md"
-        section = readme.read_text().split("## Scenario files", 1)[1]
-        section = section.split("\n## ", 1)[0]
+        section = _readme_section("Scenario files")
         sections = set(re.findall(r"^\[([a-z_]+)\]", section, re.M))
         keys = set(re.findall(r"^([a-z_]+) *=", section, re.M))
         assert sections == set(scenario._SECTION_KEYS)

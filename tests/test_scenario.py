@@ -79,6 +79,10 @@ class TestParser:
             ("4-8 = 40", "4-8 = 3", ":18:"),
             ("4-8 = 40", "4-8 = 101", ":18:"),
             ("deadline = 1", "deadline = 1\ndeadline = 2", ":5:"),
+            # The first error in file order: a bad value before an unknown
+            # key.
+            ("mpr = 5\ndeadline = 1", "mpr = five\ndeadline = 1\nvolume = 11",
+             ":3:"),
         ],
     )
     def test_malformed_line_is_named(self, needle, replacement, line_fragment):
@@ -95,6 +99,12 @@ class TestParser:
     def test_missing_required_key(self):
         text = GOOD.replace("interval_len = 400\n", "")
         with pytest.raises(ScenarioError, match="interval_len"):
+            parse_scenario(text)
+
+    def test_missing_keys_reported_estimator_first(self):
+        text = GOOD.replace("mpr = 5\n", "").replace("n_max = 100\n", "")
+        with pytest.raises(ScenarioError,
+                           match=r"'n_max' in \[estimator\]"):
             parse_scenario(text)
 
     def test_missing_stages(self):
