@@ -164,11 +164,9 @@ def binomial_pmf(n: int, i: int, p: float) -> float:
     return math.exp(log_pmf)
 
 
-def _head_sums(
-    n: int, m: int, tau: float, k: int = 1
-) -> tuple[float, float, int]:
+def _head_sums(n: int, m: int, tau: float) -> tuple[float, float, int]:
     """Return (head, weighted, shift) with head * 2**shift = sum_{i<m}
-    i^(k-1) P(Y=i) and weighted * 2**shift = sum_{i<m} i^k P(Y=i), for
+    P(Y=i) and weighted * 2**shift = sum_{i<m} i P(Y=i), for
     Y ~ Binomial(n, tau).
 
     Terms are built by the ratio recurrence from (1-tau)^n. When that starting
@@ -190,9 +188,8 @@ def _head_sums(
         frac, exp2 = math.frexp(1.0 - tau)
         term, shift = frac**n, exp2 * n
     for i in range(m):
-        part = term if k == 1 else i ** (k - 1) * term
-        head += part
-        weighted += i * part
+        head += term
+        weighted += i * term
         term *= ((n - i) / (i + 1)) * ratio
         if term > _RESCALE:
             term /= _RESCALE
@@ -225,16 +222,17 @@ def _head_sums_row(
     n: int, m: int, tau: np.ndarray, k: int = 1, power=_libm_power,
     weighted=True,
 ):
-    """`_head_sums` at every element of `tau`, all strictly inside (0, 1).
+    """`_head_sums` at every element of `tau`, all strictly inside (0, 1),
+    with each term weighted by i^(k-1).
 
     The recurrence runs on the whole vector, one step per i < m and in the
     scalar operation order, so memory stays at a few vectors for any m.
     Elements whose start underflows are carried scaled, as there; the
     others never pass 2**_RESCALE_BITS and keep a shift of 0. `power`
     computes the starts (1-tau)^n and frac^n: with the default libm power
-    the sums are bit-identical to `_head_sums`. Returns (head, weighted
-    sum, shift), the second None unless `weighted`, the shift an int array,
-    or 0 if no element is scaled.
+    and k = 1 the sums are bit-identical to `_head_sums`. Returns (head,
+    weighted sum, shift), the second None unless `weighted`, the shift an
+    int array, or 0 if no element is scaled.
     """
     complement = 1.0 - tau
     term = power(complement, n)
@@ -377,11 +375,11 @@ def success_size_ratio(config: ChannelConfig, tau) -> float:
 
     Over all n_users stations, sum i^2 * P(X = i) / sum i * P(X = i) with the
     sums truncated at mpr. Exceeds the conditional interferer mean by exactly
-    one, which is what the identity checks pin down.
+    one, which the identity checks pin down. No caller loops on it, so it is
+    `_success_size_ratio_row` evaluated at one point.
     """
     t = _open_probability(tau)
-    den, num, _ = _head_sums(config.n_users, config.mpr + 1, t, k=2)
-    return num / den
+    return float(_success_size_ratio_row(config, np.array([t]))[0])
 
 
 def window_bound(deadline: int, x) -> float:
@@ -418,11 +416,15 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # element, bit for bit: numpy does the arithmetic in the scalar operation
 # order, and the transcendental factors come from libm through
 # `_elementwise`. The forms take a valid config and tau strictly inside
-# (0, 1); `checks.VerifyGrid` guarantees both, so the forms do not check
-# them again.
-# A form exists only where a check would otherwise loop the scalar function
-# at real cost; the checks evaluate cheap functions, and the endpoints, with
-# the scalar functions themselves.
+# (0, 1), which `checks.VerifyGrid` guarantees. A form exists only where a
+# check would otherwise loop a costly scalar function, and a scalar twin
+# only where a caller loops on it: the solver and the golden-section search
+# (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
+# `delivery_prob`), the tests' bisection reference
+# (`delivery_prob_derivative`), the paper's map (`iteration_map`, about 25
+# times slower per call as a one-point form) and n above N_CAP
+# (`binomial_pmf`; the form's float(comb) overflows there).
+# `success_size_ratio`, which no caller loops on, is its form at one point.
 
 
 def _window_prob_row(tau: np.ndarray, deadline: int) -> np.ndarray:

@@ -461,19 +461,10 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
                    "{worst:.3e} at {where}")
 
 
-CHECK_NAMES = (
-    "sdp_bounds",
-    "sdp_monotone_deadline",
-    "derivative_finite_difference",
-    "admitted_load_slope",
-    "deadline_load_slope",
-    "moment_ratio_identity",
-    "term_matching_identity",
-    "window_bound",
-    "iteration_map_slope",
-    "iteration_map_bracketing",
-    "solver_vs_grid_search",
-    "solver_localization",
+# The `check_*` functions above, by name, in definition order.
+CHECK_NAMES = tuple(
+    name.removeprefix("check_") for name in globals()
+    if name.startswith("check_")
 )
 
 

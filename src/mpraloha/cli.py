@@ -261,9 +261,21 @@ def _cmd_dynamic(args) -> int:
     timeline = scenario.load_scenario(args.scenario)
     if args.seed is not None:
         timeline = dataclasses.replace(timeline, seed=args.seed)
-    # Before the run, so an unusable directory fails in a moment.
+    # Before the run, so an unusable directory fails in a moment. A failed
+    # run removes the directories made here, still empty, innermost first.
+    created = []
+    path = os.path.abspath(args.out)
+    while not os.path.exists(path):
+        created.append(path)
+        path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
-    result = scenario.run_dynamic(timeline)
+    try:
+        result = scenario.run_dynamic(timeline)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            for path in created:
+                os.rmdir(path)
+        raise
     trace_path = os.path.join(args.out, "trace.csv")
     stages_path = os.path.join(args.out, "stages.csv")
     _emit_csv(trace_path, _TRACE_COLUMNS, _trace_rows(result.trace))
@@ -354,16 +366,19 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="Monte Carlo at fixed tau against the analytic value"
     )
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
+    p.add_argument("--n", type=int, required=True, help="number of stations")
+    p.add_argument("--m", type=int, required=True,
+                   help="receiver capability (packets decodable per slot)")
+    p.add_argument("--d", type=int, required=True,
+                   help="per-packet deadline in slots")
     p.add_argument("--tau", default="optimal",
                    help="transmission probability, or 'optimal' (default)")
     p.add_argument("--slots", type=int, default=100_000,
                    help="slots per replication (default 100000)")
     p.add_argument("--reps", type=int, default=1,
                    help="replications, seeded seed, seed+1, ... (default 1)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=0,
+                   help="first replication's seed, at least 0 (default 0)")
     p.add_argument("--out",
                    help="CSV path: one row per station per replication "
                         "plus a final aggregate row")
@@ -390,8 +405,11 @@ def build_parser() -> argparse.ArgumentParser:
                    help="override grid deadlines")
     p.add_argument("--sweep-n", type=_int_list, default=None,
                    help="override solver-vs-grid-search populations")
-    p.add_argument("--sweep-m", type=_int_list, default=None)
-    p.add_argument("--sweep-d", type=_int_list, default=None)
+    p.add_argument("--sweep-m", type=_int_list, default=None,
+                   help="override solver-vs-grid-search receiver "
+                        "capabilities")
+    p.add_argument("--sweep-d", type=_int_list, default=None,
+                   help="override solver-vs-grid-search deadlines")
     p.set_defaults(func=_cmd_verify)
 
     return parser

@@ -520,17 +520,13 @@ class TestArrayForms:
         closed = np.array([0.0, 1.0, *taus])
         k = round(i * n)
 
-        for sums_n, sums_m, weight in ((n - 1, m, 1), (n, m + 1, 2)):
-            head, weighted, shift = analytic._head_sums_row(
-                sums_n, sums_m, row, k=weight
-            )
-            want = [analytic._head_sums(sums_n, sums_m, t, k=weight)
-                    for t in taus]
-            assert _bits(head) == _bits([w[0] for w in want])
-            assert _bits(weighted) == _bits([w[1] for w in want])
-            assert (np.zeros(row.size, dtype=int) + shift).tolist() == [
-                w[2] for w in want
-            ]
+        head, weighted, shift = analytic._head_sums_row(n - 1, m, row)
+        want = [analytic._head_sums(n - 1, m, t) for t in taus]
+        assert _bits(head) == _bits([w[0] for w in want])
+        assert _bits(weighted) == _bits([w[1] for w in want])
+        assert (np.zeros(row.size, dtype=int) + shift).tolist() == [
+            w[2] for w in want
+        ]
         # (array form, scalar function, leading arguments, taus)
         for form, scalar, args, x in (
             (analytic._window_prob_row, analytic._window_prob, None, row),
@@ -541,8 +537,6 @@ class TestArrayForms:
             (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed),
             (analytic._admitted_load_row, admitted_load, (cfg,), row),
             (analytic._iteration_map_row, iteration_map, (cfg,), row),
-            (analytic._success_size_ratio_row, success_size_ratio, (cfg,),
-             row),
         ):
             if args is None:
                 # `_window_prob` takes the deadline after tau.

@@ -398,7 +398,7 @@ class TestDynamic:
         src = pathlib.Path(__file__).parents[1] / "src"
         proc = subprocess.run(
             [sys.executable, "-m", "mpraloha.cli", "dynamic", "--scenario",
-             str(path), "--out", str(tmp_path / "out")],
+             str(path), "--out", str(tmp_path / "new" / "out")],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, timeout=60,
         )
@@ -406,6 +406,8 @@ class TestDynamic:
         assert "Traceback" not in proc.stderr
         assert proc.stderr.startswith("error: ")
         assert proc.stderr.count("\n") == 1
+        # The directories made for --out are removed again.
+        assert not (tmp_path / "new").exists()
 
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"
