@@ -16,8 +16,10 @@ zero search on the stationarity gap admitted_load - deadline_load inside
 point of `iteration_map`, which `checks` verifies; the solver does not
 iterate it, because it contracts with a slope near 1 when mpr/n_users or the
 deadline is large. `grid_search_optimum` is a derivative-free maximizer used
-to cross-check the solver: a uniform coarse scan, evaluated in one numpy pass,
-chooses the bracket that a scalar golden-section search then refines.
+to cross-check the solver. It searches a whole list of configs at once: a
+uniform coarse scan, one numpy pass per (n_users, mpr), chooses each config's
+bracket, and a golden-section search run for all configs in lockstep refines
+them, with the values of the scalar `delivery_prob` bit for bit.
 
 The private `_*_row` functions evaluate the closed forms over a whole array
 of tau at once, with the scalar functions' values bit for bit; `checks`
@@ -70,8 +72,11 @@ _SCALED_BELOW = 1e-280
 _RESCALE_BITS = 600
 _RESCALE = 2.0**_RESCALE_BITS
 
-# Cells of the uniform scan in `grid_search_optimum`.
+# Cells of the uniform scan in `grid_search_optimum`, and its largest matrix
+# in float elements: it scans and refines its configs in chunks of that
+# size, so its memory does not grow with their number.
 _COARSE_POINTS = 2000
+_CHUNK_ELEMENTS = 2**16
 
 # Bracket width at which `solve_optimal_tau` stops, and its cap on gap
 # evaluations; accepted cells up to N = 1000, D = 10^15 need fewer than 70.
@@ -253,7 +258,8 @@ def _head_sums_row(
         if weighted:
             sums += i * part
         term *= ((n - i) / (i + 1)) * ratio
-        if any_scaled:
+        # The mask is empty unless some term passed the bound.
+        if any_scaled and term.max() > _RESCALE:
             big = term > _RESCALE
             term[big] /= _RESCALE
             head[big] /= _RESCALE
@@ -263,24 +269,26 @@ def _head_sums_row(
     return head, sums, shift
 
 
-def _delivery_prob_array(config: ChannelConfig, tau: np.ndarray):
-    """`delivery_prob` at every element of `tau`, all strictly inside (0, 1),
-    for the coarse scan of `grid_search_optimum`.
+def _delivery_prob_array(configs, tau: np.ndarray) -> np.ndarray:
+    """`delivery_prob` at every element of the 2-D `tau`, all strictly
+    inside (0, 1), row r for configs[r], for the coarse scan of
+    `grid_search_optimum`. The configs share n_users and mpr.
 
     The head sum is `_head_sums_row` with numpy's power, and the window
     uses numpy's log1p and expm1. These may differ from libm's by an ulp,
     so the values match the scalar ones to rounding, not bit for bit. The
     scan only chooses a bracket: on the 643 cells of the `analytic`
     benchmark the libm factors of `_delivery_prob_row` move no argmax but
-    take a 2000-point scan from 0.17 to 0.80 ms.
+    take a 2000-point scan from 0.17 to 0.80 ms. The exponent stays one
+    int for all rows, so numpy's power takes the same path as on one row.
     """
     head, _, shift = _head_sums_row(
-        config.n_users - 1, config.mpr, tau, power=operator.pow,
+        configs[0].n_users - 1, configs[0].mpr, tau, power=operator.pow,
         weighted=False,
     )
     head = np.ldexp(head, shift)
-    d = config.deadline
-    window = tau if d == 1 else -np.expm1(d * np.log1p(-tau))
+    d = np.array([[c.deadline] for c in configs], dtype=float)
+    window = np.where(d == 1.0, tau, -np.expm1(d * np.log1p(-tau)))
     return window * np.minimum(head, 1.0)
 
 
@@ -418,9 +426,10 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # `_elementwise`. The forms take a valid config and tau strictly inside
 # (0, 1), which `checks.VerifyGrid` guarantees. A form exists only where a
 # check would otherwise loop a costly scalar function, and a scalar twin
-# only where a caller loops on it: the solver and the golden-section search
-# (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
-# `delivery_prob`), the tests' bisection reference
+# only where a caller loops on it: the solver (`_head_sums`, `_window_prob`,
+# `admitted_load`, `deadline_load`, `delivery_prob`; the grid search's
+# lockstep refinement calls `delivery_prob` only at points whose head sum
+# must be carried scaled), the tests' bisection reference
 # (`delivery_prob_derivative`), the paper's map (`iteration_map`, about 25
 # times slower per call as a one-point form) and n above N_CAP
 # (`binomial_pmf`; the form's float(comb) overflows there).
@@ -599,35 +608,127 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
     )
 
 
-def grid_search_optimum(config: ChannelConfig) -> tuple[float, float]:
-    """Derivative-free maximizer of `delivery_prob`, for cross-checking.
+def _delivery_prob_cells(configs):
+    """Return evaluate(tau, cells), which gives delivery_prob(
+    configs[cells[j]], tau[j]) for every j at once; tau is a float array
+    strictly inside (0, 1) and cells an index array of the same length.
 
-    Scans _COARSE_POINTS uniformly spaced points of [lower_bound_tau, 1),
-    then refines the best cell with golden-section search down to a bracket
-    of width 1e-10. Returns (tau, sdp). The scan runs in one numpy pass and
-    only chooses the bracket (the first maximum on ties); the refinement
-    and the returned values use the scalar `delivery_prob`.
+    Column j carries the terms of cell j's head sum: row 0 is the start
+    (1-tau)^(n-1) by Python's pow, row i+1 the recurrence factor
+    ((n-1-i)/(i+1)) * tau/(1-tau), and row mpr 0, so that every later term
+    is an exact zero. Sequential products and sums down the columns then
+    give the scalar terms and head, bit for bit, and the window takes
+    libm's log1p and expm1. A start at or below _SCALED_BELOW would need
+    the scaled recurrence, so that cell is evaluated by `delivery_prob`.
     """
-    lo = lower_bound_tau(config.n_users, config.deadline)
-    step = (1.0 - lo) / _COARSE_POINTS
-    scan = _delivery_prob_array(config, lo + np.arange(_COARSE_POINTS) * step)
-    best_k = int(np.argmax(scan))
-    a = lo + (best_k - 1) * step if best_k > 0 else lo
-    b = min(lo + (best_k + 1) * step, 1.0)
-    # The objective is unimodal on (0, 1), so the bracket holds the maximum.
+    n = np.array([c.n_users - 1 for c in configs])
+    m = np.array([c.mpr for c in configs])
+    d = np.array([float(c.deadline) for c in configs])
+    i = np.arange(1, m.max())[:, None]
+    factors = np.where(i < m, (n - (i - 1)) / i, 0.0)
+
+    def evaluate(tau: np.ndarray, cells: np.ndarray) -> np.ndarray:
+        complement = 1.0 - tau
+        terms = np.empty((factors.shape[0] + 1, tau.size))
+        terms[0] = np.fromiter(
+            map(pow, complement.tolist(), n[cells].tolist()),
+            dtype=float, count=tau.size,
+        )
+        scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
+        terms[0, scaled] = 0.0
+        np.take(factors, cells, axis=1, out=terms[1:])
+        terms[1:] *= tau / complement
+        # In place: the products, then their running sums, down each column.
+        np.multiply.accumulate(terms, out=terms)
+        head = np.add.accumulate(terms, out=terms)[-1]
+        dc = d[cells]
+        miss = dc * _elementwise(math.log1p, -tau)
+        window = np.where(dc == 1.0, tau, -_elementwise(math.expm1, miss))
+        sdp = window * np.where(head < 1.0, head, 1.0)
+        for j in scaled.tolist():
+            sdp[j] = delivery_prob(configs[cells[j]], float(tau[j]))
+        return sdp
+
+    return evaluate
+
+
+def _golden_section(configs, a: np.ndarray, b: np.ndarray):
+    """Golden-section search for the maximum of `delivery_prob` on [a, b],
+    for every config in lockstep: one new point per unfinished cell per
+    step, with the scalar search's branch and arithmetic, down to a bracket
+    of width 1e-10. Returns the arrays (tau, sdp)."""
+    evaluate = _delivery_prob_cells(configs)
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    every = np.arange(len(configs))
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = delivery_prob(config, c)
-    fd = delivery_prob(config, d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv_phi * (b - a)
-            fc = delivery_prob(config, c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv_phi * (b - a)
-            fd = delivery_prob(config, d)
+    fc = evaluate(c, every)
+    fd = evaluate(d, every)
+    live = every
+    while True:
+        live = live[b[live] - a[live] > 1e-10]
+        if not live.size:
+            break
+        lc, ld, lfc, lfd = c[live], d[live], fc[live], fd[live]
+        # fc > fd keeps [a, d], else [c, b], as the scalar branch does.
+        left = lfc > lfd
+        la = a[live] = np.where(left, a[live], lc)
+        lb = b[live] = np.where(left, ld, b[live])
+        x = np.where(left, lb - inv_phi * (lb - la),
+                     la + inv_phi * (lb - la))
+        fx = evaluate(x, live)
+        c[live] = np.where(left, x, ld)
+        d[live] = np.where(left, lc, x)
+        fc[live] = np.where(left, fx, lfd)
+        fd[live] = np.where(left, lfc, fx)
     tau = 0.5 * (a + b)
-    return tau, delivery_prob(config, tau)
+    return tau, evaluate(tau, every)
+
+
+def grid_search_optimum(configs) -> list[tuple[float, float]]:
+    """Derivative-free maximizer of `delivery_prob`, for cross-checking.
+
+    For each config, scans _COARSE_POINTS uniformly spaced points of
+    [lower_bound_tau, 1), then refines the best cell with golden-section
+    search down to a bracket of width 1e-10. Returns one (tau, sdp) per
+    config, in order. The scan only chooses the bracket (the first maximum
+    on ties); the refinement and the returned values are the scalar
+    `delivery_prob`'s, bit for bit.
+
+    All configs are searched at once, in chunks of at most _CHUNK_ELEMENTS
+    matrix elements: the scan in one 2-D pass per (n_users, mpr), one row
+    per config, and the refinement in lockstep over the configs (see
+    `_golden_section`). Each config's result is what a call with that
+    config alone returns.
+    """
+    configs = list(configs)
+    lo = np.array([lower_bound_tau(c.n_users, c.deadline) for c in configs])
+    step = (1.0 - lo) / _COARSE_POINTS
+    best = np.zeros(len(configs), dtype=np.int64)
+    groups: dict[tuple[int, int], list[int]] = {}
+    for j, config in enumerate(configs):
+        groups.setdefault((config.n_users, config.mpr), []).append(j)
+    rows = max(1, _CHUNK_ELEMENTS // _COARSE_POINTS)
+    points = np.arange(_COARSE_POINTS)
+    for members in groups.values():
+        for start in range(0, len(members), rows):
+            part = members[start:start + rows]
+            taus = lo[part, None] + points * step[part, None]
+            scan = _delivery_prob_array([configs[j] for j in part], taus)
+            best[part] = np.argmax(scan, axis=1)
+    # The objective is unimodal on (0, 1), so the bracket holds the maximum.
+    a = np.where(best > 0, lo + (best - 1) * step, lo)
+    b = np.minimum(lo + (best + 1) * step, 1.0)
+    tau = np.empty(len(configs))
+    sdp = np.empty(len(configs))
+    # The refinement matrix has max(mpr) rows: chunk the cells by mpr.
+    order = sorted(range(len(configs)), key=lambda j: -configs[j].mpr)
+    start = 0
+    while start < len(order):
+        size = max(1, _CHUNK_ELEMENTS // configs[order[start]].mpr)
+        part = order[start:start + size]
+        tau[part], sdp[part] = _golden_section(
+            [configs[j] for j in part], a[part], b[part]
+        )
+        start += size
+    return list(zip(tau.tolist(), sdp.tolist()))

@@ -418,15 +418,14 @@ def check_solver_vs_grid_search(grid: VerifyGrid) -> CheckResult:
     """Solver against the derivative-free grid search over the
     dense population sweep."""
     cells = list(grid.sweep_cells())
-    tau_diffs = []
-    sdp_diffs = []
-    for n, m, d in cells:
-        cfg = ChannelConfig(n, m, d)
-        report = solve_optimal_tau(cfg)
-        oracle_tau, oracle_sdp = grid_search_optimum(cfg)
-        tau_diffs.append(abs(report.tau_opt - oracle_tau))
-        sdp_diffs.append(abs(report.sdp_max - oracle_sdp))
-    worst_sdp = max(sdp_diffs)
+    configs = [ChannelConfig(n, m, d) for n, m, d in cells]
+    reports = [solve_optimal_tau(cfg) for cfg in configs]
+    oracle = grid_search_optimum(configs)
+    tau_diffs = [abs(r.tau_opt - t) for r, (t, _) in zip(reports, oracle)]
+    # np.max, unlike Python's max, returns NaN if any difference is NaN.
+    worst_sdp = float(np.max(
+        [abs(r.sdp_max - s) for r, (_, s) in zip(reports, oracle)]
+    ))
     result = _reduce(
         "solver_vs_grid_search",
         [(None, np.array(tau_diffs))],

@@ -87,6 +87,10 @@ _SOLVE_HEADER = [
 
 _SWEEP_HEADER = _SOLVE_HEADER + ["grid_tau", "grid_sdp", "tau_abs_diff"]
 
+# Cells that `sweep` grid-searches in one call; their rows are written
+# before the next cells are searched.
+_SWEEP_CHUNK = 256
+
 _SIMULATE_HEADER = [
     "rep", "seed", "user_id", "packets_completed", "packets_succeeded",
     "sdp", "std_error", "analytic", "z_score",
@@ -130,16 +134,20 @@ def _cmd_sweep(args) -> int:
     unconverged = []
 
     def rows():
-        for config in configs:
-            report = analytic.solve_optimal_tau(config)
-            if not report.converged:
-                unconverged.append(
-                    f"({config.n_users},{config.mpr},{config.deadline})"
-                )
-            grid_tau, grid_sdp = analytic.grid_search_optimum(config)
-            yield _solve_row(config, report) + [
-                grid_tau, grid_sdp, abs(report.tau_opt - grid_tau)
-            ]
+        for start in range(0, len(configs), _SWEEP_CHUNK):
+            chunk = configs[start:start + _SWEEP_CHUNK]
+            reports = [analytic.solve_optimal_tau(c) for c in chunk]
+            searched = analytic.grid_search_optimum(chunk)
+            for config, report, (grid_tau, grid_sdp) in zip(
+                chunk, reports, searched
+            ):
+                if not report.converged:
+                    unconverged.append(
+                        f"({config.n_users},{config.mpr},{config.deadline})"
+                    )
+                yield _solve_row(config, report) + [
+                    grid_tau, grid_sdp, abs(report.tau_opt - grid_tau)
+                ]
 
     _emit_csv(args.out, _SWEEP_HEADER, rows())
     if unconverged:

@@ -1,21 +1,35 @@
-"""The per-slot reference simulator that `simulate.run_interval` is tested
-against.
+"""References that the package's fast paths are tested against.
 
-It simulates one slot at a time for explicit per-station state and spells
-out the channel's rules: a station that transmits resolves its packet,
-which succeeds when the slot carries at most `mpr` transmissions; a station
-silent for `deadline` consecutive slots loses its packet to expiry. It
-draws one uniform per station per slot in station order, so run slot after
-slot it consumes the stream exactly as `run_interval` does.
+The per-slot reference simulator, `step_slot`, is what
+`simulate.run_interval` is tested against. It simulates one slot at a time
+for explicit per-station state and spells out the channel's rules: a
+station that transmits resolves its packet, which succeeds when the slot
+carries at most `mpr` transmissions; a station silent for `deadline`
+consecutive slots loses its packet to expiry. It draws one uniform per
+station per slot in station order, so run slot after slot it consumes the
+stream exactly as `run_interval` does.
+
+`grid_search_optimum` is the grid search one config at a time, which
+`analytic.grid_search_optimum` must match bit for bit on every config.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from mpraloha.analytic import as_probability
+from mpraloha.analytic import (
+    _COARSE_POINTS,
+    _RESCALE,
+    _RESCALE_BITS,
+    _SCALED_BELOW,
+    ChannelConfig,
+    as_probability,
+    delivery_prob,
+    lower_bound_tau,
+)
 
 
 @dataclass
@@ -65,3 +79,52 @@ def step_slot(
                 user.packets_completed += 1
                 user.hol_age = 0
     return total, transmitted
+
+
+def grid_search_optimum(config: ChannelConfig) -> tuple[float, float]:
+    """(tau, sdp) of the grid search for one config: a numpy scan of
+    _COARSE_POINTS points of [lower_bound_tau, 1), with the head sum
+    carried scaled where its start is at most _SCALED_BELOW, chooses the
+    bracket that a scalar golden-section search on `delivery_prob` refines
+    down to a width of 1e-10."""
+    n, m, d = config.n_users - 1, config.mpr, config.deadline
+    lo = lower_bound_tau(config.n_users, d)
+    step = (1.0 - lo) / _COARSE_POINTS
+    tau = lo + np.arange(_COARSE_POINTS) * step
+    complement = 1.0 - tau
+    term = complement**n
+    ratio = tau / complement
+    scaled = term <= _SCALED_BELOW
+    frac, exp2 = np.frexp(complement[scaled])
+    term[scaled] = frac**n
+    shift = np.zeros(tau.shape, dtype=np.int64)
+    shift[scaled] = exp2.astype(np.int64) * n
+    head = np.zeros_like(tau)
+    for i in range(m):
+        head += term
+        term *= ((n - i) / (i + 1)) * ratio
+        big = term > _RESCALE
+        term[big] /= _RESCALE
+        head[big] /= _RESCALE
+        shift[big] += _RESCALE_BITS
+    head = np.ldexp(head, shift)
+    window = tau if d == 1 else -np.expm1(d * np.log1p(-tau))
+    best_k = int(np.argmax(window * np.minimum(head, 1.0)))
+    a = lo + (best_k - 1) * step if best_k > 0 else lo
+    b = min(lo + (best_k + 1) * step, 1.0)
+    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    c = b - inv_phi * (b - a)
+    d = a + inv_phi * (b - a)
+    fc = delivery_prob(config, c)
+    fd = delivery_prob(config, d)
+    while b - a > 1e-10:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - inv_phi * (b - a)
+            fc = delivery_prob(config, c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv_phi * (b - a)
+            fd = delivery_prob(config, d)
+    tau = 0.5 * (a + b)
+    return tau, delivery_prob(config, tau)

@@ -1,6 +1,8 @@
 import math
 import sys
+import tracemalloc
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from mpraloha import analytic
 from mpraloha.analytic import (
     _COARSE_POINTS,
     _SCALED_BELOW,
+    N_CAP,
     ChannelConfig,
     _delivery_prob_array,
     admit_prob,
@@ -27,6 +30,7 @@ from mpraloha.analytic import (
     success_size_ratio,
     window_bound,
 )
+import reference
 
 
 def _accepted_domain():
@@ -380,7 +384,7 @@ class TestSolver:
         for n, m, d in ((10, 3, 5), (25, 5, 1), (40, 2, 20)):
             cfg = ChannelConfig(n, m, d)
             report = solve_optimal_tau(cfg)
-            oracle_tau, oracle_sdp = grid_search_optimum(cfg)
+            oracle_tau, oracle_sdp = grid_search_optimum([cfg])[0]
             assert report.tau_opt == pytest.approx(
                 oracle_tau, abs=1e-7
             )
@@ -389,7 +393,7 @@ class TestSolver:
     def test_grid_search_handles_boundary_maximum(self):
         # With mpr=1 the maximum sits at the interval's left endpoint.
         cfg = ChannelConfig(10, 1, 1)
-        oracle_tau, _ = grid_search_optimum(cfg)
+        oracle_tau, _ = grid_search_optimum([cfg])[0]
         assert oracle_tau == pytest.approx(0.1, abs=1e-8)
 
     def test_array_scan_matches_scalar_scan(self):
@@ -405,11 +409,11 @@ class TestSolver:
             lo = lower_bound_tau(n, d)
             step = (1.0 - lo) / _COARSE_POINTS
             taus = lo + np.arange(_COARSE_POINTS) * step
-            fast = _delivery_prob_array(cfg, taus)
+            fast = _delivery_prob_array([cfg], taus[None])[0]
             slow = [delivery_prob(cfg, t) for t in taus.tolist()]
             first_max = max(range(_COARSE_POINTS), key=slow.__getitem__)
             assert int(np.argmax(fast)) == first_max, (n, m, d)
-            tau, _ = grid_search_optimum(cfg)
+            tau, _ = grid_search_optimum([cfg])[0]
             assert lo + (first_max - 1) * step <= tau, (n, m, d)
             assert tau <= lo + (first_max + 1) * step, (n, m, d)
             np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0.0,
@@ -417,6 +421,65 @@ class TestSolver:
             start = (1.0 - taus) ** (n - 1)
             scaled += int(np.count_nonzero(start <= _SCALED_BELOW))
         assert scaled > 0
+
+
+def _cells():
+    """(n, m, d) over the accepted domain, small n and d as often as any."""
+    n = st.one_of(st.integers(2, 30), st.integers(2, N_CAP))
+    d = st.one_of(st.integers(1, 30), st.integers(1, 10**15))
+    return n.flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(1, n - 1), d)
+    )
+
+
+class TestGridSearchBatch:
+    """`grid_search_optimum` searches all its configs at once; each result
+    must be the one-config search of `tests/reference.py`, bit for bit."""
+
+    @staticmethod
+    def _bits(pairs):
+        return [(tau.hex(), sdp.hex()) for tau, sdp in pairs]
+
+    # n = 2 and 3 hit numpy's power fast paths for exponents 1 and 2;
+    # (1000, 999, d) scans scaled points and (200, 199, 1) also refines
+    # some; budgets of 1 and 4000 elements put chunk boundaries between
+    # and inside the groups of cells.
+    @example(cells=[(2, 1, 1), (3, 2, 1), (2, 1, 10**15), (3, 2, 10**15)],
+             budget=2**16)
+    @example(cells=[(1000, 999, 1), (1000, 999, 10**15), (200, 199, 1)],
+             budget=2**16)
+    @example(cells=[(200, 199, 1)], budget=2**16)
+    @example(cells=[(200, 199, 1), (10, 3, 5), (1000, 999, 20), (10, 3, 5),
+                    (10, 3, 6), (50, 25, 100)], budget=4000)
+    @example(cells=[(10, 3, 5), (10, 3, 6), (12, 2, 1)], budget=1)
+    @given(cells=st.lists(_cells(), min_size=1, max_size=6),
+           budget=st.sampled_from([2**16, 4000, 1]))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_one_config_search(self, cells, budget):
+        configs = [ChannelConfig(*cell) for cell in cells]
+        with mock.patch.object(analytic, "_CHUNK_ELEMENTS", budget):
+            got = grid_search_optimum(configs)
+        expected = [reference.grid_search_optimum(cfg) for cfg in configs]
+        assert self._bits(got) == self._bits(expected)
+
+    def test_empty_batch(self):
+        assert grid_search_optimum([]) == []
+
+    def test_memory_does_not_grow_with_cells(self):
+        # Four cells at mpr = 400 give the refinement a tall matrix, and
+        # one (n, mpr) group takes all the other cells: searched whole,
+        # 2000 cells would peak about 150 times higher than 16.
+        def peak(n_small):
+            configs = [ChannelConfig(1000, 400, d) for d in range(1, 5)]
+            configs += [ChannelConfig(50, 2, d) for d in range(1, n_small)]
+            tracemalloc.start()
+            try:
+                grid_search_optimum(configs)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(1997) < 4 * peak(13)
 
 
 class TestDerivativeAndMap:

@@ -22,11 +22,12 @@ import tracing
 from mpraloha import checks, cli
 
 tracer = tracing.install()
-# (5, 5) is skipped, so the sweep has 3 x 2 cells, one grid search each.
+# (5, 5) is skipped, so the sweep has 3 x 2 cells, grid-searched in one
+# call.
 assert cli.main(["sweep", "--n", "5,8", "--m", "2,5", "--d", "1,20",
                  "--out", os.devnull]) == 0
 metrics = tracing.layer_metrics(tracer)
-assert metrics["analytic.grid_search.calls"] == 6, metrics
+assert metrics["analytic.grid_search.calls"] == 1, metrics
 assert metrics["analytic.grid_search.s"] > 0, metrics
 
 checks.run_all(checks.VerifyGrid(

@@ -62,9 +62,9 @@ class TestFaultInjection:
         assert window.detail.endswith("at d=1 tau=0.1")
 
     def test_sdp_disagreement_alone_fails_solver_check(self, monkeypatch):
-        def oracle(cfg):
-            report = solve_optimal_tau(cfg)
-            return report.tau_opt, report.sdp_max + 1e-6
+        def oracle(configs):
+            reports = [solve_optimal_tau(cfg) for cfg in configs]
+            return [(r.tau_opt, r.sdp_max + 1e-6) for r in reports]
 
         monkeypatch.setattr(checks, "grid_search_optimum", oracle)
         result = checks.check_solver_vs_grid_search(SMALL)
@@ -72,6 +72,23 @@ class TestFaultInjection:
         assert result.worst == 0.0
         assert not result.passed
         assert "max |sdp diff| = 1.000e-06" in result.detail
+
+    def test_nan_sdp_after_the_first_cell_fails_solver_check(
+        self, monkeypatch
+    ):
+        # Python's max drops a NaN that is not first: max([0.0, nan]) is
+        # 0.0. The sdp reduction must not.
+        def oracle(configs):
+            reports = [solve_optimal_tau(cfg) for cfg in configs]
+            pairs = [(r.tau_opt, r.sdp_max) for r in reports]
+            pairs[1] = (pairs[1][0], math.nan)
+            return pairs
+
+        monkeypatch.setattr(checks, "grid_search_optimum", oracle)
+        result = checks.check_solver_vs_grid_search(SMALL)
+        assert result.worst == 0.0
+        assert not result.passed
+        assert "max |sdp diff| = nan" in result.detail
 
     def test_checks_past_the_underflow_edge_pass(self):
         # At n=500 and tau=0.99 the admit probability and the decoded-batch

@@ -121,6 +121,24 @@ class TestSweep:
             "converged,grid_tau,grid_sdp,tau_abs_diff"
         )
 
+    def test_rows_are_written_between_grid_searches(self, monkeypatch,
+                                                    capsys):
+        # Two cells per call: each call's rows are out before the next
+        # cells are searched, so a sweep never holds all its rows.
+        monkeypatch.setattr(cli, "_SWEEP_CHUNK", 2)
+        search = analytic.grid_search_optimum
+        lines = []
+
+        def spy(configs):
+            lines.append(capsys.readouterr().out.count("\n"))
+            return search(configs)
+
+        monkeypatch.setattr(analytic, "grid_search_optimum", spy)
+        assert cli.main(["sweep", "--n", "6:8", "--m", "2", "--d", "1,5"]) == 0
+        lines.append(capsys.readouterr().out.count("\n"))
+        # The header, then two rows after each of the three calls.
+        assert lines == [1, 2, 2, 2]
+
     def test_grid_search_column_agrees(self, tmp_path):
         path = tmp_path / "sweep.csv"
         assert cli.main(
