@@ -23,14 +23,15 @@ them, with the values of the scalar `delivery_prob` bit for bit.
 
 The private `_*_row` functions evaluate the closed forms over a whole array
 of tau at once, with the scalar functions' values bit for bit; `checks`
-evaluates its property checks with them.
+evaluates its property checks with them. `_delivery_prob_row` is the one
+array form of `delivery_prob`: the check rows, the coarse scan and the
+lockstep refinement all call it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -205,49 +206,45 @@ def _head_sums(n: int, m: int, tau: float) -> tuple[float, float, int]:
 
 
 def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
-    """func(v, *args) for every element v of the 1-D array `values`.
+    """func(v, *a) for every element v of the 1-D array `values`, where
+    each of `args` is one value for every element or an array of as many.
 
     The array forms below take their transcendental factors from here, so
     that each comes from libm exactly as the scalar closed forms compute
     it: numpy's own power, log1p and expm1 differ from libm's in the last
     bit for a few percent of arguments.
     """
-    extra = [itertools.repeat(a) for a in args]
+    extra = [a.tolist() if isinstance(a, np.ndarray) else itertools.repeat(a)
+             for a in args]
     return np.fromiter(
         map(func, values.tolist(), *extra), dtype=float, count=values.size
     )
 
 
-def _libm_power(base: np.ndarray, exponent: int) -> np.ndarray:
-    """base ** exponent element by element, as Python's float power."""
-    return _elementwise(pow, base, exponent)
-
-
 def _head_sums_row(
-    n: int, m: int, tau: np.ndarray, k: int = 1, power=_libm_power,
-    weighted=True,
+    n: int, m: int, tau: np.ndarray, k: int = 1, exact=True, weighted=True,
 ):
     """`_head_sums` at every element of `tau`, all strictly inside (0, 1),
     with each term weighted by i^(k-1).
 
-    The recurrence runs on the whole vector, one step per i < m and in the
-    scalar operation order, so memory stays at a few vectors for any m.
+    The recurrence runs on the whole array, one step per i < m and in the
+    scalar operation order, so memory stays at a few arrays for any m.
     Elements whose start underflows are carried scaled, as there; the
-    others never pass 2**_RESCALE_BITS and keep a shift of 0. `power`
-    computes the starts (1-tau)^n and frac^n: with the default libm power
-    and k = 1 the sums are bit-identical to `_head_sums`. Returns (head,
-    weighted sum, shift), the second None unless `weighted`, the shift an
-    int array, or 0 if no element is scaled.
+    others never pass 2**_RESCALE_BITS and keep a shift of 0. The starts
+    (1-tau)^n and frac^n take Python's float power when `exact`, and then
+    with k = 1 the sums are bit-identical to `_head_sums`; otherwise
+    numpy's. Returns (head, weighted sum, shift), the second None unless
+    `weighted`, the shift an int array, or 0 if no element is scaled.
     """
     complement = 1.0 - tau
-    term = power(complement, n)
+    term = _elementwise(pow, complement, n) if exact else complement**n
     ratio = tau / complement
     scaled = term <= _SCALED_BELOW
     any_scaled = bool(scaled.any())
     shift = 0
     if any_scaled:
         frac, exp2 = np.frexp(complement[scaled])
-        term[scaled] = power(frac, n)
+        term[scaled] = _elementwise(pow, frac, n) if exact else frac**n
         shift = np.zeros(tau.shape, dtype=np.int64)
         shift[scaled] = exp2.astype(np.int64) * n
     head = np.zeros_like(tau)
@@ -267,29 +264,6 @@ def _head_sums_row(
                 sums[big] /= _RESCALE
             shift[big] += _RESCALE_BITS
     return head, sums, shift
-
-
-def _delivery_prob_array(configs, tau: np.ndarray) -> np.ndarray:
-    """`delivery_prob` at every element of the 2-D `tau`, all strictly
-    inside (0, 1), row r for configs[r], for the coarse scan of
-    `grid_search_optimum`. The configs share n_users and mpr.
-
-    The head sum is `_head_sums_row` with numpy's power, and the window
-    uses numpy's log1p and expm1. These may differ from libm's by an ulp,
-    so the values match the scalar ones to rounding, not bit for bit. The
-    scan only chooses a bracket: on the 643 cells of the `analytic`
-    benchmark the libm factors of `_delivery_prob_row` move no argmax but
-    take a 2000-point scan from 0.17 to 0.80 ms. The exponent stays one
-    int for all rows, so numpy's power takes the same path as on one row.
-    """
-    head, _, shift = _head_sums_row(
-        configs[0].n_users - 1, configs[0].mpr, tau, power=operator.pow,
-        weighted=False,
-    )
-    head = np.ldexp(head, shift)
-    d = np.array([[c.deadline] for c in configs], dtype=float)
-    window = np.where(d == 1.0, tau, -np.expm1(d * np.log1p(-tau)))
-    return window * np.minimum(head, 1.0)
 
 
 def _window_prob(tau: float, deadline: int) -> float:
@@ -419,29 +393,40 @@ def iteration_map(config: ChannelConfig, x) -> float:
     )
 
 
-# Array forms of the closed forms above, for the property checks. Each takes
-# a 1-D float array and returns what its scalar function returns at every
-# element, bit for bit: numpy does the arithmetic in the scalar operation
-# order, and the transcendental factors come from libm through
-# `_elementwise`. The forms take a valid config and tau strictly inside
-# (0, 1), which `checks.VerifyGrid` guarantees. A form exists only where a
-# check would otherwise loop a costly scalar function, and a scalar twin
-# only where a caller loops on it: the solver (`_head_sums`, `_window_prob`,
-# `admitted_load`, `deadline_load`, `delivery_prob`; the grid search's
-# lockstep refinement calls `delivery_prob` only at points whose head sum
-# must be carried scaled), the tests' bisection reference
-# (`delivery_prob_derivative`), the paper's map (`iteration_map`, about 25
-# times slower per call as a one-point form) and n above N_CAP
+# Array forms of the closed forms above, for the property checks and the
+# grid search. Each takes a float array and returns what its scalar
+# function returns at every element, bit for bit: numpy does the arithmetic
+# in the scalar operation order, and the transcendental factors come from
+# libm through `_elementwise`; only the coarse scan takes numpy's faster
+# ones, through exact=False. The forms take a valid config and tau
+# strictly inside (0, 1), which `checks.VerifyGrid` guarantees. A form
+# exists only where a caller would otherwise loop a costly scalar function,
+# and a scalar twin only where a caller loops on it: the solver
+# (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
+# `delivery_prob`; the grid search's lockstep refinement takes `_head_sums`
+# only where a head sum must be carried scaled), the tests' bisection
+# reference (`delivery_prob_derivative`), the paper's map (`iteration_map`,
+# about 25 times slower per call as a one-point form) and n above N_CAP
 # (`binomial_pmf`; the form's float(comb) overflows there).
 # `success_size_ratio`, which no caller loops on, is its form at one point.
 
 
-def _window_prob_row(tau: np.ndarray, deadline: int) -> np.ndarray:
-    """`_window_prob` at every element of `tau`, all strictly inside (0, 1)."""
-    if deadline == 1:
+def _window_prob_row(tau: np.ndarray, deadline, exact=True) -> np.ndarray:
+    """`_window_prob` at every element of `tau`, all strictly inside (0, 1).
+
+    `deadline` is one int for every element, or an array that broadcasts
+    against tau. log1p and expm1 are libm's when `exact`, else numpy's,
+    which may differ from them by an ulp.
+    """
+    one = not isinstance(deadline, np.ndarray)
+    if one and deadline == 1:
         return tau
-    miss = float(deadline) * _elementwise(math.log1p, -tau)
-    return -_elementwise(math.expm1, miss)
+    d = float(deadline) if one else deadline
+    if exact:
+        window = -_elementwise(math.expm1, d * _elementwise(math.log1p, -tau))
+    else:
+        window = -np.expm1(d * np.log1p(-tau))
+    return window if one else np.where(d == 1.0, tau, window)
 
 
 def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
@@ -467,13 +452,51 @@ def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
     return tau * load
 
 
-def _delivery_prob_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
-    """`delivery_prob` at every element."""
-    head, _, shift = _head_sums_row(config.n_users - 1, config.mpr, tau,
-                                    weighted=False)
-    head = np.ldexp(head, shift)
+def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray,
+                       exact=True) -> np.ndarray:
+    """`delivery_prob` at every element of `tau`, all strictly inside
+    (0, 1). `n_users` and `mpr` are ints shared by every element, or int
+    arrays with one pair per element of a 1-D tau; `deadline` is an int or
+    an array that broadcasts against tau. With `exact` the start and the
+    window take libm's factors, tau must be 1-D and the values are the
+    scalar's bit for bit; otherwise numpy's, which are faster and may
+    differ by an ulp.
+
+    Shared (n_users, mpr) run the recurrence of `_head_sums_row`, the
+    faster kernel for one config over many tau. Per element, column j of a
+    matrix holds the terms of element j's head sum: row 0 is the start
+    (1-tau)^(n-1), row i the recurrence factor ((n-i)/i) * tau/(1-tau) and
+    row mpr 0, so that every later term is an exact zero. Sequential
+    products and sums down the columns give the scalar terms and head. An
+    element whose start is at most _SCALED_BELOW takes its head from
+    `_head_sums` instead, which carries it scaled.
+    """
+    if not isinstance(mpr, np.ndarray):
+        head, _, shift = _head_sums_row(n_users - 1, mpr, tau, exact=exact,
+                                        weighted=False)
+        head = np.ldexp(head, shift)
+    else:
+        n = n_users - 1
+        complement = 1.0 - tau
+        terms = np.empty((int(mpr.max()), tau.size))
+        terms[0] = _elementwise(pow, complement, n) if exact else complement**n
+        scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
+        terms[0, scaled] = 0.0
+        # (n - (i - 1)) / i, in floats: every operand is an exact integer.
+        i = np.arange(1.0, terms.shape[0])[:, None]
+        np.subtract(n, i - 1.0, out=terms[1:])
+        terms[1:] /= i
+        terms[1:] *= tau / complement
+        short = np.flatnonzero(mpr < terms.shape[0])
+        terms[mpr[short], short] = 0.0
+        # In place: the products, then their running sums, down each column.
+        np.multiply.accumulate(terms, out=terms)
+        head = np.add.accumulate(terms, out=terms)[-1]
+        for j in scaled.tolist():
+            sums, _, shift = _head_sums(int(n[j]), int(mpr[j]), float(tau[j]))
+            head[j] = math.ldexp(sums, shift)
     admit = np.where(head < 1.0, head, 1.0)
-    return _window_prob_row(tau, config.deadline) * admit
+    return _window_prob_row(tau, deadline, exact) * admit
 
 
 def _delivery_prob_derivative_row(
@@ -486,7 +509,7 @@ def _delivery_prob_derivative_row(
     head = np.ldexp(head, shift)
     weighted = np.ldexp(weighted, shift)
     window = _window_prob_row(tau, d)
-    miss = _libm_power(1.0 - tau, d)
+    miss = _elementwise(pow, 1.0 - tau, d)
     inner = float(n - 1) - float(n + d - 1) * miss
     return _quotient(window * weighted - inner * tau * head,
                      tau * (1.0 - tau))
@@ -501,7 +524,7 @@ def _iteration_map_row(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
 def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:
     """`binomial_pmf` at every element of `p`, for 0 <= i <= n <= N_CAP."""
     c = float(math.comb(n, i))
-    return c * _libm_power(p, i) * _libm_power(1.0 - p, n - i)
+    return c * _elementwise(pow, p, i) * _elementwise(pow, 1.0 - p, n - i)
 
 
 def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
@@ -608,63 +631,19 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
     )
 
 
-def _delivery_prob_cells(configs):
-    """Return evaluate(tau, cells), which gives delivery_prob(
-    configs[cells[j]], tau[j]) for every j at once; tau is a float array
-    strictly inside (0, 1) and cells an index array of the same length.
-
-    Column j carries the terms of cell j's head sum: row 0 is the start
-    (1-tau)^(n-1) by Python's pow, row i+1 the recurrence factor
-    ((n-1-i)/(i+1)) * tau/(1-tau), and row mpr 0, so that every later term
-    is an exact zero. Sequential products and sums down the columns then
-    give the scalar terms and head, bit for bit, and the window takes
-    libm's log1p and expm1. A start at or below _SCALED_BELOW would need
-    the scaled recurrence, so that cell is evaluated by `delivery_prob`.
-    """
-    n = np.array([c.n_users - 1 for c in configs])
-    m = np.array([c.mpr for c in configs])
-    d = np.array([float(c.deadline) for c in configs])
-    i = np.arange(1, m.max())[:, None]
-    factors = np.where(i < m, (n - (i - 1)) / i, 0.0)
-
-    def evaluate(tau: np.ndarray, cells: np.ndarray) -> np.ndarray:
-        complement = 1.0 - tau
-        terms = np.empty((factors.shape[0] + 1, tau.size))
-        terms[0] = np.fromiter(
-            map(pow, complement.tolist(), n[cells].tolist()),
-            dtype=float, count=tau.size,
-        )
-        scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
-        terms[0, scaled] = 0.0
-        np.take(factors, cells, axis=1, out=terms[1:])
-        terms[1:] *= tau / complement
-        # In place: the products, then their running sums, down each column.
-        np.multiply.accumulate(terms, out=terms)
-        head = np.add.accumulate(terms, out=terms)[-1]
-        dc = d[cells]
-        miss = dc * _elementwise(math.log1p, -tau)
-        window = np.where(dc == 1.0, tau, -_elementwise(math.expm1, miss))
-        sdp = window * np.where(head < 1.0, head, 1.0)
-        for j in scaled.tolist():
-            sdp[j] = delivery_prob(configs[cells[j]], float(tau[j]))
-        return sdp
-
-    return evaluate
-
-
-def _golden_section(configs, a: np.ndarray, b: np.ndarray):
+def _golden_section(n_users: np.ndarray, mpr: np.ndarray,
+                    deadline: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Golden-section search for the maximum of `delivery_prob` on [a, b],
-    for every config in lockstep: one new point per unfinished cell per
-    step, with the scalar search's branch and arithmetic, down to a bracket
-    of width 1e-10. Returns the arrays (tau, sdp)."""
-    evaluate = _delivery_prob_cells(configs)
+    for every cell (n_users[j], mpr[j], deadline[j]) in lockstep: one new
+    point per unfinished cell per step, with the scalar search's branch and
+    arithmetic, down to a bracket of width 1e-10. Returns the arrays (tau,
+    sdp)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    every = np.arange(len(configs))
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = evaluate(c, every)
-    fd = evaluate(d, every)
-    live = every
+    fc = _delivery_prob_row(n_users, mpr, deadline, c)
+    fd = _delivery_prob_row(n_users, mpr, deadline, d)
+    live = np.arange(a.size)
     while True:
         live = live[b[live] - a[live] > 1e-10]
         if not live.size:
@@ -676,13 +655,13 @@ def _golden_section(configs, a: np.ndarray, b: np.ndarray):
         lb = b[live] = np.where(left, ld, b[live])
         x = np.where(left, lb - inv_phi * (lb - la),
                      la + inv_phi * (lb - la))
-        fx = evaluate(x, live)
+        fx = _delivery_prob_row(n_users[live], mpr[live], deadline[live], x)
         c[live] = np.where(left, x, ld)
         d[live] = np.where(left, lc, x)
         fc[live] = np.where(left, fx, lfd)
         fd[live] = np.where(left, lfc, fx)
     tau = 0.5 * (a + b)
-    return tau, evaluate(tau, every)
+    return tau, _delivery_prob_row(n_users, mpr, deadline, tau)
 
 
 def grid_search_optimum(configs) -> list[tuple[float, float]]:
@@ -692,8 +671,8 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     [lower_bound_tau, 1), then refines the best cell with golden-section
     search down to a bracket of width 1e-10. Returns one (tau, sdp) per
     config, in order. The scan only chooses the bracket (the first maximum
-    on ties); the refinement and the returned values are the scalar
-    `delivery_prob`'s, bit for bit.
+    on ties), so it takes numpy's factors; the refinement and the returned
+    values are the scalar `delivery_prob`'s, bit for bit.
 
     All configs are searched at once, in chunks of at most _CHUNK_ELEMENTS
     matrix elements: the scan in one 2-D pass per (n_users, mpr), one row
@@ -702,6 +681,9 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     config alone returns.
     """
     configs = list(configs)
+    users = np.array([c.n_users for c in configs], dtype=np.int64)
+    mpr = np.array([c.mpr for c in configs], dtype=np.int64)
+    deadline = np.array([float(c.deadline) for c in configs])
     lo = np.array([lower_bound_tau(c.n_users, c.deadline) for c in configs])
     step = (1.0 - lo) / _COARSE_POINTS
     best = np.zeros(len(configs), dtype=np.int64)
@@ -710,11 +692,15 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
         groups.setdefault((config.n_users, config.mpr), []).append(j)
     rows = max(1, _CHUNK_ELEMENTS // _COARSE_POINTS)
     points = np.arange(_COARSE_POINTS)
-    for members in groups.values():
+    # numpy's factors: on the 643 cells of the `analytic` benchmark libm's
+    # move no argmax but take a 2000-point scan from 0.17 to 0.80 ms. n
+    # stays one int for all rows, so numpy's power takes one row's path.
+    for (n, m), members in groups.items():
         for start in range(0, len(members), rows):
             part = members[start:start + rows]
             taus = lo[part, None] + points * step[part, None]
-            scan = _delivery_prob_array([configs[j] for j in part], taus)
+            scan = _delivery_prob_row(n, m, deadline[part, None], taus,
+                                      exact=False)
             best[part] = np.argmax(scan, axis=1)
     # The objective is unimodal on (0, 1), so the bracket holds the maximum.
     a = np.where(best > 0, lo + (best - 1) * step, lo)
@@ -722,13 +708,13 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     tau = np.empty(len(configs))
     sdp = np.empty(len(configs))
     # The refinement matrix has max(mpr) rows: chunk the cells by mpr.
-    order = sorted(range(len(configs)), key=lambda j: -configs[j].mpr)
+    order = np.argsort(-mpr, kind="stable")
     start = 0
     while start < len(order):
-        size = max(1, _CHUNK_ELEMENTS // configs[order[start]].mpr)
+        size = max(1, _CHUNK_ELEMENTS // int(mpr[order[start]]))
         part = order[start:start + size]
         tau[part], sdp[part] = _golden_section(
-            [configs[j] for j in part], a[part], b[part]
+            users[part], mpr[part], deadline[part], a[part], b[part]
         )
         start += size
     return list(zip(tau.tolist(), sdp.tolist()))

@@ -204,7 +204,7 @@ def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
         for n, m, d in grid.cells():
             cfg = ChannelConfig(n, m, d)
             ends = [abs(delivery_prob(cfg, t)) for t in (0.0, 1.0)]
-            v = _delivery_prob_row(cfg, row)
+            v = _delivery_prob_row(n, m, d, row)
             yield (n, m, d), np.concatenate([ends, _larger(-v, v - 1.0)])
 
     return _reduce("sdp_bounds", rows(), _cell_tau(taus), 0.0,
@@ -223,8 +223,7 @@ def check_sdp_monotone_deadline(grid: VerifyGrid) -> CheckResult:
         for n in grid.n_values:
             for m in grid.mpr_values(n):
                 values = np.array([
-                    _delivery_prob_row(ChannelConfig(n, m, d), row)
-                    for d in d_sorted
+                    _delivery_prob_row(n, m, d, row) for d in d_sorted
                 ])
                 # Tau by tau, each deadline step in turn.
                 yield (n, m), (values[:-1] - values[1:]).T.ravel()
@@ -252,7 +251,7 @@ def check_derivative_finite_difference(grid: VerifyGrid) -> CheckResult:
         for n, m, d in grid.cells():
             cfg = ChannelConfig(n, m, d)
             a = _delivery_prob_derivative_row(cfg, row)
-            fd = _central_diff_row(_delivery_prob_row(cfg, shifted))
+            fd = _central_diff_row(_delivery_prob_row(n, m, d, shifted))
             yield (n, m, d), np.abs(a - fd) / (1.0 + np.abs(a))
 
     return _reduce("derivative_finite_difference", rows(),

@@ -130,6 +130,9 @@ def run_interval(
             f"hol_ages must have one entry per station ({n_users}), "
             f"got {len(hol_ages)}"
         )
+    # An age never exceeds the slots simulated, so a longer deadline expires
+    # no packet, as 2**62 does; `_expire`'s int64 arithmetic needs the clamp.
+    deadline = min(deadline, 2**62)
     block = max(1, _BLOCK_CELLS // max(1, n_users))
     bit_gen = rng.bit_generator
     parts = _PARTS if _exact_advance(bit_gen) else 1

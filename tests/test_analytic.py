@@ -15,7 +15,6 @@ from mpraloha.analytic import (
     _SCALED_BELOW,
     N_CAP,
     ChannelConfig,
-    _delivery_prob_array,
     admit_prob,
     admitted_load,
     as_probability,
@@ -243,21 +242,21 @@ class TestConditionalOracle:
 
     @staticmethod
     def _assert_exact(n: int, m: int, tau: float) -> None:
+        # `success_size_ratio` is its row form at one point, so one call
+        # covers both; `admitted_load` and its row form are two paths.
         cfg = ChannelConfig(n, m, 1)
-        row = np.array([tau])
-        load = _exact_quotient(n - 1, 0, m, tau, 1)
-        ratio = _exact_quotient(n, 1, m + 1, tau, 2)
+        load = admitted_load(cfg, tau)
+        ratio = success_size_ratio(cfg, tau)
+        exact_load = _exact_quotient(n - 1, 0, m, tau, 1)
         for got, want in (
-            (admitted_load(cfg, tau), load),
-            (analytic._admitted_load_row(cfg, row)[0], load),
-            (success_size_ratio(cfg, tau), ratio),
-            (analytic._success_size_ratio_row(cfg, row)[0], ratio),
+            (load, exact_load),
+            (analytic._admitted_load_row(cfg, np.array([tau]))[0], exact_load),
+            (ratio, _exact_quotient(n, 1, m + 1, tau, 2)),
         ):
             assert abs(Fraction(float(got)) - want) <= want * 1e-15, (
                 n, m, tau, got, float(want)
             )
-        gap = success_size_ratio(cfg, tau) - 1.0 - admitted_load(cfg, tau)
-        assert abs(gap) <= 1e-12
+        assert abs(ratio - 1.0 - load) <= 1e-12
 
     @pytest.mark.parametrize("n, m, tau", [
         (1000, 3, 0.52), (1000, 3, 0.53), (1000, 3, 0.60), (500, 7, 0.79),
@@ -409,7 +408,7 @@ class TestSolver:
             lo = lower_bound_tau(n, d)
             step = (1.0 - lo) / _COARSE_POINTS
             taus = lo + np.arange(_COARSE_POINTS) * step
-            fast = _delivery_prob_array([cfg], taus[None])[0]
+            fast = analytic._delivery_prob_row(n, m, d, taus, exact=False)
             slow = [delivery_prob(cfg, t) for t in taus.tolist()]
             first_max = max(range(_COARSE_POINTS), key=slow.__getitem__)
             assert int(np.argmax(fast)) == first_max, (n, m, d)
@@ -583,6 +582,9 @@ class TestArrayForms:
         closed = np.array([0.0, 1.0, *taus])
         k = round(i * n)
 
+        def _delivery_prob_row(cfg, x):
+            return analytic._delivery_prob_row(n, m, d, x)
+
         head, weighted, shift = analytic._head_sums_row(n - 1, m, row)
         want = [analytic._head_sums(n - 1, m, t) for t in taus]
         assert _bits(head) == _bits([w[0] for w in want])
@@ -594,7 +596,7 @@ class TestArrayForms:
         for form, scalar, args, x in (
             (analytic._window_prob_row, analytic._window_prob, None, row),
             (analytic._deadline_load_row, deadline_load, (cfg,), row),
-            (analytic._delivery_prob_row, delivery_prob, (cfg,), row),
+            (_delivery_prob_row, delivery_prob, (cfg,), row),
             (analytic._delivery_prob_derivative_row,
              delivery_prob_derivative, (cfg,), row),
             (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed),
@@ -614,14 +616,34 @@ class TestArrayForms:
                 continue
             assert _bits(got()) == _bits(want), form.__name__
 
+    def test_per_element_bit_identical_to_scalar(self):
+        # One call with a (n, m, d) per element, as the grid search's
+        # refinement makes it: m from 1 to n - 1 side by side, so that each
+        # column's terms must stop at its own m, and tau up to 1 - 2**-53,
+        # where the start (1 - tau)^(n-1) is carried scaled.
+        rng = np.random.default_rng(5)
+        elements = []
+        for n in (2, 3, 50, 200, 1000):
+            for m in sorted({1, 2, n // 2, n - 2, n - 1} & set(range(1, n))):
+                for d in (1, 7, 10**6):
+                    taus = [*rng.random(6), 1.0 - 2**-53, 1.0 - 1e-9, 0.6]
+                    elements += [(n, m, d, t) for t in taus]
+        n, m, d, tau = (np.array(column) for column in zip(*elements))
+        got = analytic._delivery_prob_row(n, m, d.astype(float), tau)
+        want = [delivery_prob(ChannelConfig(*cell[:3]), cell[3])
+                for cell in elements]
+        assert _bits(got) == _bits(want)
+        start = (1.0 - tau) ** (n - 1)
+        assert np.count_nonzero(start <= _SCALED_BELOW) > 50
+
     def test_conditional_forms_finite_past_the_underflow_edge(self):
         # The admit probability and the decoded-batch mass underflow to
         # zero here, but the quotients of the scaled sums stay finite, and
         # tier-1 turns any floating-point warning into an error.
         cfg = ChannelConfig(500, 8, 5)
         row = np.array([0.5, 0.99, 0.999])
-        assert analytic._delivery_prob_row(cfg, row)[1:].tolist() == [0.0,
-                                                                      0.0]
+        assert analytic._delivery_prob_row(500, 8, 5, row)[1:].tolist() == [
+            0.0, 0.0]
         for form in (analytic._admitted_load_row,
                      analytic._iteration_map_row,
                      analytic._success_size_ratio_row):

@@ -123,9 +123,9 @@ class TestFaultInjection:
         # where it occurred and fails the check.
         row_form = checks._delivery_prob_row
 
-        def poisoned(cfg, tau):
-            values = row_form(cfg, tau)
-            if (cfg.n_users, cfg.deadline) == (10, 5) and cfg.mpr in (2, 3):
+        def poisoned(n, m, d, tau):
+            values = row_form(n, m, d, tau)
+            if (n, d) == (10, 5) and m in (2, 3):
                 values[tau == 0.6] = math.nan
             return values
 

@@ -276,6 +276,13 @@ class TestSimulate:
         out = capsys.readouterr().out
         assert "tau        = 0.135315" in out
 
+    def test_deadline_past_int64(self, capsys):
+        assert cli.main(
+            ["simulate", "--n", "5", "--m", "2", "--d", str(10**19),
+             "--tau", "0.1", "--slots", "100"]
+        ) == 0
+        assert "empirical" in capsys.readouterr().out
+
     def test_bad_tau(self, capsys):
         assert cli.main(
             ["simulate", "--n", "10", "--m", "2", "--d", "5",

@@ -238,6 +238,23 @@ def test_run_interval_rejects_what_it_cannot_simulate(
                      slots, np.zeros(n_ages, dtype=np.int64))
 
 
+@pytest.mark.parametrize("deadline", [2**62, 10**19, 2**70])
+def test_deadline_past_int64_acts_as_no_deadline(deadline):
+    # No age passes the slots simulated plus the age carried in (307 here),
+    # so a longer deadline, beyond int64 included, must count as 308 does.
+    taus = np.array([0.0, 0.02, 0.3, 1.0])
+
+    def run(d):
+        rng = np.random.default_rng(4)
+        ages = np.array([5, 0, 7, 2], dtype=np.int64)
+        out = run_interval(rng, taus, 2, d, 300, ages, probes=(0, 1, 2))
+        probes = {c: v.tolist() for c, v in out.probe_counts.items()}
+        return (out.completed.tolist(), out.succeeded.tolist(), probes,
+                ages.tolist(), rng.bit_generator.state)
+
+    assert run(deadline) == run(308)
+
+
 def _marks(n_users, slots, density, seed, n_silent=0, n_busy=0):
     """A station-major transmission matrix with the expiry scan's sentinel
     column: cells set at `density`, then `n_silent` rows that never send
