@@ -321,17 +321,10 @@ def delivery_prob(config: ChannelConfig, tau) -> float:
 
 
 def delivery_prob_derivative(config: ChannelConfig, tau) -> float:
-    """d/dtau of delivery_prob, on the open interval (0, 1)."""
+    """d/dtau of delivery_prob, on the open interval (0, 1). No caller
+    loops on it, so it is `_delivery_prob_derivative_row` at one point."""
     t = _open_probability(tau)
-    n = config.n_users
-    d = config.deadline
-    head, weighted, shift = _head_sums(n - 1, config.mpr, t)
-    head = math.ldexp(head, shift)
-    weighted = math.ldexp(weighted, shift)
-    window = _window_prob(t, d)
-    miss = (1.0 - t) ** d
-    inner = (n - 1) - (n + d - 1) * miss
-    return (window * weighted - inner * t * head) / (t * (1.0 - t))
+    return float(_delivery_prob_derivative_row(config, np.array([t]))[0])
 
 
 def lower_bound_tau(n_users: int, deadline: int) -> float:
@@ -404,11 +397,11 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # and a scalar twin only where a caller loops on it: the solver
 # (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
 # `delivery_prob`; the grid search's lockstep refinement takes `_head_sums`
-# only where a head sum must be carried scaled), the tests' bisection
-# reference (`delivery_prob_derivative`), the paper's map (`iteration_map`,
-# about 25 times slower per call as a one-point form) and n above N_CAP
-# (`binomial_pmf`; the form's float(comb) overflows there).
-# `success_size_ratio`, which no caller loops on, is its form at one point.
+# only where a head sum must be carried scaled), the paper's map
+# (`iteration_map`, about 25 times slower per call as a one-point form) and
+# n above N_CAP (`binomial_pmf`; the form's float(comb) overflows there).
+# `success_size_ratio` and `delivery_prob_derivative`, which no caller
+# loops on, are their forms at one point.
 
 
 def _window_prob_row(tau: np.ndarray, deadline, exact=True) -> np.ndarray:
@@ -502,17 +495,16 @@ def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray,
 def _delivery_prob_derivative_row(
     config: ChannelConfig, tau: np.ndarray
 ) -> np.ndarray:
-    """`delivery_prob_derivative` at every element."""
-    n = config.n_users
-    d = config.deadline
-    head, weighted, shift = _head_sums_row(n - 1, config.mpr, tau)
-    head = np.ldexp(head, shift)
-    weighted = np.ldexp(weighted, shift)
-    window = _window_prob_row(tau, d)
-    miss = _elementwise(pow, 1.0 - tau, d)
-    inner = float(n - 1) - float(n + d - 1) * miss
-    return _quotient(window * weighted - inner * tau * head,
-                     tau * (1.0 - tau))
+    """`delivery_prob_derivative` at every element: with window W, admit
+    probability (the unclamped head sum) H and the two loads,
+
+        P' = W * H * (admitted_load - deadline_load) / (tau (1 - tau)),
+
+    so it has the sign of the gap that the solver zeros."""
+    head, weighted, shift = _head_sums_row(config.n_users - 1, config.mpr, tau)
+    gap = weighted / head - _deadline_load_row(config, tau)
+    window = _window_prob_row(tau, config.deadline)
+    return _quotient(window * np.ldexp(head, shift) * gap, tau * (1.0 - tau))
 
 
 def _iteration_map_row(config: ChannelConfig, x: np.ndarray) -> np.ndarray:

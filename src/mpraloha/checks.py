@@ -2,10 +2,11 @@
 
 Every claim the optimizer depends on is checked here on a dense parameter
 grid: bounds and endpoint values of the delivery probability, agreement of
-the closed-form derivative with finite differences, the slope bounds that
-give a unique crossing point, the moment-ratio and term-matching identities
-behind the fixed-point map, the contraction factor staying below one, and
-the solver itself against the derivative-free grid search.
+the derivative (the solver's gap, scaled) with finite differences, the
+slope bounds that give a unique crossing point, the moment-ratio and
+term-matching identities behind the fixed-point map, the contraction factor
+staying below one, and the solver itself against the derivative-free grid
+search.
 
 Strict inequalities are tested with a small outward margin because central
 finite differences carry noise of order 1e-10 and several bounds are
@@ -34,9 +35,8 @@ from .analytic import (
     _delivery_prob_row,
     _fsum_columns,
     _iteration_map_row,
+    _stationarity_gap,
     _success_size_ratio_row,
-    admitted_load,
-    deadline_load,
     delivery_prob,
     grid_search_optimum,
     lower_bound_tau,
@@ -50,17 +50,17 @@ __all__ = ["VerifyGrid", "CheckResult", "run_all", "CHECK_NAMES"]
 _FD_STEP = 1e-6
 # Outward margin on the strict slope bounds, for finite-difference noise.
 _SLOPE_MARGIN = 1e-4
-# Largest scaled error allowed between the closed-form derivative and the
-# finite difference.
+# Largest scaled error allowed between the derivative and the finite
+# difference.
 _DERIVATIVE_TOL = 1e-5
 # Largest residual allowed in the moment-ratio and term-matching identities.
 _IDENTITY_TOL = 1e-12
 
 
-def _valid_cell(where: str, n: int, m: int, d: int) -> None:
-    """Raise `ChannelConfig`'s error for (n, m, d), prefixed with `where`."""
+def _valid_cell(where: str, n: int, m: int, d: int) -> ChannelConfig:
+    """`ChannelConfig(n, m, d)`; its error is raised prefixed with `where`."""
     try:
-        ChannelConfig(n, m, d)
+        return ChannelConfig(n, m, d)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
 
@@ -239,7 +239,7 @@ def check_sdp_monotone_deadline(grid: VerifyGrid) -> CheckResult:
 
 
 def check_derivative_finite_difference(grid: VerifyGrid) -> CheckResult:
-    """Closed-form derivative against a central finite difference.
+    """The derivative, the solver's gap scaled, against a finite difference.
 
     Scaled error |analytic - fd| / (1 + |analytic|), because the derivative
     passes through zero at the optimum where relative error is meaningless.
@@ -450,8 +450,7 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
         if not report.converged:
             out = math.inf
         if m >= 2:
-            crossing = abs(admitted_load(cfg, tau) - deadline_load(cfg, tau))
-            out = max(out, crossing - 1e-9)
+            out = max(out, abs(_stationarity_gap(cfg, tau)) - 1e-9)
         violations.append(out)
     return _reduce("solver_localization", [(None, np.array(violations))],
                    lambda _, k: "n={} m={} d={}".format(*cells[k]), 0.0,

@@ -122,9 +122,9 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_sweep(args) -> int:
-    # Every cell is validated before the first is solved.
+    # Every cell is validated, and named in its error, before one is solved.
     configs = [
-        analytic.ChannelConfig(n, m, d)
+        checks._valid_cell(f"sweep cell n={n} m={m} d={d}", n, m, d)
         for n in args.n for m in args.m if m < n for d in args.d
     ]
     if not configs:
@@ -247,7 +247,8 @@ def _z_score(estimate: float, expected: float, se: float) -> float:
 # trace.csv columns: the Trace fields, then the derived `sdp`.
 _TRACE_COLUMNS = [f.name for f in dataclasses.fields(scenario.Trace)] + ["sdp"]
 
-# stages.csv columns: the StageStats fields, in order, under their own names.
+# stages.csv columns: the StageStats fields, in order; `stage`,
+# `first_interval` and `last_interval` name `number`, `first` and `last`.
 _STAGES_HEADER = [
     "stage", "first_interval", "last_interval", "active_users",
     "sdp_theory", "sdp_mean", "sdp_variance", "samples",
@@ -432,7 +433,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     try:
         return args.func(args)
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
+        # OverflowError: a deadline of 10^309 or more has no float.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -11,6 +11,11 @@ stream exactly as `run_interval` does.
 
 `grid_search_optimum` is the grid search one config at a time, which
 `analytic.grid_search_optimum` must match bit for bit on every config.
+
+`delivery_prob_derivative` is the derivative of the delivery probability
+by the product rule, in closed form. The package writes it instead as the
+solver's stationarity gap times a positive factor, so this form is an
+independent reference for both.
 """
 
 from __future__ import annotations
@@ -26,6 +31,8 @@ from mpraloha.analytic import (
     _RESCALE_BITS,
     _SCALED_BELOW,
     ChannelConfig,
+    _head_sums,
+    _window_prob,
     as_probability,
     delivery_prob,
     lower_bound_tau,
@@ -128,3 +135,20 @@ def grid_search_optimum(config: ChannelConfig) -> tuple[float, float]:
             fd = delivery_prob(config, d)
     tau = 0.5 * (a + b)
     return tau, delivery_prob(config, tau)
+
+
+def delivery_prob_derivative(config: ChannelConfig, tau: float) -> float:
+    """d/dtau of `delivery_prob` at tau in (0, 1), by the product rule:
+    with window W = 1 - (1-tau)^D and the head sums H = sum_{i<m} P(Y=i)
+    and S = sum_{i<m} i P(Y=i), Y ~ Binomial(n-1, tau),
+
+        P' = (W S - ((n-1) - (n+D-1) (1-tau)^D) tau H) / (tau (1-tau)).
+    """
+    n, d = config.n_users, config.deadline
+    head, weighted, shift = _head_sums(n - 1, config.mpr, tau)
+    head = math.ldexp(head, shift)
+    weighted = math.ldexp(weighted, shift)
+    inner = (n - 1) - (n + d - 1) * (1.0 - tau) ** d
+    return (_window_prob(tau, d) * weighted - inner * tau * head) / (
+        tau * (1.0 - tau)
+    )

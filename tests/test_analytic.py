@@ -356,9 +356,11 @@ class TestSolver:
         assert report.residual > 1e-12
 
     def test_converges_on_accepted_domain(self):
-        # Reference: 60 bisection steps on the sign of the derivative. Where
-        # P is 1 to within rounding the maximizer is not determined in
-        # double precision, so tau is compared only off those flat cells.
+        # Reference: 60 bisection steps on the sign of the closed-form
+        # derivative of `tests/reference.py`, not on the gap the solver
+        # zeros. Where P is 1 to within rounding the maximizer is not
+        # determined in double precision, so tau is compared only off
+        # those flat cells.
         for n, m, d in _accepted_domain():
             cfg = ChannelConfig(n, m, d)
             report = solve_optimal_tau(cfg)
@@ -368,7 +370,7 @@ class TestSolver:
                 hi = 1.0
                 for _ in range(60):
                     mid = 0.5 * (lo + hi)
-                    if delivery_prob_derivative(cfg, mid) > 0.0:
+                    if reference.delivery_prob_derivative(cfg, mid) > 0.0:
                         lo = mid
                     else:
                         hi = mid
@@ -497,6 +499,26 @@ class TestDerivativeAndMap:
             assert delivery_prob_derivative(cfg, tau) == pytest.approx(
                 fd, rel=1e-6, abs=1e-8
             )
+
+    def test_derivative_matches_closed_form(self):
+        # The package writes P' as the solver's gap scaled; the product
+        # rule's closed form in `tests/reference.py` must agree to 1e-10 in
+        # the check's scaled error, up to m = n - 1 and d = 10^6.
+        taus = [i / 100 for i in range(1, 100)]
+        worst = 0.0
+        for n in (2, 5, 10, 50, 200, 1000):
+            for m in sorted({1, 2, n // 2, n - 1} & set(range(1, n))):
+                for d in (1, 5, 20, 1000, 10**6):
+                    cfg = ChannelConfig(n, m, d)
+                    got = analytic._delivery_prob_derivative_row(
+                        cfg, np.array(taus))
+                    want = np.array([
+                        reference.delivery_prob_derivative(cfg, t)
+                        for t in taus
+                    ])
+                    err = np.abs(got - want) / (1.0 + np.abs(want))
+                    worst = max(worst, float(err.max()))
+        assert worst <= 1e-10
 
     def test_derivative_sign_flips_at_optimum(self):
         cfg = ChannelConfig(20, 5, 5)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mpraloha import checks
+from mpraloha import analytic, checks
 from mpraloha.analytic import solve_optimal_tau
 from mpraloha.checks import CHECK_NAMES, VerifyGrid
 
@@ -134,6 +134,20 @@ class TestFaultInjection:
         assert not result.passed
         assert math.isnan(result.worst)
         assert result.detail.endswith("= nan at n=10 m=2 d=5 tau=0.6")
+
+    def test_derivative_check_reads_the_deadline_load(self, monkeypatch):
+        # The derivative is the solver's gap, scaled: a 1e-3 relative error
+        # in the deadline load, which that gap subtracts, fails the
+        # finite-difference check.
+        load_row = analytic._deadline_load_row
+
+        def skewed(cfg, tau):
+            return load_row(cfg, tau) * (1.0 + 1e-3)
+
+        monkeypatch.setattr(analytic, "_deadline_load_row", skewed)
+        result = checks.check_derivative_finite_difference(SMALL)
+        assert not result.passed
+        assert result.worst > 100 * checks._DERIVATIVE_TOL
 
     def test_window_bound_is_the_public_function(self, monkeypatch):
         public = checks.window_bound

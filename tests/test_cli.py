@@ -72,6 +72,35 @@ class TestUsageErrors:
         assert captured.out == ""
         assert f"unrecognized arguments: {flag[0]}" in captured.err
 
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--n", "5", "--m", "1", "--d", "D"],
+        ["solve", "--n", "5", "--m", "3", "--d", "D"],
+        ["sweep", "--n", "5", "--m", "2", "--d", "D"],
+        ["simulate", "--n", "5", "--m", "2", "--d", "D", "--tau", "0.1",
+         "--slots", "100"],
+        ["verify", "--d", "1,D"],
+        ["dynamic", "--scenario", "SCENARIO"],
+    ], ids=["solve-m1", "solve-m3", "sweep", "simulate", "verify",
+            "dynamic"])
+    def test_deadline_past_float_range_exits_one(self, argv, tmp_path,
+                                                 capsys):
+        # 10^309 has no float: the run ends in one error line, not a
+        # traceback, and `dynamic` removes the --out directories it made.
+        huge = str(10**309)
+        path = tmp_path / "huge.cfg"
+        path.write_text(
+            SCENARIO.replace("deadline = 1", f"deadline = {huge}")
+        )
+        argv = [a.replace("D", huge) for a in argv]
+        if argv[0] == "dynamic":
+            argv[2] = str(path)
+            argv += ["--out", str(tmp_path / "new" / "out")]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "new").exists()
+
 
 class TestSolve:
     def test_prints_report(self, capsys):
@@ -191,7 +220,10 @@ class TestSweep:
         assert solved == []
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "n_users must be in [2, 1000], got 1001" in captured.err
+        assert captured.err == (
+            "error: sweep cell n=1001 m=2 d=1: "
+            "n_users must be in [2, 1000], got 1001\n"
+        )
 
     def test_unconverged_row_exits_two(self, tmp_path, capsys,
                                         monkeypatch):
