@@ -17,27 +17,32 @@ point of `iteration_map`, which `checks` verifies; the solver does not
 iterate it, because it contracts with a slope near 1 when mpr/n_users or the
 deadline is large. `grid_search_optimum` is a derivative-free maximizer used
 to cross-check the solver. It searches a whole list of configs at once: a
-uniform coarse scan, one numpy pass per (n_users, mpr), chooses each config's
-bracket, and a golden-section search run for all configs in lockstep refines
-them, with the values of the scalar `delivery_prob` bit for bit.
+uniform coarse scan chooses each config's bracket, and a golden-section
+search run for all configs in lockstep refines them, with the values of the
+scalar `delivery_prob` bit for bit. The scan runs one binomial recurrence
+per n_users over one row per distinct (n_users, deadline), and reads each
+config's argmax at the step equal to its mpr.
 
 The private `_*_row` functions evaluate the closed forms over a whole array
 of tau at once, with the scalar functions' values bit for bit; `checks`
 evaluates its property checks with them. `_delivery_prob_row` is the one
-array form of `delivery_prob`: the check rows, the coarse scan and the
-lockstep refinement all call it.
+array form of `delivery_prob`: the check rows and the lockstep refinement
+call it. `_head_sums_row` is the one array recurrence of the binomial head
+sums: that form, the conditional loads and the coarse scan run it.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
     "N_CAP",
+    "DEADLINE_MAX",
     "ChannelConfig",
     "SolveReport",
     "binomial_pmf",
@@ -79,6 +84,10 @@ _RESCALE = 2.0**_RESCALE_BITS
 _COARSE_POINTS = 2000
 _CHUNK_ELEMENTS = 2**16
 
+# The largest deadline: every formula takes it as a float, and a larger int
+# has none. At this limit lower_bound_tau is 3.9e-306, still a normal float.
+DEADLINE_MAX = int(sys.float_info.max)
+
 # Bracket width at which `solve_optimal_tau` stops, and its cap on gap
 # evaluations; accepted cells up to N = 1000, D = 10^15 need fewer than 70.
 _TOLERANCE = 1e-12
@@ -110,6 +119,21 @@ class ChannelConfig:
             )
         if self.deadline < 1:
             raise ValueError(f"deadline must be >= 1, got {self.deadline}")
+        if self.deadline > DEADLINE_MAX:
+            raise ValueError(
+                "deadline must be at most int(sys.float_info.max), about "
+                f"{sys.float_info.max:.4g}, got a "
+                f"{_digits(self.deadline)}-digit number"
+            )
+
+
+def _digits(value: int) -> int:
+    """Decimal digits of the positive int `value`, with no str(), which
+    refuses ints past 4300 digits."""
+    digits = max(1, (value.bit_length() - 1) * 30103 // 100000)
+    while 10**digits <= value:
+        digits += 1
+    return digits
 
 
 @dataclass(frozen=True)
@@ -222,19 +246,22 @@ def _elementwise(func, values: np.ndarray, *args) -> np.ndarray:
 
 
 def _head_sums_row(
-    n: int, m: int, tau: np.ndarray, k: int = 1, exact=True, weighted=True,
+    n: int, steps, tau: np.ndarray, k: int = 1, exact=True, weighted=True,
 ):
     """`_head_sums` at every element of `tau`, all strictly inside (0, 1),
-    with each term weighted by i^(k-1).
+    with each term weighted by i^(k-1), for every m in `steps` (ascending):
+    a generator that yields the partial sums after each of those steps.
 
-    The recurrence runs on the whole array, one step per i < m and in the
-    scalar operation order, so memory stays at a few arrays for any m.
+    The recurrence runs on the whole array, one step per i < max(steps)
+    and in the scalar operation order, so the sums after m steps are those
+    of a run that stops there, and memory stays at a few arrays for any m.
     Elements whose start underflows are carried scaled, as there; the
     others never pass 2**_RESCALE_BITS and keep a shift of 0. The starts
     (1-tau)^n and frac^n take Python's float power when `exact`, and then
     with k = 1 the sums are bit-identical to `_head_sums`; otherwise
-    numpy's. Returns (head, weighted sum, shift), the second None unless
-    `weighted`, the shift an int array, or 0 if no element is scaled.
+    numpy's. Yields (head, weighted sum, shift), the second None unless
+    `weighted`, the shift an int array, or 0 if no element is scaled. The
+    arrays are updated in place by the next step: read them before it.
     """
     complement = 1.0 - tau
     term = _elementwise(pow, complement, n) if exact else complement**n
@@ -247,23 +274,30 @@ def _head_sums_row(
         term[scaled] = _elementwise(pow, frac, n) if exact else frac**n
         shift = np.zeros(tau.shape, dtype=np.int64)
         shift[scaled] = exp2.astype(np.int64) * n
+        del frac, exp2
+    del complement, scaled
     head = np.zeros_like(tau)
     sums = np.zeros_like(tau) if weighted else None
-    for i in range(m):
-        part = term if k == 1 else i ** (k - 1) * term
-        head += part
-        if weighted:
-            sums += i * part
-        term *= ((n - i) / (i + 1)) * ratio
-        # The mask is empty unless some term passed the bound.
-        if any_scaled and term.max() > _RESCALE:
-            big = term > _RESCALE
-            term[big] /= _RESCALE
-            head[big] /= _RESCALE
+    # The steps need tau no more; a caller that drops it too frees it.
+    del tau
+    i = 0
+    for m in steps:
+        for i in range(i, m):
+            part = term if k == 1 else i ** (k - 1) * term
+            head += part
             if weighted:
-                sums[big] /= _RESCALE
-            shift[big] += _RESCALE_BITS
-    return head, sums, shift
+                sums += i * part
+            term *= ((n - i) / (i + 1)) * ratio
+            # The mask is empty unless some term passed the bound.
+            if any_scaled and term.max() > _RESCALE:
+                big = term > _RESCALE
+                term[big] /= _RESCALE
+                head[big] /= _RESCALE
+                if weighted:
+                    sums[big] /= _RESCALE
+                shift[big] += _RESCALE_BITS
+        i = m
+        yield head, sums, shift
 
 
 def _window_prob(tau: float, deadline: int) -> float:
@@ -391,10 +425,11 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # function returns at every element, bit for bit: numpy does the arithmetic
 # in the scalar operation order, and the transcendental factors come from
 # libm through `_elementwise`; only the coarse scan takes numpy's faster
-# ones, through exact=False. The forms take a valid config and tau
-# strictly inside (0, 1), which `checks.VerifyGrid` guarantees. A form
-# exists only where a caller would otherwise loop a costly scalar function,
-# and a scalar twin only where a caller loops on it: the solver
+# ones, through the exact=False of `_head_sums_row` and `_window_prob_row`.
+# The forms take a valid config and tau strictly inside (0, 1), which
+# `checks.VerifyGrid` guarantees. A form exists only where a caller would
+# otherwise loop a costly scalar function, and a scalar twin only where a
+# caller loops on it: the solver
 # (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
 # `delivery_prob`; the grid search's lockstep refinement takes `_head_sums`
 # only where a head sum must be carried scaled), the paper's map
@@ -433,7 +468,9 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
 
 def _admitted_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
     """`admitted_load` at every element."""
-    head, weighted, _ = _head_sums_row(config.n_users - 1, config.mpr, tau)
+    head, weighted, _ = next(
+        _head_sums_row(config.n_users - 1, (config.mpr,), tau)
+    )
     return weighted / head
 
 
@@ -445,15 +482,11 @@ def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
     return tau * load
 
 
-def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray,
-                       exact=True) -> np.ndarray:
-    """`delivery_prob` at every element of `tau`, all strictly inside
-    (0, 1). `n_users` and `mpr` are ints shared by every element, or int
-    arrays with one pair per element of a 1-D tau; `deadline` is an int or
-    an array that broadcasts against tau. With `exact` the start and the
-    window take libm's factors, tau must be 1-D and the values are the
-    scalar's bit for bit; otherwise numpy's, which are faster and may
-    differ by an ulp.
+def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray) -> np.ndarray:
+    """`delivery_prob` at every element of the 1-D array `tau`, all strictly
+    inside (0, 1), bit for bit. `n_users` and `mpr` are ints shared by
+    every element, or int arrays with one pair per element; `deadline` is
+    an int or an array with one value per element.
 
     Shared (n_users, mpr) run the recurrence of `_head_sums_row`, the
     faster kernel for one config over many tau. Per element, column j of a
@@ -465,14 +498,15 @@ def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray,
     `_head_sums` instead, which carries it scaled.
     """
     if not isinstance(mpr, np.ndarray):
-        head, _, shift = _head_sums_row(n_users - 1, mpr, tau, exact=exact,
-                                        weighted=False)
+        head, _, shift = next(
+            _head_sums_row(n_users - 1, (mpr,), tau, weighted=False)
+        )
         head = np.ldexp(head, shift)
     else:
         n = n_users - 1
         complement = 1.0 - tau
         terms = np.empty((int(mpr.max()), tau.size))
-        terms[0] = _elementwise(pow, complement, n) if exact else complement**n
+        terms[0] = _elementwise(pow, complement, n)
         scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
         terms[0, scaled] = 0.0
         # (n - (i - 1)) / i, in floats: every operand is an exact integer.
@@ -489,7 +523,7 @@ def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray,
             sums, _, shift = _head_sums(int(n[j]), int(mpr[j]), float(tau[j]))
             head[j] = math.ldexp(sums, shift)
     admit = np.where(head < 1.0, head, 1.0)
-    return _window_prob_row(tau, deadline, exact) * admit
+    return _window_prob_row(tau, deadline) * admit
 
 
 def _delivery_prob_derivative_row(
@@ -501,7 +535,9 @@ def _delivery_prob_derivative_row(
         P' = W * H * (admitted_load - deadline_load) / (tau (1 - tau)),
 
     so it has the sign of the gap that the solver zeros."""
-    head, weighted, shift = _head_sums_row(config.n_users - 1, config.mpr, tau)
+    head, weighted, shift = next(
+        _head_sums_row(config.n_users - 1, (config.mpr,), tau)
+    )
     gap = weighted / head - _deadline_load_row(config, tau)
     window = _window_prob_row(tau, config.deadline)
     return _quotient(window * np.ldexp(head, shift) * gap, tau * (1.0 - tau))
@@ -530,7 +566,9 @@ def _success_size_ratio_row(
     config: ChannelConfig, tau: np.ndarray
 ) -> np.ndarray:
     """`success_size_ratio` at every element."""
-    den, num, _ = _head_sums_row(config.n_users, config.mpr + 1, tau, k=2)
+    den, num, _ = next(
+        _head_sums_row(config.n_users, (config.mpr + 1,), tau, k=2)
+    )
     return num / den
 
 
@@ -656,6 +694,32 @@ def _golden_section(n_users: np.ndarray, mpr: np.ndarray,
     return tau, _delivery_prob_row(n_users, mpr, deadline, tau)
 
 
+def _coarse_scans(n_users: int, steps, lo: np.ndarray, step: np.ndarray,
+                  deadline: np.ndarray):
+    """The coarse scan of `grid_search_optimum` for one n_users, whose row
+    r holds `delivery_prob` at the _COARSE_POINTS points lo[r] + k step[r]
+    with deadline[r]. A generator: for each mpr m in `steps` (ascending) it
+    yields (m, rows), read from one head-sum recurrence. The rows are one
+    array, overwritten for the next m.
+
+    The scan only chooses brackets, so it takes numpy's power, log1p and
+    expm1: on the 643 cells of the `analytic` benchmark libm's move no
+    argmax but take a 2000-point scan from 0.17 to 0.80 ms. n_users stays
+    one int for all rows, so numpy's power takes one row's path.
+    """
+    taus = lo[:, None] + np.arange(_COARSE_POINTS) * step[:, None]
+    window = _window_prob_row(taus, deadline[:, None], exact=False)
+    heads = _head_sums_row(n_users - 1, steps, taus, exact=False,
+                           weighted=False)
+    del taus
+    scan = None
+    for m, (head, _, shift) in zip(steps, heads):
+        scan = np.ldexp(head, shift, out=scan)
+        np.minimum(scan, 1.0, out=scan)
+        scan *= window
+        yield m, scan
+
+
 def grid_search_optimum(configs) -> list[tuple[float, float]]:
     """Derivative-free maximizer of `delivery_prob`, for cross-checking.
 
@@ -667,8 +731,10 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     values are the scalar `delivery_prob`'s, bit for bit.
 
     All configs are searched at once, in chunks of at most _CHUNK_ELEMENTS
-    matrix elements: the scan in one 2-D pass per (n_users, mpr), one row
-    per config, and the refinement in lockstep over the configs (see
+    matrix elements: the scan per n_users, with one row per distinct
+    deadline and one head-sum recurrence up to the largest mpr, whose
+    partial sum after m steps scores the configs of mpr m (see
+    `_coarse_scans`), and the refinement in lockstep over the configs (see
     `_golden_section`). Each config's result is what a call with that
     config alone returns.
     """
@@ -679,21 +745,31 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     lo = np.array([lower_bound_tau(c.n_users, c.deadline) for c in configs])
     step = (1.0 - lo) / _COARSE_POINTS
     best = np.zeros(len(configs), dtype=np.int64)
-    groups: dict[tuple[int, int], list[int]] = {}
+    # The scan's points, start, ratio and window depend on (n_users,
+    # deadline) only, and the head sum for mpr m is the recurrence's sum
+    # after m steps: one row per distinct deadline of an n_users, and one
+    # recurrence per chunk of rows, read at each mpr that a config asks.
+    groups: dict[int, dict[int, list[int]]] = {}
     for j, config in enumerate(configs):
-        groups.setdefault((config.n_users, config.mpr), []).append(j)
+        by_deadline = groups.setdefault(config.n_users, {})
+        by_deadline.setdefault(config.deadline, []).append(j)
     rows = max(1, _CHUNK_ELEMENTS // _COARSE_POINTS)
-    points = np.arange(_COARSE_POINTS)
-    # numpy's factors: on the 643 cells of the `analytic` benchmark libm's
-    # move no argmax but take a 2000-point scan from 0.17 to 0.80 ms. n
-    # stays one int for all rows, so numpy's power takes one row's path.
-    for (n, m), members in groups.items():
+    for n, by_deadline in groups.items():
+        members = list(by_deadline.values())
         for start in range(0, len(members), rows):
             part = members[start:start + rows]
-            taus = lo[part, None] + points * step[part, None]
-            scan = _delivery_prob_row(n, m, deadline[part, None], taus,
-                                      exact=False)
-            best[part] = np.argmax(scan, axis=1)
+            first = [cells[0] for cells in part]
+            # (row, config) pairs by mpr, in a dict: numpy's unique would
+            # cost 1.6 MB of resident pages on its first use.
+            reads: dict[int, list[tuple[int, int]]] = {}
+            for r, cells in enumerate(part):
+                for j in cells:
+                    reads.setdefault(configs[j].mpr, []).append((r, j))
+            for m, scan in _coarse_scans(n, sorted(reads), lo[first],
+                                         step[first], deadline[first]):
+                top = np.argmax(scan, axis=1).tolist()
+                for r, j in reads[m]:
+                    best[j] = top[r]
     # The objective is unimodal on (0, 1), so the bracket holds the maximum.
     a = np.where(best > 0, lo + (best - 1) * step, lo)
     b = np.minimum(lo + (best + 1) * step, 1.0)

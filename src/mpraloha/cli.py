@@ -434,7 +434,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (ValueError, OverflowError) as exc:
-        # OverflowError: a deadline of 10^309 or more has no float.
+        # OverflowError: an int with no float that no validator caught.
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

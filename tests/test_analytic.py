@@ -58,6 +58,26 @@ class TestValidation:
         with pytest.raises(ValueError):
             ChannelConfig(10, 2, 0)
 
+    def test_config_deadline_limit_is_the_float_range(self):
+        # At the limit every formula still has a float deadline and a
+        # normal lower bound, and the M = 1 closed form converges.
+        limit = int(sys.float_info.max)
+        assert analytic.DEADLINE_MAX == limit
+        for n in (2, 1000):
+            lo = lower_bound_tau(n, limit)
+            assert lo >= sys.float_info.min
+            report = solve_optimal_tau(ChannelConfig(n, 1, limit))
+            assert report.converged and report.tau_opt == lo
+        # One past it is rejected by name, with the digit count and not
+        # the value; so is a value past str()'s 4300 digits.
+        for deadline, digits in ((limit + 1, 309), (10**5000, 5001)):
+            with pytest.raises(ValueError) as info:
+                ChannelConfig(5, 1, deadline)
+            message = str(info.value)
+            assert message.startswith("deadline must be at most "
+                                      "int(sys.float_info.max)")
+            assert message.endswith(f"got a {digits}-digit number")
+
     def test_probability_range(self):
         with pytest.raises(ValueError):
             as_probability(-0.1)
@@ -398,29 +418,45 @@ class TestSolver:
         assert oracle_tau == pytest.approx(0.1, abs=1e-8)
 
     def test_array_scan_matches_scalar_scan(self):
-        # grid_search_optimum's coarse scan evaluates its points in one
-        # numpy pass. It must pick the first maximum of the scalar loop and
-        # refine next to it; the values may differ by the ulps of numpy's
-        # power, log1p and expm1. At (1000, 999, d) the start
-        # (1 - tau)^(n-1) of the points near tau = 1 is below
-        # _SCALED_BELOW, so those run scaled and rescale.
+        # grid_search_optimum's coarse scan evaluates the points of every
+        # (m, d) of one n from one numpy recurrence (`_coarse_scans`). It
+        # must pick the first maximum of the scalar loop and refine next to
+        # it; the values may differ by the ulps of numpy's power, log1p and
+        # expm1. At (1000, 999, d) the start (1 - tau)^(n-1) of the points
+        # near tau = 1 is below _SCALED_BELOW, so those run scaled and
+        # rescale.
         scaled = 0
+        by_n = {}
         for n, m, d in _accepted_domain():
-            cfg = ChannelConfig(n, m, d)
-            lo = lower_bound_tau(n, d)
-            step = (1.0 - lo) / _COARSE_POINTS
-            taus = lo + np.arange(_COARSE_POINTS) * step
-            fast = analytic._delivery_prob_row(n, m, d, taus, exact=False)
-            slow = [delivery_prob(cfg, t) for t in taus.tolist()]
-            first_max = max(range(_COARSE_POINTS), key=slow.__getitem__)
-            assert int(np.argmax(fast)) == first_max, (n, m, d)
-            tau, _ = grid_search_optimum([cfg])[0]
-            assert lo + (first_max - 1) * step <= tau, (n, m, d)
-            assert tau <= lo + (first_max + 1) * step, (n, m, d)
-            np.testing.assert_allclose(fast, slow, rtol=1e-14, atol=0.0,
-                                       err_msg=str((n, m, d)))
-            start = (1.0 - taus) ** (n - 1)
-            scaled += int(np.count_nonzero(start <= _SCALED_BELOW))
+            by_n.setdefault(n, []).append((m, d))
+        for n, cells in by_n.items():
+            steps = sorted({m for m, _ in cells})
+            deadlines = sorted({d for _, d in cells})
+            row_lo = np.array([lower_bound_tau(n, d) for d in deadlines])
+            scans = analytic._coarse_scans(
+                n, steps, row_lo, (1.0 - row_lo) / _COARSE_POINTS,
+                np.array(deadlines, dtype=float),
+            )
+            for m, rows in scans:
+                for d, fast in zip(deadlines, rows):
+                    if (m, d) not in cells:
+                        continue
+                    cfg = ChannelConfig(n, m, d)
+                    lo = lower_bound_tau(n, d)
+                    step = (1.0 - lo) / _COARSE_POINTS
+                    taus = lo + np.arange(_COARSE_POINTS) * step
+                    slow = [delivery_prob(cfg, t) for t in taus.tolist()]
+                    first_max = max(range(_COARSE_POINTS),
+                                    key=slow.__getitem__)
+                    assert int(np.argmax(fast)) == first_max, (n, m, d)
+                    tau, _ = grid_search_optimum([cfg])[0]
+                    assert lo + (first_max - 1) * step <= tau, (n, m, d)
+                    assert tau <= lo + (first_max + 1) * step, (n, m, d)
+                    np.testing.assert_allclose(fast, slow, rtol=1e-14,
+                                               atol=0.0,
+                                               err_msg=str((n, m, d)))
+                    start = (1.0 - taus) ** (n - 1)
+                    scaled += int(np.count_nonzero(start <= _SCALED_BELOW))
         assert scaled > 0
 
 
@@ -431,6 +467,18 @@ def _cells():
     return n.flatmap(
         lambda n: st.tuples(st.just(n), st.integers(1, n - 1), d)
     )
+
+
+_N200_SWEEP_ROW = [(200, m, d)
+                   for m in (1, 2, 5, 9, 20, 25, 45, 49, 100, 180, 199)
+                   for d in (1, 5, 20, 100, 1000)]
+_N1000_SHUFFLED = [
+    (1000, 998, 20), (1000, 1, 10**15), (1000, 999, 1), (1000, 500, 20),
+    (1000, 2, 1), (1000, 999, 10**15), (1000, 1, 20), (1000, 998, 20),
+    (1000, 500, 10**15), (1000, 2, 20), (1000, 999, 20), (1000, 1, 1),
+    (1000, 998, 10**15), (1000, 2, 10**15), (1000, 500, 1), (1000, 1, 1),
+    (1000, 998, 1),
+]
 
 
 class TestGridSearchBatch:
@@ -444,7 +492,16 @@ class TestGridSearchBatch:
     # n = 2 and 3 hit numpy's power fast paths for exponents 1 and 2;
     # (1000, 999, d) scans scaled points and (200, 199, 1) also refines
     # some; budgets of 1 and 4000 elements put chunk boundaries between
-    # and inside the groups of cells.
+    # and inside the groups of cells. The scan runs one recurrence for all
+    # the mpr of an n and reads each at its own step: the workload sweep's
+    # n = 200 row, and n = 1000 in shuffled order with duplicates, where
+    # scaled starts and rescales fall between the steps that are read;
+    # budgets of 4000 and 1 split one n's deadline rows across chunks.
+    @example(cells=_N200_SWEEP_ROW, budget=2**16)
+    @example(cells=_N200_SWEEP_ROW, budget=4000)
+    @example(cells=_N1000_SHUFFLED, budget=2**16)
+    @example(cells=_N1000_SHUFFLED, budget=4000)
+    @example(cells=_N1000_SHUFFLED, budget=1)
     @example(cells=[(2, 1, 1), (3, 2, 1), (2, 1, 10**15), (3, 2, 10**15)],
              budget=2**16)
     @example(cells=[(1000, 999, 1), (1000, 999, 10**15), (200, 199, 1)],
@@ -467,12 +524,7 @@ class TestGridSearchBatch:
         assert grid_search_optimum([]) == []
 
     def test_memory_does_not_grow_with_cells(self):
-        # Four cells at mpr = 400 give the refinement a tall matrix, and
-        # one (n, mpr) group takes all the other cells: searched whole,
-        # 2000 cells would peak about 150 times higher than 16.
-        def peak(n_small):
-            configs = [ChannelConfig(1000, 400, d) for d in range(1, 5)]
-            configs += [ChannelConfig(50, 2, d) for d in range(1, n_small)]
+        def peak(configs):
             tracemalloc.start()
             try:
                 grid_search_optimum(configs)
@@ -480,7 +532,21 @@ class TestGridSearchBatch:
             finally:
                 tracemalloc.stop()
 
-        assert peak(1997) < 4 * peak(13)
+        # Four cells at mpr = 400 give the refinement a tall matrix, and
+        # n = 50 takes all the other cells, one scan row per deadline:
+        # searched whole, 2000 cells would peak about 150 times higher than
+        # 16.
+        def cells(n_small):
+            return ([ChannelConfig(1000, 400, d) for d in range(1, 5)]
+                    + [ChannelConfig(50, 2, d) for d in range(1, n_small)])
+
+        assert peak(cells(1997)) < 4 * peak(cells(13))
+        # One (n, d) row read at 399 mpr values against one mpr read 399
+        # times: the refinement is alike, and a copy of the scan row kept
+        # per mpr would add 399 * 16 kB.
+        assert peak([ChannelConfig(1000, m, 20) for m in range(1, 400)]) < (
+            2 * peak([ChannelConfig(1000, 399, 20)] * 399)
+        )
 
 
 class TestDerivativeAndMap:
@@ -607,13 +673,18 @@ class TestArrayForms:
         def _delivery_prob_row(cfg, x):
             return analytic._delivery_prob_row(n, m, d, x)
 
-        head, weighted, shift = analytic._head_sums_row(n - 1, m, row)
-        want = [analytic._head_sums(n - 1, m, t) for t in taus]
-        assert _bits(head) == _bits([w[0] for w in want])
-        assert _bits(weighted) == _bits([w[1] for w in want])
-        assert (np.zeros(row.size, dtype=int) + shift).tolist() == [
-            w[2] for w in want
-        ]
+        # The sums after each requested step are those of a run that
+        # stops there.
+        steps = sorted({1, (m + 1) // 2, m})
+        for step, (head, weighted, shift) in zip(
+            steps, analytic._head_sums_row(n - 1, steps, row)
+        ):
+            want = [analytic._head_sums(n - 1, step, t) for t in taus]
+            assert _bits(head) == _bits([w[0] for w in want]), step
+            assert _bits(weighted) == _bits([w[1] for w in want]), step
+            assert (np.zeros(row.size, dtype=int) + shift).tolist() == [
+                w[2] for w in want
+            ], step
         # (array form, scalar function, leading arguments, taus)
         for form, scalar, args, x in (
             (analytic._window_prob_row, analytic._window_prob, None, row),

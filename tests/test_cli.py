@@ -101,6 +101,23 @@ class TestUsageErrors:
         assert err.count("\n") == 1
         assert not (tmp_path / "new").exists()
 
+    def test_deadline_past_float_range_is_rejected_up_front(self):
+        # The message names the field and the limit, and counts the digits
+        # of the 310-digit value instead of echoing it.
+        src = pathlib.Path(__file__).parents[1] / "src"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mpraloha.cli", "solve", "--n", "5",
+             "--m", "1", "--d", str(10**309)],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr == (
+            "error: deadline must be at most int(sys.float_info.max), "
+            "about 1.798e+308, got a 310-digit number\n"
+        )
+
 
 class TestSolve:
     def test_prints_report(self, capsys):
