@@ -23,12 +23,14 @@ scalar `delivery_prob` bit for bit. The scan runs one binomial recurrence
 per n_users over one row per distinct (n_users, deadline), and reads each
 config's argmax at the step equal to its mpr.
 
-The private `_*_row` functions evaluate the closed forms over a whole array
-of tau at once, with the scalar functions' values bit for bit; `checks`
-evaluates its property checks with them. `_delivery_prob_row` is the one
-array form of `delivery_prob`: the check rows and the lockstep refinement
-call it. `_head_sums_row` is the one array recurrence of the binomial head
-sums: that form, the conditional loads and the coarse scan run it.
+The private `_*_row` and `_*_rows` functions evaluate the closed forms over
+a whole array of tau at once, with the scalar functions' values bit for
+bit; `checks` evaluates its property checks with them. `delivery_prob` has
+two array forms, one per kernel: `_delivery_prob_rows`, one n_users over
+many tau, for the check rows, and `_delivery_prob_row`, one config per
+element, for the lockstep refinement. `_head_sums_row` is the one array
+recurrence of the binomial head sums: the `_*_rows` forms and the coarse
+scan run it once per n_users and read it at each mpr.
 """
 
 from __future__ import annotations
@@ -122,9 +124,17 @@ class ChannelConfig:
         if self.deadline > DEADLINE_MAX:
             raise ValueError(
                 "deadline must be at most int(sys.float_info.max), about "
-                f"{sys.float_info.max:.4g}, got a "
-                f"{_digits(self.deadline)}-digit number"
+                f"{sys.float_info.max:.4g}, "
+                f"got {_deadline_text(self.deadline)}"
             )
+
+
+def _deadline_text(deadline: int) -> str:
+    """`deadline` in decimal, or "a 310-digit number" past DEADLINE_MAX,
+    where the value would run to hundreds of digits."""
+    if deadline > DEADLINE_MAX:
+        return f"a {_digits(deadline)}-digit number"
+    return str(deadline)
 
 
 def _digits(value: int) -> int:
@@ -249,12 +259,13 @@ def _head_sums_row(
     n: int, steps, tau: np.ndarray, k: int = 1, exact=True, weighted=True,
 ):
     """`_head_sums` at every element of `tau`, all strictly inside (0, 1),
-    with each term weighted by i^(k-1), for every m in `steps` (ascending):
-    a generator that yields the partial sums after each of those steps.
+    with each term weighted by i^(k-1), for every m in `steps`: a generator
+    that yields the partial sums after each of those steps, in their order.
 
     The recurrence runs on the whole array, one step per i < max(steps)
     and in the scalar operation order, so the sums after m steps are those
     of a run that stops there, and memory stays at a few arrays for any m.
+    A step below the one before it starts a new recurrence.
     Elements whose start underflows are carried scaled, as there; the
     others never pass 2**_RESCALE_BITS and keep a shift of 0. The starts
     (1-tau)^n and frac^n take Python's float power when `exact`, and then
@@ -263,6 +274,12 @@ def _head_sums_row(
     `weighted`, the shift an int array, or 0 if no element is scaled. The
     arrays are updated in place by the next step: read them before it.
     """
+    steps = list(steps)
+    for j in range(1, len(steps)):
+        if steps[j] < steps[j - 1]:
+            yield from _head_sums_row(n, steps[:j], tau, k, exact, weighted)
+            yield from _head_sums_row(n, steps[j:], tau, k, exact, weighted)
+            return
     complement = 1.0 - tau
     term = _elementwise(pow, complement, n) if exact else complement**n
     ratio = tau / complement
@@ -356,9 +373,12 @@ def delivery_prob(config: ChannelConfig, tau) -> float:
 
 def delivery_prob_derivative(config: ChannelConfig, tau) -> float:
     """d/dtau of delivery_prob, on the open interval (0, 1). No caller
-    loops on it, so it is `_delivery_prob_derivative_row` at one point."""
-    t = _open_probability(tau)
-    return float(_delivery_prob_derivative_row(config, np.array([t]))[0])
+    loops on it, so it is `_delivery_prob_derivative_rows` at one point."""
+    t = np.array([_open_probability(tau)])
+    rows = _delivery_prob_derivative_rows(
+        config.n_users, (config.mpr,), (config.deadline,), t
+    )
+    return float(next(rows)[0])
 
 
 def lower_bound_tau(n_users: int, deadline: int) -> float:
@@ -385,10 +405,11 @@ def success_size_ratio(config: ChannelConfig, tau) -> float:
     Over all n_users stations, sum i^2 * P(X = i) / sum i * P(X = i) with the
     sums truncated at mpr. Exceeds the conditional interferer mean by exactly
     one, which the identity checks pin down. No caller loops on it, so it is
-    `_success_size_ratio_row` evaluated at one point.
+    `_success_size_ratio_rows` evaluated at one point.
     """
-    t = _open_probability(tau)
-    return float(_success_size_ratio_row(config, np.array([t]))[0])
+    t = np.array([_open_probability(tau)])
+    rows = _success_size_ratio_rows(config.n_users, (config.mpr,), t)
+    return float(next(rows)[0])
 
 
 def window_bound(deadline: int, x) -> float:
@@ -426,10 +447,13 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # in the scalar operation order, and the transcendental factors come from
 # libm through `_elementwise`; only the coarse scan takes numpy's faster
 # ones, through the exact=False of `_head_sums_row` and `_window_prob_row`.
-# The forms take a valid config and tau strictly inside (0, 1), which
-# `checks.VerifyGrid` guarantees. A form exists only where a caller would
-# otherwise loop a costly scalar function, and a scalar twin only where a
-# caller loops on it: the solver
+# The forms take valid parameters and tau strictly inside (0, 1), which
+# `checks.VerifyGrid` guarantees. The `_*_rows` forms serve one n_users:
+# generators that yield one row for each mpr of `mprs`, or for each
+# (mpr, deadline) of mprs x deadlines with mpr major, from one head-sum
+# recurrence read at each mpr and one window per deadline. A form exists
+# only where a caller would otherwise loop a costly scalar function, and a
+# scalar twin only where a caller loops on it: the solver
 # (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
 # `delivery_prob`; the grid search's lockstep refinement takes `_head_sums`
 # only where a head sum must be carried scaled), the paper's map
@@ -466,87 +490,95 @@ def _quotient(num: np.ndarray, den: np.ndarray) -> np.ndarray:
         return num / den
 
 
-def _admitted_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
-    """`admitted_load` at every element."""
-    head, weighted, _ = next(
-        _head_sums_row(config.n_users - 1, (config.mpr,), tau)
-    )
-    return weighted / head
-
-
-def _deadline_load_row(config: ChannelConfig, tau: np.ndarray) -> np.ndarray:
-    """`deadline_load` at every element."""
-    d = config.deadline
-    window = _window_prob_row(tau, d)
-    load = float(config.n_users + d - 1) - _quotient(float(d), window)
+def _deadline_load_row(n_users: int, deadline: int, tau: np.ndarray,
+                       window: np.ndarray) -> np.ndarray:
+    """`deadline_load` at every element, given its window
+    `_window_prob_row(tau, deadline)`."""
+    load = float(n_users + deadline - 1) - _quotient(float(deadline), window)
     return tau * load
 
 
 def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray) -> np.ndarray:
     """`delivery_prob` at every element of the 1-D array `tau`, all strictly
-    inside (0, 1), bit for bit. `n_users` and `mpr` are ints shared by
-    every element, or int arrays with one pair per element; `deadline` is
-    an int or an array with one value per element.
+    inside (0, 1), bit for bit, with one config per element: `n_users` and
+    `mpr` are int arrays and `deadline` a float array, one value each.
 
-    Shared (n_users, mpr) run the recurrence of `_head_sums_row`, the
-    faster kernel for one config over many tau. Per element, column j of a
-    matrix holds the terms of element j's head sum: row 0 is the start
-    (1-tau)^(n-1), row i the recurrence factor ((n-i)/i) * tau/(1-tau) and
-    row mpr 0, so that every later term is an exact zero. Sequential
-    products and sums down the columns give the scalar terms and head. An
-    element whose start is at most _SCALED_BELOW takes its head from
-    `_head_sums` instead, which carries it scaled.
+    Column j of a matrix holds the terms of element j's head sum: row 0 is
+    the start (1-tau)^(n-1), row i the recurrence factor ((n-i)/i) *
+    tau/(1-tau) and row mpr 0, so that every later term is an exact zero.
+    Sequential products and sums down the columns give the scalar terms and
+    head. An element whose start is at most _SCALED_BELOW takes its head
+    from `_head_sums` instead, which carries it scaled. For one n_users
+    over many tau, `_delivery_prob_rows` is the faster kernel.
     """
-    if not isinstance(mpr, np.ndarray):
-        head, _, shift = next(
-            _head_sums_row(n_users - 1, (mpr,), tau, weighted=False)
-        )
-        head = np.ldexp(head, shift)
-    else:
-        n = n_users - 1
-        complement = 1.0 - tau
-        terms = np.empty((int(mpr.max()), tau.size))
-        terms[0] = _elementwise(pow, complement, n)
-        scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
-        terms[0, scaled] = 0.0
-        # (n - (i - 1)) / i, in floats: every operand is an exact integer.
-        i = np.arange(1.0, terms.shape[0])[:, None]
-        np.subtract(n, i - 1.0, out=terms[1:])
-        terms[1:] /= i
-        terms[1:] *= tau / complement
-        short = np.flatnonzero(mpr < terms.shape[0])
-        terms[mpr[short], short] = 0.0
-        # In place: the products, then their running sums, down each column.
-        np.multiply.accumulate(terms, out=terms)
-        head = np.add.accumulate(terms, out=terms)[-1]
-        for j in scaled.tolist():
-            sums, _, shift = _head_sums(int(n[j]), int(mpr[j]), float(tau[j]))
-            head[j] = math.ldexp(sums, shift)
+    n = n_users - 1
+    complement = 1.0 - tau
+    terms = np.empty((int(mpr.max()), tau.size))
+    terms[0] = _elementwise(pow, complement, n)
+    scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
+    terms[0, scaled] = 0.0
+    # (n - (i - 1)) / i, in floats: every operand is an exact integer.
+    i = np.arange(1.0, terms.shape[0])[:, None]
+    np.subtract(n, i - 1.0, out=terms[1:])
+    terms[1:] /= i
+    terms[1:] *= tau / complement
+    short = np.flatnonzero(mpr < terms.shape[0])
+    terms[mpr[short], short] = 0.0
+    # In place: the products, then their running sums, down each column.
+    np.multiply.accumulate(terms, out=terms)
+    head = np.add.accumulate(terms, out=terms)[-1]
+    for j in scaled.tolist():
+        sums, _, shift = _head_sums(int(n[j]), int(mpr[j]), float(tau[j]))
+        head[j] = math.ldexp(sums, shift)
     admit = np.where(head < 1.0, head, 1.0)
     return _window_prob_row(tau, deadline) * admit
 
 
-def _delivery_prob_derivative_row(
-    config: ChannelConfig, tau: np.ndarray
-) -> np.ndarray:
-    """`delivery_prob_derivative` at every element: with window W, admit
-    probability (the unclamped head sum) H and the two loads,
+def _delivery_prob_rows(n_users: int, mprs, deadlines, tau: np.ndarray):
+    """`delivery_prob` at every element, for each (mpr, deadline)."""
+    windows = [_window_prob_row(tau, d) for d in deadlines]
+    for head, _, shift in _head_sums_row(n_users - 1, mprs, tau,
+                                         weighted=False):
+        head = np.ldexp(head, shift)
+        admit = np.where(head < 1.0, head, 1.0)
+        for window in windows:
+            yield window * admit
+
+
+def _admitted_load_rows(n_users: int, mprs, tau: np.ndarray):
+    """`admitted_load` at every element, for each mpr."""
+    for head, weighted, _ in _head_sums_row(n_users - 1, mprs, tau):
+        yield weighted / head
+
+
+def _delivery_prob_derivative_rows(n_users: int, mprs, deadlines,
+                                   tau: np.ndarray):
+    """`delivery_prob_derivative` at every element, for each (mpr,
+    deadline): with window W, admit probability (the unclamped head sum) H
+    and the two loads,
 
         P' = W * H * (admitted_load - deadline_load) / (tau (1 - tau)),
 
     so it has the sign of the gap that the solver zeros."""
-    head, weighted, shift = next(
-        _head_sums_row(config.n_users - 1, (config.mpr,), tau)
-    )
-    gap = weighted / head - _deadline_load_row(config, tau)
-    window = _window_prob_row(tau, config.deadline)
-    return _quotient(window * np.ldexp(head, shift) * gap, tau * (1.0 - tau))
+    windows = [_window_prob_row(tau, d) for d in deadlines]
+    loads = [_deadline_load_row(n_users, d, tau, window)
+             for d, window in zip(deadlines, windows)]
+    spread = tau * (1.0 - tau)
+    for head, weighted, shift in _head_sums_row(n_users - 1, mprs, tau):
+        admitted = weighted / head
+        head = np.ldexp(head, shift)
+        for window, load in zip(windows, loads):
+            yield _quotient(window * head * (admitted - load), spread)
 
 
-def _iteration_map_row(config: ChannelConfig, x: np.ndarray) -> np.ndarray:
-    """`iteration_map` at every element."""
-    load = _admitted_load_row(config, x)
-    return _quotient(x * (load + 1.0), _deadline_load_row(config, x) + 1.0)
+def _iteration_map_rows(n_users: int, mprs, deadlines, x: np.ndarray):
+    """`iteration_map` at every element, for each (mpr, deadline)."""
+    loads = [_deadline_load_row(n_users, d, x, _window_prob_row(x, d)) + 1.0
+             for d in deadlines]
+    for admitted in _admitted_load_rows(n_users, mprs, x):
+        lifted = x * (admitted + 1.0)
+        for load in loads:
+            yield _quotient(lifted, load)
 
 
 def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:
@@ -562,14 +594,11 @@ def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
                        count=rows[0].size)
 
 
-def _success_size_ratio_row(
-    config: ChannelConfig, tau: np.ndarray
-) -> np.ndarray:
-    """`success_size_ratio` at every element."""
-    den, num, _ = next(
-        _head_sums_row(config.n_users, (config.mpr + 1,), tau, k=2)
-    )
-    return num / den
+def _success_size_ratio_rows(n_users: int, mprs, tau: np.ndarray):
+    """`success_size_ratio` at every element, for each mpr."""
+    steps = [m + 1 for m in mprs]
+    for den, num, _ in _head_sums_row(n_users, steps, tau, k=2):
+        yield num / den
 
 
 def _stationarity_gap(config: ChannelConfig, x: float) -> float:

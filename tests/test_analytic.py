@@ -1,3 +1,4 @@
+import itertools
 import math
 import sys
 import tracemalloc
@@ -270,7 +271,8 @@ class TestConditionalOracle:
         exact_load = _exact_quotient(n - 1, 0, m, tau, 1)
         for got, want in (
             (load, exact_load),
-            (analytic._admitted_load_row(cfg, np.array([tau]))[0], exact_load),
+            (next(analytic._admitted_load_rows(n, (m,), np.array([tau])))[0],
+             exact_load),
             (ratio, _exact_quotient(n, 1, m + 1, tau, 2)),
         ):
             assert abs(Fraction(float(got)) - want) <= want * 1e-15, (
@@ -571,19 +573,19 @@ class TestDerivativeAndMap:
         # rule's closed form in `tests/reference.py` must agree to 1e-10 in
         # the check's scaled error, up to m = n - 1 and d = 10^6.
         taus = [i / 100 for i in range(1, 100)]
+        deadlines = (1, 5, 20, 1000, 10**6)
         worst = 0.0
         for n in (2, 5, 10, 50, 200, 1000):
-            for m in sorted({1, 2, n // 2, n - 1} & set(range(1, n))):
-                for d in (1, 5, 20, 1000, 10**6):
-                    cfg = ChannelConfig(n, m, d)
-                    got = analytic._delivery_prob_derivative_row(
-                        cfg, np.array(taus))
-                    want = np.array([
-                        reference.delivery_prob_derivative(cfg, t)
-                        for t in taus
-                    ])
-                    err = np.abs(got - want) / (1.0 + np.abs(want))
-                    worst = max(worst, float(err.max()))
+            mprs = sorted({1, 2, n // 2, n - 1} & set(range(1, n)))
+            rows = analytic._delivery_prob_derivative_rows(
+                n, mprs, deadlines, np.array(taus))
+            for (m, d), got in zip(itertools.product(mprs, deadlines), rows):
+                cfg = ChannelConfig(n, m, d)
+                want = np.array([
+                    reference.delivery_prob_derivative(cfg, t) for t in taus
+                ])
+                err = np.abs(got - want) / (1.0 + np.abs(want))
+                worst = max(worst, float(err.max()))
         assert worst <= 1e-10
 
     def test_derivative_sign_flips_at_optimum(self):
@@ -650,6 +652,17 @@ _TAUS = st.lists(
 )
 
 
+def _generated_rows(form, *args) -> list:
+    """The rows that the generator `form(*args)` yields, and then None if it
+    raised ZeroDivisionError."""
+    rows = []
+    try:
+        rows.extend(form(*args))
+    except ZeroDivisionError:
+        rows.append(None)
+    return rows
+
+
 class TestArrayForms:
     """The array forms that `checks` evaluates a tau row with are the scalar
     closed forms bit for bit."""
@@ -670,12 +683,10 @@ class TestArrayForms:
         closed = np.array([0.0, 1.0, *taus])
         k = round(i * n)
 
-        def _delivery_prob_row(cfg, x):
-            return analytic._delivery_prob_row(n, m, d, x)
-
         # The sums after each requested step are those of a run that
-        # stops there.
-        steps = sorted({1, (m + 1) // 2, m})
+        # stops there, in any order: a step below the one before it
+        # starts a new recurrence.
+        steps = [m, 1, (m + 1) // 2, m]
         for step, (head, weighted, shift) in zip(
             steps, analytic._head_sums_row(n - 1, steps, row)
         ):
@@ -685,29 +696,43 @@ class TestArrayForms:
             assert (np.zeros(row.size, dtype=int) + shift).tolist() == [
                 w[2] for w in want
             ], step
-        # (array form, scalar function, leading arguments, taus)
-        for form, scalar, args, x in (
-            (analytic._window_prob_row, analytic._window_prob, None, row),
-            (analytic._deadline_load_row, deadline_load, (cfg,), row),
-            (_delivery_prob_row, delivery_prob, (cfg,), row),
-            (analytic._delivery_prob_derivative_row,
-             delivery_prob_derivative, (cfg,), row),
-            (analytic._binomial_pmf_row, binomial_pmf, (n, k), closed),
-            (analytic._admitted_load_row, admitted_load, (cfg,), row),
-            (analytic._iteration_map_row, iteration_map, (cfg,), row),
+        window = analytic._window_prob_row(row, d)
+        assert _bits(window) == _bits([analytic._window_prob(t, d)
+                                       for t in taus])
+        assert _bits(analytic._binomial_pmf_row(n, k, closed)) == _bits(
+            [binomial_pmf(n, k, t) for t in closed])
+        want = _scalar_row(deadline_load, (cfg,), taus)
+        if want is None:
+            with pytest.raises(ZeroDivisionError):
+                analytic._deadline_load_row(n, d, row, window)
+        else:
+            assert _bits(analytic._deadline_load_row(n, d, row, window)) == (
+                _bits(want))
+        # The forms of one n_users yield a row for each m, or for each
+        # (m, d) with m major, from one recurrence read at each m.
+        mprs, deadlines = (m, 1), (d, 1)
+        by_cell = list(itertools.product(mprs, deadlines))
+        for form, scalar, args, cells in (
+            (analytic._delivery_prob_rows, delivery_prob,
+             (mprs, deadlines), by_cell),
+            (analytic._delivery_prob_derivative_rows,
+             delivery_prob_derivative, (mprs, deadlines), by_cell),
+            (analytic._iteration_map_rows, iteration_map,
+             (mprs, deadlines), by_cell),
+            (analytic._admitted_load_rows, admitted_load, (mprs,),
+             [(s, d) for s in mprs]),
+            (analytic._success_size_ratio_rows, success_size_ratio,
+             (mprs,), [(s, d) for s in mprs]),
         ):
-            if args is None:
-                # `_window_prob` takes the deadline after tau.
-                want = _scalar_row(lambda t: scalar(t, d), (), x.tolist())
-                got = lambda: form(x, d)
-            else:
-                want = _scalar_row(scalar, args, x.tolist())
-                got = lambda: form(*args, x)
-            if want is None:
-                with pytest.raises(ZeroDivisionError):
-                    got()
-                continue
-            assert _bits(got()) == _bits(want), form.__name__
+            want = [_scalar_row(scalar, (ChannelConfig(n, s, e),), taus)
+                    for s, e in cells]
+            if None in want:
+                # The form raises at the first cell where the scalar does.
+                want = want[:want.index(None) + 1]
+            got = _generated_rows(form, n, *args, row)
+            assert [None if w is None else _bits(w) for w in want] == [
+                None if g is None else _bits(g) for g in got
+            ], form.__name__
 
     def test_per_element_bit_identical_to_scalar(self):
         # One call with a (n, m, d) per element, as the grid search's
@@ -733,11 +758,10 @@ class TestArrayForms:
         # The admit probability and the decoded-batch mass underflow to
         # zero here, but the quotients of the scaled sums stay finite, and
         # tier-1 turns any floating-point warning into an error.
-        cfg = ChannelConfig(500, 8, 5)
         row = np.array([0.5, 0.99, 0.999])
-        assert analytic._delivery_prob_row(500, 8, 5, row)[1:].tolist() == [
-            0.0, 0.0]
-        for form in (analytic._admitted_load_row,
-                     analytic._iteration_map_row,
-                     analytic._success_size_ratio_row):
-            assert np.isfinite(form(cfg, row)).all(), form.__name__
+        sdp = next(analytic._delivery_prob_rows(500, (8,), (5,), row))
+        assert sdp[1:].tolist() == [0.0, 0.0]
+        for rows in (analytic._admitted_load_rows(500, (8,), row),
+                     analytic._iteration_map_rows(500, (8,), (5,), row),
+                     analytic._success_size_ratio_rows(500, (8,), row)):
+            assert np.isfinite(next(rows)).all(), rows.__name__

@@ -1,11 +1,16 @@
+import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mpraloha import analytic, checks
-from mpraloha.analytic import solve_optimal_tau
+from mpraloha.analytic import N_CAP, solve_optimal_tau
 from mpraloha.checks import CHECK_NAMES, VerifyGrid
+import reference
 
 
 SMALL = VerifyGrid(
@@ -108,10 +113,10 @@ class TestFaultInjection:
     def test_check_with_no_violation_fails(self, monkeypatch):
         # A check that evaluated nothing has shown nothing, so it fails
         # instead of passing vacuously.
-        def empty(cfg, tau):
-            return np.empty(0)
+        def empty(n, mprs, tau):
+            return (np.empty(0) for _ in mprs)
 
-        monkeypatch.setattr(checks, "_admitted_load_row", empty)
+        monkeypatch.setattr(checks, "_admitted_load_rows", empty)
         result = checks.check_admitted_load_slope(SMALL)
         assert not result.passed
         assert math.isnan(result.worst)
@@ -121,15 +126,17 @@ class TestFaultInjection:
     def test_nan_violation_fails_at_its_location(self, monkeypatch):
         # A NaN is the worst violation there is: the first one is reported
         # where it occurred and fails the check.
-        row_form = checks._delivery_prob_row
+        rows_form = checks._delivery_prob_rows
 
-        def poisoned(n, m, d, tau):
-            values = row_form(n, m, d, tau)
-            if (n, d) == (10, 5) and m in (2, 3):
-                values[tau == 0.6] = math.nan
-            return values
+        def poisoned(n, mprs, deadlines, tau):
+            cells = itertools.product(mprs, deadlines)
+            for (m, d), values in zip(cells, rows_form(n, mprs, deadlines,
+                                                        tau)):
+                if (n, d) == (10, 5) and m in (2, 3):
+                    values[tau == 0.6] = math.nan
+                yield values
 
-        monkeypatch.setattr(checks, "_delivery_prob_row", poisoned)
+        monkeypatch.setattr(checks, "_delivery_prob_rows", poisoned)
         result = checks.check_sdp_bounds(SMALL)
         assert not result.passed
         assert math.isnan(result.worst)
@@ -141,8 +148,8 @@ class TestFaultInjection:
         # finite-difference check.
         load_row = analytic._deadline_load_row
 
-        def skewed(cfg, tau):
-            return load_row(cfg, tau) * (1.0 + 1e-3)
+        def skewed(n, d, tau, window):
+            return load_row(n, d, tau, window) * (1.0 + 1e-3)
 
         monkeypatch.setattr(analytic, "_deadline_load_row", skewed)
         result = checks.check_derivative_finite_difference(SMALL)
@@ -238,3 +245,85 @@ class TestGrid:
         assert len(grid.tau_values) == 99
         assert grid.tau_values[0] == pytest.approx(0.01)
         assert grid.tau_values[-1] == pytest.approx(0.99)
+
+
+def _tau_values():
+    """tau over the grid's domain, edges within 1e-6 of 0 and 1 included."""
+    step = checks._FD_STEP
+    return st.one_of(
+        st.floats(2 * step, 1.0 - 2 * step),
+        st.floats(step, 2 * step),
+        st.floats(1.0 - 2 * step, 1.0 - step),
+    ).filter(lambda t: t - step > 0.0 and t + step < 1.0)
+
+
+@st.composite
+def _grids(draw):
+    """A small grid over the accepted domain, n and m in any order and
+    with repeats."""
+    n_values = draw(st.lists(
+        st.one_of(st.integers(2, 30), st.integers(2, N_CAP)),
+        min_size=1, max_size=2,
+    ))
+    m_values = draw(st.lists(st.integers(1, max(n_values) - 1),
+                             min_size=1, max_size=3))
+    d_values = draw(st.lists(
+        st.one_of(st.integers(1, 30), st.integers(1, 10**15)),
+        min_size=2, max_size=3, unique=True,
+    ))
+    taus = draw(st.lists(_tau_values(), min_size=1, max_size=4))
+    return VerifyGrid(tau_values=tuple(taus), n_values=tuple(n_values),
+                      m_values=tuple(m_values), d_values=tuple(d_values),
+                      sweep_n=(3,), sweep_m=(1,), sweep_d=(1,))
+
+
+def _outcome(check, grid):
+    """A check's result with `worst` by its bits, or the error it raised."""
+    try:
+        r = check(grid)
+    except (ArithmeticError, RuntimeWarning) as exc:
+        return type(exc).__name__
+    return r.name, r.passed, np.float64(r.worst).view(np.int64), r.detail
+
+
+class TestPerPopulationRows:
+    """The checks run one recurrence per population n, read at each m; the
+    reference runs one per (n, m, d) cell. Results agree bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(grid=_grids())
+    @example(grid=VerifyGrid(
+        tau_values=(0.1, 0.3, 0.6, 0.9), n_values=(10, 5, 10),
+        m_values=(3, 1, 2, 2, 9), d_values=(5, 1, 20, 1)))
+    @example(grid=VerifyGrid(
+        tau_values=(1.0000001e-6, 0.5, 0.999998), n_values=(1000, 2),
+        m_values=(999, 1, 500), d_values=(1, 10**15)))
+    def test_matches_cell_by_cell_reference(self, grid):
+        for cell_check in reference.CELL_CHECKS:
+            check = getattr(checks, f"check_{cell_check.__name__}")
+            assert _outcome(check, grid) == _outcome(cell_check, grid)
+
+    def test_memory_does_not_grow_with_mpr_values(self):
+        # 250 mpr values up to 999 read from one recurrence per row check,
+        # against that recurrence read at 999 alone. Only the grid's ints
+        # grow: a row of 99 floats kept per mpr would add 250 * 792 bytes,
+        # four times the bound.
+        def peak(check, grid):
+            tracemalloc.start()
+            try:
+                check(grid)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        one = VerifyGrid(n_values=(1000,), m_values=(999,), d_values=(1, 20))
+        many = VerifyGrid(n_values=(1000,), m_values=tuple(range(1, 1000, 4)),
+                          d_values=(1, 20))
+        rows = 250 * 99 * 8
+        for check in (checks.check_sdp_monotone_deadline,
+                      checks.check_derivative_finite_difference,
+                      checks.check_admitted_load_slope,
+                      checks.check_moment_ratio_identity,
+                      checks.check_iteration_map_slope):
+            growth = peak(check, many) - peak(check, one)
+            assert growth < rows / 4, check.__name__

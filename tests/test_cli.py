@@ -118,6 +118,21 @@ class TestUsageErrors:
             "about 1.798e+308, got a 310-digit number\n"
         )
 
+    @pytest.mark.parametrize("argv, cell", [
+        (["sweep", "--n", "5", "--m", "1", "--d", "D"], "sweep cell n=5 m=1"),
+        (["verify", "--d", "1,D"], "check grid n=2"),
+    ], ids=["sweep", "verify"])
+    def test_cell_prefix_counts_the_digits(self, argv, cell, capsys):
+        # The cell that names the error counts the deadline's digits too,
+        # instead of echoing 310 of them.
+        huge = str(10**309)
+        assert cli.main([a.replace("D", huge) for a in argv]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {cell} d=a 310-digit number: deadline must be at most "
+            "int(sys.float_info.max), about 1.798e+308, got a 310-digit "
+            "number\n"
+        )
+
 
 class TestSolve:
     def test_prints_report(self, capsys):
