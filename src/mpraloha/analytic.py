@@ -27,10 +27,11 @@ The private `_*_row` and `_*_rows` functions evaluate the closed forms over
 a whole array of tau at once, with the scalar functions' values bit for
 bit; `checks` evaluates its property checks with them. `delivery_prob` has
 two array forms, one per kernel: `_delivery_prob_rows`, one n_users over
-many tau, for the check rows, and `_delivery_prob_row`, one config per
-element, for the lockstep refinement. `_head_sums_row` is the one array
-recurrence of the binomial head sums: the `_*_rows` forms and the coarse
-scan run it once per n_users and read it at each mpr.
+many tau, for the check rows and, with numpy's factors, the coarse scan,
+and `_delivery_prob_row`, one config per element, for the lockstep
+refinement. `_head_sums_row` is the one array recurrence of the binomial
+head sums: the `_*_rows` forms run it once per n_users and read it at
+each mpr.
 """
 
 from __future__ import annotations
@@ -119,14 +120,18 @@ class ChannelConfig:
                 f"mpr must satisfy 1 <= mpr < n_users, got mpr={self.mpr} "
                 f"with n_users={self.n_users}"
             )
-        if self.deadline < 1:
-            raise ValueError(f"deadline must be >= 1, got {self.deadline}")
-        if self.deadline > DEADLINE_MAX:
-            raise ValueError(
-                "deadline must be at most int(sys.float_info.max), about "
-                f"{sys.float_info.max:.4g}, "
-                f"got {_deadline_text(self.deadline)}"
-            )
+        _require_deadline(self.deadline)
+
+
+def _require_deadline(deadline: int) -> None:
+    """Raise ValueError unless 1 <= deadline <= DEADLINE_MAX."""
+    if deadline < 1:
+        raise ValueError(f"deadline must be >= 1, got {deadline}")
+    if deadline > DEADLINE_MAX:
+        raise ValueError(
+            "deadline must be at most int(sys.float_info.max), about "
+            f"{sys.float_info.max:.4g}, got {_deadline_text(deadline)}"
+        )
 
 
 def _deadline_text(deadline: int) -> str:
@@ -390,8 +395,7 @@ def lower_bound_tau(n_users: int, deadline: int) -> float:
     """
     if n_users < 2:
         raise ValueError(f"n_users must be >= 2, got {n_users}")
-    if deadline < 1:
-        raise ValueError(f"deadline must be >= 1, got {deadline}")
+    _require_deadline(deadline)
     if deadline == 1:
         # Simplifies to 1/n exactly; the log/expm1 route is 1 ulp noisier.
         return 1.0 / n_users
@@ -418,8 +422,7 @@ def window_bound(deadline: int, x) -> float:
     Identically 1 when deadline == 1 and strictly below 1 on (0, 1) otherwise;
     this is what makes `iteration_map` contract toward the optimum.
     """
-    if deadline < 1:
-        raise ValueError(f"deadline must be >= 1, got {deadline}")
+    _require_deadline(deadline)
     v = _open_probability(x)
     window = _window_prob(v, deadline)
     return (deadline * v) ** 2 * (1.0 - v) ** (deadline - 1) / window**2
@@ -446,7 +449,7 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # function returns at every element, bit for bit: numpy does the arithmetic
 # in the scalar operation order, and the transcendental factors come from
 # libm through `_elementwise`; only the coarse scan takes numpy's faster
-# ones, through the exact=False of `_head_sums_row` and `_window_prob_row`.
+# ones, through the exact=False of `_delivery_prob_rows`.
 # The forms take valid parameters and tau strictly inside (0, 1), which
 # `checks.VerifyGrid` guarantees. The `_*_rows` forms serve one n_users:
 # generators that yield one row for each mpr of `mprs`, or for each
@@ -534,15 +537,24 @@ def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray) -> np.ndarray:
     return _window_prob_row(tau, deadline) * admit
 
 
-def _delivery_prob_rows(n_users: int, mprs, deadlines, tau: np.ndarray):
-    """`delivery_prob` at every element, for each (mpr, deadline)."""
-    windows = [_window_prob_row(tau, d) for d in deadlines]
-    for head, _, shift in _head_sums_row(n_users - 1, mprs, tau,
-                                         weighted=False):
-        head = np.ldexp(head, shift)
-        admit = np.where(head < 1.0, head, 1.0)
-        for window in windows:
-            yield window * admit
+def _delivery_prob_rows(n_users: int, mprs, deadlines, tau: np.ndarray,
+                        exact=True):
+    """`delivery_prob` at every element, for each (mpr, deadline). A
+    deadline may be an array that broadcasts against `tau`; `exact` goes to
+    `_head_sums_row` and `_window_prob_row`. The rows of a deadline share
+    one array, which the next mpr overwrites."""
+    windows = [_window_prob_row(tau, d, exact) for d in deadlines]
+    heads = _head_sums_row(n_users - 1, mprs, tau, exact=exact,
+                           weighted=False)
+    # The recurrence frees tau once it starts, unless a caller holds it.
+    del tau
+    rows = [None] * len(windows)
+    for head, _, shift in heads:
+        for k, window in enumerate(windows):
+            rows[k] = np.ldexp(head, shift, out=rows[k])
+            np.minimum(rows[k], 1.0, out=rows[k])
+            rows[k] *= window
+            yield rows[k]
 
 
 def _admitted_load_rows(n_users: int, mprs, tau: np.ndarray):
@@ -581,17 +593,10 @@ def _iteration_map_rows(n_users: int, mprs, deadlines, x: np.ndarray):
             yield _quotient(lifted, load)
 
 
-def _binomial_pmf_row(n: int, i: int, p: np.ndarray) -> np.ndarray:
-    """`binomial_pmf` at every element of `p`, for 0 <= i <= n <= N_CAP."""
-    c = float(math.comb(n, i))
-    return c * _elementwise(pow, p, i) * _elementwise(pow, 1.0 - p, n - i)
-
-
-def _fsum_columns(rows: list[np.ndarray]) -> np.ndarray:
-    """math.fsum of each column of the equal-length rows."""
-    columns = zip(*(row.tolist() for row in rows))
-    return np.fromiter(map(math.fsum, columns), dtype=float,
-                       count=rows[0].size)
+def _binomial_pmf_row(n: int, i: int, p_power, q_power) -> np.ndarray:
+    """`binomial_pmf(n, i, p)` at every element, for 0 <= i <= n <= N_CAP,
+    from its factors p^i and (1-p)^(n-i) by `_elementwise(pow)`."""
+    return float(math.comb(n, i)) * p_power * q_power
 
 
 def _success_size_ratio_rows(n_users: int, mprs, tau: np.ndarray):
@@ -723,32 +728,6 @@ def _golden_section(n_users: np.ndarray, mpr: np.ndarray,
     return tau, _delivery_prob_row(n_users, mpr, deadline, tau)
 
 
-def _coarse_scans(n_users: int, steps, lo: np.ndarray, step: np.ndarray,
-                  deadline: np.ndarray):
-    """The coarse scan of `grid_search_optimum` for one n_users, whose row
-    r holds `delivery_prob` at the _COARSE_POINTS points lo[r] + k step[r]
-    with deadline[r]. A generator: for each mpr m in `steps` (ascending) it
-    yields (m, rows), read from one head-sum recurrence. The rows are one
-    array, overwritten for the next m.
-
-    The scan only chooses brackets, so it takes numpy's power, log1p and
-    expm1: on the 643 cells of the `analytic` benchmark libm's move no
-    argmax but take a 2000-point scan from 0.17 to 0.80 ms. n_users stays
-    one int for all rows, so numpy's power takes one row's path.
-    """
-    taus = lo[:, None] + np.arange(_COARSE_POINTS) * step[:, None]
-    window = _window_prob_row(taus, deadline[:, None], exact=False)
-    heads = _head_sums_row(n_users - 1, steps, taus, exact=False,
-                           weighted=False)
-    del taus
-    scan = None
-    for m, (head, _, shift) in zip(steps, heads):
-        scan = np.ldexp(head, shift, out=scan)
-        np.minimum(scan, 1.0, out=scan)
-        scan *= window
-        yield m, scan
-
-
 def grid_search_optimum(configs) -> list[tuple[float, float]]:
     """Derivative-free maximizer of `delivery_prob`, for cross-checking.
 
@@ -756,14 +735,16 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     [lower_bound_tau, 1), then refines the best cell with golden-section
     search down to a bracket of width 1e-10. Returns one (tau, sdp) per
     config, in order. The scan only chooses the bracket (the first maximum
-    on ties), so it takes numpy's factors; the refinement and the returned
-    values are the scalar `delivery_prob`'s, bit for bit.
+    on ties), so it takes numpy's power, log1p and expm1: on the 643 cells
+    of the `analytic` benchmark libm's move no argmax but take a 2000-point
+    scan from 0.17 to 0.80 ms. The refinement and the returned values are
+    the scalar `delivery_prob`'s, bit for bit.
 
     All configs are searched at once, in chunks of at most _CHUNK_ELEMENTS
-    matrix elements: the scan per n_users, with one row per distinct
-    deadline and one head-sum recurrence up to the largest mpr, whose
-    partial sum after m steps scores the configs of mpr m (see
-    `_coarse_scans`), and the refinement in lockstep over the configs (see
+    matrix elements: the scan per n_users by `_delivery_prob_rows`, with
+    one row of points per distinct deadline and one head-sum recurrence up
+    to the largest mpr, whose partial sum after m steps scores the configs
+    of mpr m, and the refinement in lockstep over the configs (see
     `_golden_section`). Each config's result is what a call with that
     config alone returns.
     """
@@ -787,18 +768,27 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
         members = list(by_deadline.values())
         for start in range(0, len(members), rows):
             part = members[start:start + rows]
-            first = [cells[0] for cells in part]
+            # Each deadline's first config, as a column index.
+            first = [[cells[0]] for cells in part]
             # (row, config) pairs by mpr, in a dict: numpy's unique would
             # cost 1.6 MB of resident pages on its first use.
             reads: dict[int, list[tuple[int, int]]] = {}
             for r, cells in enumerate(part):
                 for j in cells:
                     reads.setdefault(configs[j].mpr, []).append((r, j))
-            for m, scan in _coarse_scans(n, sorted(reads), lo[first],
-                                         step[first], deadline[first]):
+            steps = sorted(reads)
+            # The scan holds the only reference to its points; strict runs
+            # it to its end, which frees its arrays, and the del frees the
+            # last row before the next chunk's.
+            scans = _delivery_prob_rows(
+                n, steps, [deadline[first]],
+                lo[first] + np.arange(_COARSE_POINTS) * step[first],
+                exact=False)
+            for m, scan in zip(steps, scans, strict=True):
                 top = np.argmax(scan, axis=1).tolist()
                 for r, j in reads[m]:
                     best[j] = top[r]
+            del scan
     # The objective is unimodal on (0, 1), so the bracket holds the maximum.
     a = np.where(best > 0, lo + (best - 1) * step, lo)
     b = np.minimum(lo + (best + 1) * step, 1.0)

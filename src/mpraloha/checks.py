@@ -37,7 +37,7 @@ from .analytic import (
     _deadline_text,
     _delivery_prob_derivative_rows,
     _delivery_prob_rows,
-    _fsum_columns,
+    _elementwise,
     _iteration_map_rows,
     _stationarity_gap,
     _success_size_ratio_rows,
@@ -195,6 +195,13 @@ def _reduce(
     return CheckResult(name, passed, worst, detail)
 
 
+def _prefix_fsums(rows: list[np.ndarray], steps) -> list[np.ndarray]:
+    """For each m of `steps`, math.fsum of the first m of the equal-length
+    rows, element by element; each row is listed once."""
+    columns = list(zip(*(row.tolist() for row in rows)))
+    return [np.array([math.fsum(c[:m]) for c in columns]) for m in steps]
+
+
 def _cell_rows(grid: VerifyGrid, form, tau: np.ndarray):
     """(cell, row) for each (n, m, d) cell of the grid, in its order, from
     one `form(n, mprs, d_values, tau)` per population n, which yields a row
@@ -350,22 +357,23 @@ def check_term_matching_identity(grid: VerifyGrid) -> CheckResult:
     def rows():
         for n in grid.n_values:
             mprs = grid.mpr_values(n)
-            if not mprs:
-                continue
-            # x[i] = P(X = i + 1) and y[j] = P(Y = j), shared by every m.
-            x = [_binomial_pmf_row(n, i, row) for i in range(1, max(mprs) + 1)]
-            y = [_binomial_pmf_row(n - 1, j, row) for j in range(max(mprs))]
-            for m in mprs:
-                lhs1 = _fsum_columns([i * x[i - 1] for i in range(1, m + 1)])
-                lhs2 = _fsum_columns(
-                    [i * i * x[i - 1] for i in range(1, m + 1)]
-                )
-                rhs1 = n * row * _fsum_columns(y[:m])
-                rhs2 = n * row * _fsum_columns(
-                    [(j + 1) * y[j] for j in range(m)]
-                )
-                yield (n, m), _larger(np.abs(lhs1 - rhs1),
-                                      np.abs(lhs2 - rhs2))
+            # P(X=i) and P(Y=i-1) for i up to max m, each power computed
+            # once: p[i] = tau^i, and the two share (1-tau)^(n-i).
+            p = [_elementwise(pow, row, i)
+                 for i in range(max(mprs, default=0) + 1)]
+            x, y = [], []
+            for i in range(1, len(p)):
+                shared = _elementwise(pow, 1.0 - row, n - i)
+                x.append(_binomial_pmf_row(n, i, p[i], shared))
+                y.append(_binomial_pmf_row(n - 1, i - 1, p[i - 1], shared))
+            # The sums of i^k P(X=i) and of i^(k-1) P(Y=i-1), k = 1, 2.
+            lhs1, lhs2, rhs1, rhs2 = (
+                _prefix_fsums([i**k * r for i, r in enumerate(pmf, 1)], mprs)
+                for k, pmf in ((1, x), (2, x), (0, y), (1, y))
+            )
+            for m, l1, l2, r1, r2 in zip(mprs, lhs1, lhs2, rhs1, rhs2):
+                yield (n, m), _larger(np.abs(l1 - n * row * r1),
+                                      np.abs(l2 - n * row * r2))
 
     return _reduce("term_matching_identity", rows(),
                    _cell_tau(taus, ("n", "m")), _IDENTITY_TOL,

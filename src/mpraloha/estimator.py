@@ -25,7 +25,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import N_CAP, ChannelConfig, solve_optimal_tau
+from .analytic import (N_CAP, ChannelConfig, _require_deadline,
+                       solve_optimal_tau)
 
 __all__ = [
     "EstimatorConfig",
@@ -79,8 +80,7 @@ class EstimatorConfig:
                 f"n_max must satisfy mpr < n_max <= {N_CAP}, got "
                 f"{self.n_max} with mpr={self.mpr}"
             )
-        if self.deadline < 1:
-            raise ValueError(f"deadline must be >= 1, got {self.deadline}")
+        _require_deadline(self.deadline)
 
     @property
     def probes(self) -> tuple[int, ...]:

@@ -79,6 +79,17 @@ class TestValidation:
                                       "int(sys.float_info.max)")
             assert message.endswith(f"got a {digits}-digit number")
 
+    def test_deadline_functions_share_the_config_rule(self):
+        # A deadline past the float range is rejected up front with the
+        # config's message, not by an OverflowError from the formula.
+        for call in (lambda: lower_bound_tau(10, 10**309),
+                     lambda: window_bound(10**309, 0.5)):
+            with pytest.raises(ValueError,
+                               match="got a 310-digit number$"):
+                call()
+        with pytest.raises(ValueError, match="deadline must be >= 1"):
+            window_bound(0, 0.5)
+
     def test_probability_range(self):
         with pytest.raises(ValueError):
             as_probability(-0.1)
@@ -421,7 +432,8 @@ class TestSolver:
 
     def test_array_scan_matches_scalar_scan(self):
         # grid_search_optimum's coarse scan evaluates the points of every
-        # (m, d) of one n from one numpy recurrence (`_coarse_scans`). It
+        # (m, d) of one n from one numpy recurrence (`_delivery_prob_rows`
+        # with exact=False, one deadline per row of points). It
         # must pick the first maximum of the scalar loop and refine next to
         # it; the values may differ by the ulps of numpy's power, log1p and
         # expm1. At (1000, 999, d) the start (1 - tau)^(n-1) of the points
@@ -434,12 +446,13 @@ class TestSolver:
         for n, cells in by_n.items():
             steps = sorted({m for m, _ in cells})
             deadlines = sorted({d for _, d in cells})
-            row_lo = np.array([lower_bound_tau(n, d) for d in deadlines])
-            scans = analytic._coarse_scans(
-                n, steps, row_lo, (1.0 - row_lo) / _COARSE_POINTS,
-                np.array(deadlines, dtype=float),
+            row_lo = np.array([[lower_bound_tau(n, d)] for d in deadlines])
+            row_step = (1.0 - row_lo) / _COARSE_POINTS
+            scans = analytic._delivery_prob_rows(
+                n, steps, [np.array(deadlines, dtype=float)[:, None]],
+                row_lo + np.arange(_COARSE_POINTS) * row_step, exact=False,
             )
-            for m, rows in scans:
+            for m, rows in zip(steps, scans):
                 for d, fast in zip(deadlines, rows):
                     if (m, d) not in cells:
                         continue
@@ -549,6 +562,12 @@ class TestGridSearchBatch:
         assert peak([ChannelConfig(1000, m, 20) for m in range(1, 400)]) < (
             2 * peak([ChannelConfig(1000, 399, 20)] * 399)
         )
+        # 128 deadlines of one n are four chunks of 32 scan rows, whose
+        # arrays must be freed before the next chunk's are made: one chunk
+        # kept alive would add a fifth to the peak of one chunk alone.
+        assert peak([ChannelConfig(50, 2, d) for d in range(1, 129)]) <= (
+            1.05 * peak([ChannelConfig(50, 2, d) for d in range(1, 33)])
+        )
 
 
 class TestDerivativeAndMap:
@@ -657,7 +676,8 @@ def _generated_rows(form, *args) -> list:
     raised ZeroDivisionError."""
     rows = []
     try:
-        rows.extend(form(*args))
+        # A form may overwrite a row at its next step: keep copies.
+        rows.extend(row.copy() for row in form(*args))
     except ZeroDivisionError:
         rows.append(None)
     return rows
@@ -699,8 +719,10 @@ class TestArrayForms:
         window = analytic._window_prob_row(row, d)
         assert _bits(window) == _bits([analytic._window_prob(t, d)
                                        for t in taus])
-        assert _bits(analytic._binomial_pmf_row(n, k, closed)) == _bits(
-            [binomial_pmf(n, k, t) for t in closed])
+        assert _bits(analytic._binomial_pmf_row(
+            n, k, analytic._elementwise(pow, closed, k),
+            analytic._elementwise(pow, 1.0 - closed, n - k),
+        )) == _bits([binomial_pmf(n, k, t) for t in closed])
         want = _scalar_row(deadline_load, (cfg,), taus)
         if want is None:
             with pytest.raises(ZeroDivisionError):

@@ -117,6 +117,13 @@ class TestParser:
         with pytest.raises(ScenarioError, match="decodable"):
             parse_scenario(text, source="bad.cfg")
 
+    def test_deadline_past_float_range_names_source(self):
+        text = GOOD.replace("deadline = 1", f"deadline = {10**309}")
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, source="big.cfg")
+        assert str(err.value).startswith("big.cfg: deadline must be at most")
+        assert str(err.value).endswith("got a 310-digit number")
+
     def test_negative_seed_rejected(self):
         text = GOOD.replace("seed = 7", "seed = -3")
         with pytest.raises(ScenarioError, match="seed"):
