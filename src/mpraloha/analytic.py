@@ -64,8 +64,8 @@ __all__ = [
 ]
 
 
-# Population sizes beyond this are outside the supported regime; the closed
-# forms still hold but the float evaluation here is only validated up to it.
+# The largest population, and the largest n of `binomial_pmf`, whose
+# float(comb(n, i)) stays finite up to it (comb(1000, 500) has 995 bits).
 # The conditional quantities divide the scaled head sums, whose start
 # frac**n with frac >= 1/2 must stay a normal float: 0.5**N_CAP must be at
 # least sys.float_info.min, which holds up to 1021, or a denominator can be
@@ -111,10 +111,7 @@ class ChannelConfig:
     deadline: int
 
     def __post_init__(self) -> None:
-        if not 2 <= self.n_users <= N_CAP:
-            raise ValueError(
-                f"n_users must be in [2, {N_CAP}], got {self.n_users}"
-            )
+        _require_population(self.n_users)
         if not 1 <= self.mpr < self.n_users:
             raise ValueError(
                 f"mpr must satisfy 1 <= mpr < n_users, got mpr={self.mpr} "
@@ -123,10 +120,18 @@ class ChannelConfig:
         _require_deadline(self.deadline)
 
 
+def _require_population(n_users: int) -> None:
+    """Raise ValueError unless 2 <= n_users <= N_CAP."""
+    if not 2 <= n_users <= N_CAP:
+        raise ValueError(f"n_users must be in [2, {N_CAP}], got {n_users}")
+
+
 def _require_deadline(deadline: int) -> None:
     """Raise ValueError unless 1 <= deadline <= DEADLINE_MAX."""
     if deadline < 1:
-        raise ValueError(f"deadline must be >= 1, got {deadline}")
+        raise ValueError(
+            f"deadline must be >= 1, got {_deadline_text(deadline)}"
+        )
     if deadline > DEADLINE_MAX:
         raise ValueError(
             "deadline must be at most int(sys.float_info.max), about "
@@ -135,10 +140,12 @@ def _require_deadline(deadline: int) -> None:
 
 
 def _deadline_text(deadline: int) -> str:
-    """`deadline` in decimal, or "a 310-digit number" past DEADLINE_MAX,
-    where the value would run to hundreds of digits."""
-    if deadline > DEADLINE_MAX:
-        return f"a {_digits(deadline)}-digit number"
+    """`deadline` in decimal, or "a 310-digit number" ("a negative ...")
+    where its magnitude passes DEADLINE_MAX and would run to hundreds of
+    digits."""
+    if abs(deadline) > DEADLINE_MAX:
+        sign = "negative " if deadline < 0 else ""
+        return f"a {sign}{_digits(abs(deadline))}-digit number"
     return str(deadline)
 
 
@@ -185,28 +192,16 @@ def _open_probability(value) -> float:
 
 
 def binomial_pmf(n: int, i: int, p: float) -> float:
-    """P(X = i) for X ~ Binomial(n, p). Exact at the endpoints p = 0 and 1."""
-    if n < 0:
-        raise ValueError(f"n must be >= 0, got {n}")
+    """P(X = i) for X ~ Binomial(n, p), for 0 <= i <= n <= N_CAP. Exact at
+    the endpoints p = 0 and 1. No caller loops on it, so it is
+    `_binomial_pmf_row` at one point."""
+    if not 0 <= n <= N_CAP:
+        raise ValueError(f"n must be in [0, {N_CAP}], got {n}")
     if not 0 <= i <= n:
         raise ValueError(f"i must be in [0, n], got i={i}, n={n}")
     p = as_probability(p)
-    c = math.comb(n, i)
-    if c.bit_length() <= 1023:
-        # 0.0 ** 0 == 1.0 in Python, so the endpoints need no special case.
-        return c * p**i * (1.0 - p) ** (n - i)
-    if p == 0.0:
-        return 1.0 if i == 0 else 0.0
-    if p == 1.0:
-        return 1.0 if i == n else 0.0
-    log_pmf = (
-        math.lgamma(n + 1)
-        - math.lgamma(i + 1)
-        - math.lgamma(n - i + 1)
-        + i * math.log(p)
-        + (n - i) * math.log1p(-p)
-    )
-    return math.exp(log_pmf)
+    # 0.0 ** 0 == 1.0 in Python, so the endpoints need no special case.
+    return _binomial_pmf_row(n, i, p**i, (1.0 - p) ** (n - i))
 
 
 def _head_sums(n: int, m: int, tau: float) -> tuple[float, float, int]:
@@ -393,8 +388,7 @@ def lower_bound_tau(n_users: int, deadline: int) -> float:
 
     The maximizing tau always lies in [this bound, 1).
     """
-    if n_users < 2:
-        raise ValueError(f"n_users must be >= 2, got {n_users}")
+    _require_population(n_users)
     _require_deadline(deadline)
     if deadline == 1:
         # Simplifies to 1/n exactly; the log/expm1 route is 1 ulp noisier.
@@ -434,14 +428,14 @@ def iteration_map(config: ChannelConfig, x) -> float:
         g(x) = x * (admitted_load(x) + 1) / (deadline_load(x) + 1)
 
     Fixed points of g on (0, 1) are exactly the stationary points of the
-    delivery probability. The solver brackets the same point directly.
+    delivery probability. The solver brackets the same point directly, and
+    no caller loops on g, so it is `_iteration_map_rows` at one point.
     """
-    v = _open_probability(x)
-    return (
-        v
-        * (admitted_load(config, v) + 1.0)
-        / (deadline_load(config, v) + 1.0)
+    v = np.array([_open_probability(x)])
+    rows = _iteration_map_rows(
+        config.n_users, (config.mpr,), (config.deadline,), v
     )
+    return float(next(rows)[0])
 
 
 # Array forms of the closed forms above, for the property checks and the
@@ -456,14 +450,12 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # (mpr, deadline) of mprs x deadlines with mpr major, from one head-sum
 # recurrence read at each mpr and one window per deadline. A form exists
 # only where a caller would otherwise loop a costly scalar function, and a
-# scalar twin only where a caller loops on it: the solver
+# scalar twin only where a caller loops on it, which only the solver does
 # (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
 # `delivery_prob`; the grid search's lockstep refinement takes `_head_sums`
-# only where a head sum must be carried scaled), the paper's map
-# (`iteration_map`, about 25 times slower per call as a one-point form) and
-# n above N_CAP (`binomial_pmf`; the form's float(comb) overflows there).
-# `success_size_ratio` and `delivery_prob_derivative`, which no caller
-# loops on, are their forms at one point.
+# only where a head sum must be carried scaled). `binomial_pmf`,
+# `success_size_ratio`, `delivery_prob_derivative` and `iteration_map`,
+# which no caller loops on, are their forms at one point.
 
 
 def _window_prob_row(tau: np.ndarray, deadline, exact=True) -> np.ndarray:
@@ -595,7 +587,8 @@ def _iteration_map_rows(n_users: int, mprs, deadlines, x: np.ndarray):
 
 def _binomial_pmf_row(n: int, i: int, p_power, q_power) -> np.ndarray:
     """`binomial_pmf(n, i, p)` at every element, for 0 <= i <= n <= N_CAP,
-    from its factors p^i and (1-p)^(n-i) by `_elementwise(pow)`."""
+    from its factors p^i and (1-p)^(n-i) by `_elementwise(pow)`; at one
+    point, given them as floats."""
     return float(math.comb(n, i)) * p_power * q_power
 
 

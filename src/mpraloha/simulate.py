@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ChannelConfig, as_probability
+from .analytic import ChannelConfig, _require_deadline, as_probability
 
 __all__ = [
     "IntervalOutcome",
@@ -121,8 +121,7 @@ def run_interval(
     parts chain the same way, so neither changes a count.
     """
     n_users = len(tx_probs)
-    if deadline < 1:
-        raise ValueError(f"deadline must be >= 1, got {deadline}")
+    _require_deadline(deadline)
     if n_slots < 0:
         raise ValueError(f"n_slots must be >= 0, got {n_slots}")
     if len(hol_ages) != n_users:

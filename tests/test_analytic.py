@@ -30,6 +30,8 @@ from mpraloha.analytic import (
     success_size_ratio,
     window_bound,
 )
+from mpraloha.estimator import EstimatorConfig
+from mpraloha.simulate import run_interval
 import reference
 
 
@@ -90,6 +92,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="deadline must be >= 1"):
             window_bound(0, 0.5)
 
+    @pytest.mark.parametrize("entry", [
+        lambda d: ChannelConfig(10, 2, d),
+        lambda d: lower_bound_tau(10, d),
+        lambda d: window_bound(d, 0.5),
+        lambda d: EstimatorConfig(100, 0.5, 1, 2, 10, 5, d),
+        lambda d: run_interval(np.random.default_rng(0), np.full(3, 0.5), 2,
+                               d, 10, np.zeros(3, dtype=np.int64)),
+    ], ids=["ChannelConfig", "lower_bound_tau", "window_bound",
+            "EstimatorConfig", "run_interval"])
+    def test_every_deadline_entry_point_has_one_message(self, entry):
+        # A deadline whose magnitude passes the float range is named by its
+        # digit count, negative ones too: str() refuses ints past 4300
+        # digits.
+        at_most = ("deadline must be at most int(sys.float_info.max), "
+                   "about 1.798e+308, got ")
+        for deadline, message in (
+            (0, "deadline must be >= 1, got 0"),
+            (-1, "deadline must be >= 1, got -1"),
+            (-10**5000,
+             "deadline must be >= 1, got a negative 5001-digit number"),
+            (analytic.DEADLINE_MAX + 1, at_most + "a 309-digit number"),
+            (10**5000, at_most + "a 5001-digit number"),
+        ):
+            with pytest.raises(ValueError) as info:
+                entry(deadline)
+            assert str(info.value) == message
+
     def test_probability_range(self):
         with pytest.raises(ValueError):
             as_probability(-0.1)
@@ -129,25 +158,16 @@ class TestBinomialPmf:
         with pytest.raises(ValueError):
             binomial_pmf(-1, 0, 0.5)
 
-    def test_large_n_mass_sums_to_one(self):
-        # Central coefficients at this size force the log-gamma branch.
-        total = math.fsum(binomial_pmf(2000, i, 0.3) for i in range(2001))
-        assert total == pytest.approx(1.0, abs=1e-9)
-
-    def test_large_n_ratio_consistency(self):
-        # Consecutive terms obey the exact pmf ratio, both branches.
-        for n, p in ((2000, 0.5), (1500, 0.2)):
-            for i in (n // 3, n // 2):
-                left = binomial_pmf(n, i + 1, p)
-                right = binomial_pmf(n, i, p) * ((n - i) / (i + 1)) * (
-                    p / (1 - p)
-                )
-                assert left == pytest.approx(right, rel=1e-10)
+    def test_population_past_the_cap_raises(self):
+        with pytest.raises(ValueError, match=f"n must be in \\[0, {N_CAP}\\]"):
+            binomial_pmf(N_CAP + 1, 0, 0.5)
 
     @given(
-        n=st.integers(min_value=0, max_value=120),
+        n=st.integers(min_value=0, max_value=N_CAP),
         p=st.floats(min_value=0.0, max_value=1.0),
     )
+    # The largest coefficient of the domain, comb(1000, 500).
+    @example(n=1000, p=0.5)
     @settings(max_examples=60, deadline=None)
     def test_mass_property(self, n, p):
         total = math.fsum(binomial_pmf(n, i, p) for i in range(n + 1))
@@ -334,6 +354,15 @@ class TestLowerBound:
             lower_bound_tau(1, 5)
         with pytest.raises(ValueError):
             lower_bound_tau(5, 0)
+        # The population rule is the config's, message included.
+        with pytest.raises(ValueError) as info:
+            lower_bound_tau(N_CAP + 1, 5)
+        assert str(info.value) == (
+            f"n_users must be in [2, {N_CAP}], got {N_CAP + 1}")
+        with pytest.raises(ValueError) as info:
+            ChannelConfig(N_CAP + 1, 2, 5)
+        assert str(info.value) == (
+            f"n_users must be in [2, {N_CAP}], got {N_CAP + 1}")
 
 
 class TestSolver:
@@ -637,6 +666,13 @@ class TestDerivativeAndMap:
                 assert window_bound(d, x) < 1.0
 
 
+def _iteration_map_of_loads(config, x) -> float:
+    """The paper's map from the scalar loads: the oracle of
+    `_iteration_map_rows`, which `iteration_map` evaluates at one point."""
+    return x * (admitted_load(config, x) + 1.0) / (
+        deadline_load(config, x) + 1.0)
+
+
 def _bits(values) -> list[int]:
     """The float64 bit patterns, so that equality is bit for bit."""
     return np.asarray(values, dtype=float).view(np.int64).tolist()
@@ -722,7 +758,8 @@ class TestArrayForms:
         assert _bits(analytic._binomial_pmf_row(
             n, k, analytic._elementwise(pow, closed, k),
             analytic._elementwise(pow, 1.0 - closed, n - k),
-        )) == _bits([binomial_pmf(n, k, t) for t in closed])
+        )) == _bits([math.comb(n, k) * t**k * (1.0 - t) ** (n - k)
+                     for t in closed])
         want = _scalar_row(deadline_load, (cfg,), taus)
         if want is None:
             with pytest.raises(ZeroDivisionError):
@@ -739,7 +776,7 @@ class TestArrayForms:
              (mprs, deadlines), by_cell),
             (analytic._delivery_prob_derivative_rows,
              delivery_prob_derivative, (mprs, deadlines), by_cell),
-            (analytic._iteration_map_rows, iteration_map,
+            (analytic._iteration_map_rows, _iteration_map_of_loads,
              (mprs, deadlines), by_cell),
             (analytic._admitted_load_rows, admitted_load, (mprs,),
              [(s, d) for s in mprs]),
