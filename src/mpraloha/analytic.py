@@ -12,10 +12,11 @@ attempt lands in a decodable slot before the deadline passes.
 `delivery_prob` evaluates the per-packet success probability for a given tau,
 and `solve_optimal_tau` finds the tau that maximizes it: Brent's bracketed
 zero search on the stationarity gap admitted_load - deadline_load inside
-[lower_bound_tau, 1). The paper characterises the same optimum as the fixed
-point of `iteration_map`, which `checks` verifies; the solver does not
-iterate it, because it contracts with a slope near 1 when mpr/n_users or the
-deadline is large. `grid_search_optimum` is a derivative-free maximizer used
+[lower_bound_tau, 1), a function of tau bound to the config once per solve.
+The paper characterises the same optimum as the fixed point of
+`iteration_map`, which `checks` verifies; the solver does not iterate it,
+because it contracts with a slope near 1 when mpr/n_users or the deadline
+is large. `grid_search_optimum` is a derivative-free maximizer used
 to cross-check the solver. It searches a whole list of configs at once: a
 uniform coarse scan chooses each config's bracket, and a golden-section
 search run for all configs in lockstep refines them, with the values of the
@@ -114,8 +115,9 @@ class ChannelConfig:
         _require_population(self.n_users)
         if not 1 <= self.mpr < self.n_users:
             raise ValueError(
-                f"mpr must satisfy 1 <= mpr < n_users, got mpr={self.mpr} "
-                f"with n_users={self.n_users}"
+                f"mpr must satisfy 1 <= mpr < n_users, got "
+                f"mpr={_int_text(self.mpr)} with "
+                f"n_users={_int_text(self.n_users)}"
             )
         _require_deadline(self.deadline)
 
@@ -123,30 +125,31 @@ class ChannelConfig:
 def _require_population(n_users: int) -> None:
     """Raise ValueError unless 2 <= n_users <= N_CAP."""
     if not 2 <= n_users <= N_CAP:
-        raise ValueError(f"n_users must be in [2, {N_CAP}], got {n_users}")
+        raise ValueError(
+            f"n_users must be in [2, {N_CAP}], got {_int_text(n_users)}"
+        )
 
 
 def _require_deadline(deadline: int) -> None:
     """Raise ValueError unless 1 <= deadline <= DEADLINE_MAX."""
     if deadline < 1:
-        raise ValueError(
-            f"deadline must be >= 1, got {_deadline_text(deadline)}"
-        )
+        raise ValueError(f"deadline must be >= 1, got {_int_text(deadline)}")
     if deadline > DEADLINE_MAX:
         raise ValueError(
             "deadline must be at most int(sys.float_info.max), about "
-            f"{sys.float_info.max:.4g}, got {_deadline_text(deadline)}"
+            f"{sys.float_info.max:.4g}, got {_int_text(deadline)}"
         )
 
 
-def _deadline_text(deadline: int) -> str:
-    """`deadline` in decimal, or "a 310-digit number" ("a negative ...")
-    where its magnitude passes DEADLINE_MAX and would run to hundreds of
-    digits."""
-    if abs(deadline) > DEADLINE_MAX:
-        sign = "negative " if deadline < 0 else ""
-        return f"a {sign}{_digits(abs(deadline))}-digit number"
-    return str(deadline)
+def _int_text(value: int) -> str:
+    """The int `value` in decimal, or "a 310-digit number" ("a negative
+    ...") where its magnitude passes DEADLINE_MAX and would run to hundreds
+    of digits, or past the 4300 that str() accepts. Every validator names
+    an int it rejects with it."""
+    if abs(value) > DEADLINE_MAX:
+        sign = "negative " if value < 0 else ""
+        return f"a {sign}{_digits(abs(value))}-digit number"
+    return str(value)
 
 
 def _digits(value: int) -> int:
@@ -196,9 +199,9 @@ def binomial_pmf(n: int, i: int, p: float) -> float:
     the endpoints p = 0 and 1. No caller loops on it, so it is
     `_binomial_pmf_row` at one point."""
     if not 0 <= n <= N_CAP:
-        raise ValueError(f"n must be in [0, {N_CAP}], got {n}")
+        raise ValueError(f"n must be in [0, {N_CAP}], got {_int_text(n)}")
     if not 0 <= i <= n:
-        raise ValueError(f"i must be in [0, n], got i={i}, n={n}")
+        raise ValueError(f"i must be in [0, n], got i={_int_text(i)}, n={n}")
     p = as_probability(p)
     # 0.0 ** 0 == 1.0 in Python, so the endpoints need no special case.
     return _binomial_pmf_row(n, i, p**i, (1.0 - p) ** (n - i))
@@ -355,9 +358,14 @@ def deadline_load(config: ChannelConfig, tau) -> float:
 
     Defined on (0, 1). The optimal tau is where this crosses admitted_load.
     """
-    t = _open_probability(tau)
-    window = _window_prob(t, config.deadline)
-    return t * (config.n_users + config.deadline - 1 - config.deadline / window)
+    return _deadline_load(config.n_users, config.deadline,
+                          _open_probability(tau))
+
+
+def _deadline_load(n_users: int, deadline: int, tau: float) -> float:
+    """`deadline_load` at the float tau, strictly inside (0, 1)."""
+    window = _window_prob(tau, deadline)
+    return tau * (n_users + deadline - 1 - deadline / window)
 
 
 def delivery_prob(config: ChannelConfig, tau) -> float:
@@ -450,12 +458,14 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # (mpr, deadline) of mprs x deadlines with mpr major, from one head-sum
 # recurrence read at each mpr and one window per deadline. A form exists
 # only where a caller would otherwise loop a costly scalar function, and a
-# scalar twin only where a caller loops on it, which only the solver does
-# (`_head_sums`, `_window_prob`, `admitted_load`, `deadline_load`,
-# `delivery_prob`; the grid search's lockstep refinement takes `_head_sums`
-# only where a head sum must be carried scaled). `binomial_pmf`,
-# `success_size_ratio`, `delivery_prob_derivative` and `iteration_map`,
-# which no caller loops on, are their forms at one point.
+# scalar twin only where a caller loops on it, which only the solver does:
+# its gap, `_gap_of`, binds one config's `_head_sums` and `_deadline_load`
+# (with `_window_prob`) once per solve, and `admitted_load`,
+# `deadline_load` and `delivery_prob` are built from the same three (the
+# grid search's lockstep refinement takes `_head_sums` only where a head
+# sum must be carried scaled). `binomial_pmf`, `success_size_ratio`,
+# `delivery_prob_derivative` and `iteration_map`, which no caller loops
+# on, are their forms at one point.
 
 
 def _window_prob_row(tau: np.ndarray, deadline, exact=True) -> np.ndarray:
@@ -599,10 +609,27 @@ def _success_size_ratio_rows(n_users: int, mprs, tau: np.ndarray):
         yield num / den
 
 
+def _gap_of(config: ChannelConfig):
+    """The stationarity gap of `config`, admitted_load(x) - deadline_load(x),
+    as a function of the float x, bit for bit: it has the sign of the
+    delivery-probability derivative. The config is read once, and each
+    evaluation checks x with one comparison, taking `_open_probability`'s
+    error only outside (0, 1)."""
+    peers, mpr = config.n_users - 1, config.mpr
+    n_users, deadline = config.n_users, config.deadline
+
+    def gap(x: float) -> float:
+        if not 0.0 < x < 1.0:
+            _open_probability(x)
+        head, weighted, _ = _head_sums(peers, mpr, x)
+        return weighted / head - _deadline_load(n_users, deadline, x)
+
+    return gap
+
+
 def _stationarity_gap(config: ChannelConfig, x: float) -> float:
-    """admitted_load(x) - deadline_load(x), which has the sign of the
-    delivery-probability derivative."""
-    return admitted_load(config, x) - deadline_load(config, x)
+    """The gap of `_gap_of` at one point."""
+    return _gap_of(config)(x)
 
 
 def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
@@ -630,14 +657,15 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
             residual=0.0,
             converged=True,
         )
+    gap = _gap_of(config)
     # Bracket: gap(a) > 0 >= gap(b).
-    a, fa = lo, _stationarity_gap(config, lo)
+    a, fa = lo, gap(lo)
     b = 0.5 * (lo + 1.0)
-    fb = _stationarity_gap(config, b)
+    fb = gap(b)
     while fb > 0.0:
         a, fa = b, fb
         b = 0.5 * (b + 1.0)
-        fb = _stationarity_gap(config, b)
+        fb = gap(b)
     # Brent's zero search (Brent 1973, ch. 4). b is the best estimate, c the
     # other end of the bracket, a the previous b.
     c, fc = a, fa
@@ -677,7 +705,7 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
             step = prev_step = half
         a, fa = b, fb
         b += step if abs(step) > tol else math.copysign(tol, half)
-        fb = _stationarity_gap(config, b)
+        fb = gap(b)
         iterations += 1
     return SolveReport(
         tau_opt=b,

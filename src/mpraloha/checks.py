@@ -18,26 +18,30 @@ for bit: one head-sum recurrence per n, read at each m, and one window and
 deadline-load row per (n, d). It reduces the rows cell by cell, in the
 grid's (n, m, d) order, and formats the location of its worst violation
 only. The window factor and the delivery probability at tau = 0 and 1 are
-cheap enough to evaluate with the public functions themselves.
+cheap enough to evaluate with the public functions themselves. Within one
+`run_all` call the three solver checks share one `solve_optimal_tau` per
+distinct cell; a check called alone solves each of its cells.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .analytic import (
     ChannelConfig,
+    SolveReport,
     _admitted_load_rows,
     _binomial_pmf_row,
     _deadline_load_row,
-    _deadline_text,
     _delivery_prob_derivative_rows,
     _delivery_prob_rows,
     _elementwise,
+    _int_text,
     _iteration_map_rows,
     _stationarity_gap,
     _success_size_ratio_rows,
@@ -65,14 +69,33 @@ _IDENTITY_TOL = 1e-12
 def _valid_cell(where: str, n: int, m: int | None, d: int) -> ChannelConfig:
     """`ChannelConfig(n, m, d)`, with m = 1 if it is None. Its error is
     raised prefixed with `where` and the cell: n, then m unless it is None,
-    then d, which past DEADLINE_MAX is given by its digit count."""
-    cell = f"n={n}" if m is None else f"n={n} m={m}"
+    then d, each by its digit count past DEADLINE_MAX."""
+    cell = f"n={_int_text(n)}"
+    if m is not None:
+        cell += f" m={_int_text(m)}"
     try:
         return ChannelConfig(n, 1 if m is None else m, d)
     except ValueError as exc:
-        raise ValueError(
-            f"{where} {cell} d={_deadline_text(d)}: {exc}"
-        ) from exc
+        raise ValueError(f"{where} {cell} d={_int_text(d)}: {exc}") from exc
+
+
+# The reports of one `run_all` call by config, which each of its checks
+# reads before it solves; None outside that call.
+_SOLVES: ContextVar[dict[ChannelConfig, SolveReport] | None] = ContextVar(
+    "_SOLVES", default=None
+)
+
+
+def _solve(config: ChannelConfig) -> SolveReport:
+    """`solve_optimal_tau(config)`, looked up when it runs, solved once per
+    config within one `run_all` call."""
+    solves = _SOLVES.get()
+    if solves is None:
+        return solve_optimal_tau(config)
+    report = solves.get(config)
+    if report is None:
+        report = solves[config] = solve_optimal_tau(config)
+    return report
 
 
 @dataclass(frozen=True)
@@ -419,7 +442,7 @@ def check_iteration_map_bracketing(grid: VerifyGrid) -> CheckResult:
 
     def rows():
         for (n, m, d), g in _cell_rows(grid, _iteration_map_rows, row):
-            tau_opt = solve_optimal_tau(ChannelConfig(n, m, d)).tau_opt
+            tau_opt = _solve(ChannelConfig(n, m, d)).tau_opt
             # Tau values within the exclusion of the optimum are not
             # checked at all.
             kept = np.flatnonzero(~(np.abs(row - tau_opt) <= exclusion))
@@ -443,7 +466,7 @@ def check_solver_vs_grid_search(grid: VerifyGrid) -> CheckResult:
     dense population sweep."""
     cells = list(grid.sweep_cells())
     configs = [ChannelConfig(n, m, d) for n, m, d in cells]
-    reports = [solve_optimal_tau(cfg) for cfg in configs]
+    reports = [_solve(cfg) for cfg in configs]
     oracle = grid_search_optimum(configs)
     tau_diffs = [abs(r.tau_opt - t) for r, (t, _) in zip(reports, oracle)]
     # np.max, unlike Python's max, returns NaN if any difference is NaN.
@@ -468,7 +491,7 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
     violations = []
     for n, m, d in cells:
         cfg = ChannelConfig(n, m, d)
-        report = solve_optimal_tau(cfg)
+        report = _solve(cfg)
         tau = report.tau_opt
         lo = lower_bound_tau(n, d)
         out = max(lo - tau - 1e-12, tau - (1.0 - 1e-15))
@@ -492,7 +515,12 @@ CHECK_NAMES = tuple(
 
 def run_all(grid: VerifyGrid | None = None) -> list[CheckResult]:
     """Run `check_<name>` for each name of CHECK_NAMES, in that order. Each
-    function is looked up when it runs, so a replaced module attribute is
-    the one called."""
+    function, and `solve_optimal_tau`, is looked up when it runs, so a
+    replaced module attribute is the one called. The checks share one
+    solve per config for the length of the call."""
     g = grid or VerifyGrid()
-    return [globals()[f"check_{name}"](g) for name in CHECK_NAMES]
+    token = _SOLVES.set({})
+    try:
+        return [globals()[f"check_{name}"](g) for name in CHECK_NAMES]
+    finally:
+        _SOLVES.reset(token)

@@ -98,10 +98,12 @@ _SIMULATE_HEADER = [
 
 
 def _solve_row(config: analytic.ChannelConfig, report: analytic.SolveReport):
-    """The `_SOLVE_HEADER` values; a bool is written as true/false."""
+    """The `_SOLVE_HEADER` values, read field by field (astuple deep-copies
+    each one); `converged` is written as true/false."""
     return [
-        str(value).lower() if isinstance(value, bool) else value
-        for value in dataclasses.astuple(config) + dataclasses.astuple(report)
+        config.n_users, config.mpr, config.deadline, report.tau_opt,
+        report.sdp_max, report.iterations, report.residual,
+        "true" if report.converged else "false",
     ]
 
 

@@ -25,7 +25,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import (N_CAP, ChannelConfig, _require_deadline,
+from .analytic import (N_CAP, ChannelConfig, _int_text, _require_deadline,
                        solve_optimal_tau)
 
 __all__ = [
@@ -58,9 +58,8 @@ class EstimatorConfig:
 
     def __post_init__(self) -> None:
         if self.interval_len < 1:
-            raise ValueError(
-                f"interval_len must be >= 1, got {self.interval_len}"
-            )
+            raise ValueError("interval_len must be >= 1, got "
+                             f"{_int_text(self.interval_len)}")
         if not 0.0 <= self.memory_factor <= 1.0:
             raise ValueError(
                 f"memory_factor must be in [0, 1], got {self.memory_factor}"
@@ -68,17 +67,18 @@ class EstimatorConfig:
         if not 1 <= self.probe_low < self.probe_high:
             raise ValueError(
                 "probes must satisfy 1 <= probe_low < probe_high, got "
-                f"{self.probe_low} and {self.probe_high}"
+                f"{_int_text(self.probe_low)} and "
+                f"{_int_text(self.probe_high)}"
             )
         if self.probe_high > self.mpr:
             raise ValueError(
                 f"probe_high must be decodable (<= mpr), got "
-                f"{self.probe_high} with mpr={self.mpr}"
+                f"{_int_text(self.probe_high)} with mpr={_int_text(self.mpr)}"
             )
         if not self.mpr < self.n_max <= N_CAP:
             raise ValueError(
                 f"n_max must satisfy mpr < n_max <= {N_CAP}, got "
-                f"{self.n_max} with mpr={self.mpr}"
+                f"{_int_text(self.n_max)} with mpr={_int_text(self.mpr)}"
             )
         _require_deadline(self.deadline)
 

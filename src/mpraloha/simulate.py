@@ -34,7 +34,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analytic import ChannelConfig, _require_deadline, as_probability
+from .analytic import (ChannelConfig, _int_text, _require_deadline,
+                       as_probability)
 
 __all__ = [
     "IntervalOutcome",
@@ -123,7 +124,7 @@ def run_interval(
     n_users = len(tx_probs)
     _require_deadline(deadline)
     if n_slots < 0:
-        raise ValueError(f"n_slots must be >= 0, got {n_slots}")
+        raise ValueError(f"n_slots must be >= 0, got {_int_text(n_slots)}")
     if len(hol_ages) != n_users:
         raise ValueError(
             f"hol_ages must have one entry per station ({n_users}), "

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpraloha import analytic
+from mpraloha import analytic, checks
 from mpraloha.analytic import (
     _COARSE_POINTS,
     _SCALED_BELOW,
@@ -118,6 +118,39 @@ class TestValidation:
             with pytest.raises(ValueError) as info:
                 entry(deadline)
             assert str(info.value) == message
+
+    @pytest.mark.parametrize("entry, message", [
+        (lambda: ChannelConfig(10**5000, 1, 1),
+         "n_users must be in [2, 1000], got a 5001-digit number"),
+        (lambda: ChannelConfig(5, -10**5000, 1),
+         "mpr must satisfy 1 <= mpr < n_users, got mpr=a negative "
+         "5001-digit number with n_users=5"),
+        (lambda: lower_bound_tau(-10**5000, 3),
+         "n_users must be in [2, 1000], got a negative 5001-digit number"),
+        (lambda: binomial_pmf(10**5000, 1, 0.5),
+         "n must be in [0, 1000], got a 5001-digit number"),
+        (lambda: binomial_pmf(10, -10**5000, 0.5),
+         "i must be in [0, n], got i=a negative 5001-digit number, n=10"),
+        (lambda: checks._valid_cell("sweep cell", 5, 10**5000, 1),
+         "sweep cell n=5 m=a 5001-digit number d=1: mpr must satisfy "
+         "1 <= mpr < n_users, got mpr=a 5001-digit number with n_users=5"),
+        (lambda: EstimatorConfig(-10**5000, 0.5, 1, 2, 10, 5, 1),
+         "interval_len must be >= 1, got a negative 5001-digit number"),
+        (lambda: EstimatorConfig(100, 0.5, 1, 2, 10**5000, 5, 1),
+         "n_max must satisfy mpr < n_max <= 1000, got a 5001-digit number "
+         "with mpr=5"),
+        (lambda: run_interval(np.random.default_rng(0), np.full(3, 0.5), 2,
+                              1, -10**5000, np.zeros(3, dtype=np.int64)),
+         "n_slots must be >= 0, got a negative 5001-digit number"),
+    ], ids=["population", "mpr", "lower_bound_tau", "binomial_pmf-n",
+            "binomial_pmf-i", "valid_cell", "interval_len", "n_max",
+            "n_slots"])
+    def test_oversized_int_named_by_its_digits(self, entry, message):
+        # str() refuses ints past 4300 digits: every validator names the
+        # int it rejects by its digit count past the float range.
+        with pytest.raises(ValueError) as info:
+            entry()
+        assert str(info.value) == message
 
     def test_probability_range(self):
         with pytest.raises(ValueError):
@@ -280,11 +313,14 @@ def _exact_quotient(n: int, lo: int, hi: int, tau: float, k: int) -> Fraction:
     t = Fraction(tau)
     a, b = t.numerator, t.denominator - t.numerator
     num = den = 0
+    power = a**lo
+    # Horner's rule in b: after step i, each sum holds its terms times the
+    # common factor denominator**n / b**(n - i), which the quotient drops.
     for i in range(lo, hi):
-        # P(X=i) times the common factor denominator**n.
-        w = math.comb(n, i) * a**i * b ** (n - i)
-        num += i**k * w
-        den += i ** (k - 1) * w
+        w = math.comb(n, i) * power
+        num = num * b + i**k * w
+        den = den * b + i ** (k - 1) * w
+        power *= a
     return Fraction(num, den)
 
 
@@ -365,7 +401,52 @@ class TestLowerBound:
             f"n_users must be in [2, {N_CAP}], got {N_CAP + 1}")
 
 
+def _outcome(func, *args):
+    """func(*args) as its float bits, or the type and text of its error."""
+    try:
+        return _bits([func(*args)])
+    except (ValueError, ArithmeticError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _gap_points(draw):
+    """A cell of the accepted domain with D up to 10^15, and an x: any
+    float of [0, 1], or one of the points the solver's bracket moves to,
+    1 - (1 - lo) / 2^k from lo = lower_bound_tau, whose starts
+    (1 - x)^(n-1) are carried scaled as k grows and which reach tau = 1
+    past k = 53."""
+    n = draw(st.integers(2, analytic.N_CAP))
+    m = draw(st.integers(1, n - 1))
+    d = draw(st.one_of(st.integers(1, 30), st.integers(1, 10**15)))
+    lo = lower_bound_tau(n, d)
+    x = draw(st.one_of(
+        st.floats(0.0, 1.0),
+        st.floats(1e-16, 0.5).map(lambda e: 1.0 - e),
+        st.integers(0, 60).map(lambda k: 1.0 - (1.0 - lo) / 2**k),
+    ))
+    return (n, m, d), x
+
+
 class TestSolver:
+    @settings(max_examples=200, deadline=None)
+    @given(point=_gap_points())
+    @example(point=((50, 49, 10**15), 1.0))
+    @example(point=((1000, 999, 10**15), 1.0 - 2**-40))
+    @example(point=((1000, 3, 20), 0.6))
+    @example(point=((10, 2, 5), math.nan))
+    def test_gap_is_the_load_difference(self, point):
+        # The solver's gap, bound once per config, is the public loads'
+        # difference bit for bit, and raises their error outside (0, 1).
+        cell, x = point
+        cfg = ChannelConfig(*cell)
+        want = _outcome(
+            lambda t: admitted_load(cfg, t) - deadline_load(cfg, t), x)
+        assert _outcome(analytic._gap_of(cfg), x) == want
+        assert _outcome(analytic._stationarity_gap, cfg, x) == want
+        if not 0.0 < x < 1.0:
+            assert want[0] is ValueError
+
     def test_single_packet_receiver_closed_form(self):
         report = solve_optimal_tau(ChannelConfig(10, 1, 1))
         assert type(report.tau_opt) is float
@@ -774,14 +855,10 @@ class TestArrayForms:
         for form, scalar, args, cells in (
             (analytic._delivery_prob_rows, delivery_prob,
              (mprs, deadlines), by_cell),
-            (analytic._delivery_prob_derivative_rows,
-             delivery_prob_derivative, (mprs, deadlines), by_cell),
             (analytic._iteration_map_rows, _iteration_map_of_loads,
              (mprs, deadlines), by_cell),
             (analytic._admitted_load_rows, admitted_load, (mprs,),
              [(s, d) for s in mprs]),
-            (analytic._success_size_ratio_rows, success_size_ratio,
-             (mprs,), [(s, d) for s in mprs]),
         ):
             want = [_scalar_row(scalar, (ChannelConfig(n, s, e),), taus)
                     for s, e in cells]
@@ -792,6 +869,30 @@ class TestArrayForms:
             assert [None if w is None else _bits(w) for w in want] == [
                 None if g is None else _bits(g) for g in got
             ], form.__name__
+        # `delivery_prob_derivative` and `success_size_ratio` are these
+        # forms at one point, so their oracles are independent ones: the
+        # product rule's closed form, in the derivative check's scaled
+        # error, and the exact quotient, within the rounding of a sum of
+        # positive terms from a recurrence of m + 1 steps. The closed form
+        # multiplies tau into its terms, which keep few bits below the
+        # normal range: it is the oracle of normal tau only.
+        normal = row >= sys.float_info.min
+        rows = _generated_rows(analytic._delivery_prob_derivative_rows, n,
+                               mprs, deadlines, row)
+        for (s, e), got in zip(by_cell, rows):
+            cfg = ChannelConfig(n, s, e)
+            want = np.array([reference.delivery_prob_derivative(cfg, t)
+                             for t in row[normal].tolist()])
+            if got is not None and want.size:
+                err = np.abs(got[normal] - want) / (1.0 + np.abs(want))
+                assert err.max() <= 1e-10, (s, e)
+        rows = _generated_rows(analytic._success_size_ratio_rows, n, mprs,
+                               row)
+        for s, got in zip(mprs, rows):
+            for t, value in zip(taus, got.tolist()):
+                exact = _exact_quotient(n, 1, s + 1, t, 2)
+                assert abs(Fraction(value) - exact) <= (
+                    exact * 8 * (s + 1) * Fraction(2)**-53), (s, t)
 
     def test_per_element_bit_identical_to_scalar(self):
         # One call with a (n, m, d) per element, as the grid search's

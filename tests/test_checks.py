@@ -188,6 +188,55 @@ class TestFaultInjection:
         assert result.detail == "nan at cell 0"
 
 
+class TestSolveSharing:
+    """`run_all` solves each distinct cell once, through the module's
+    `solve_optimal_tau`, and keeps no report past the call."""
+
+    @staticmethod
+    def _counting(monkeypatch):
+        solved = []
+
+        def solver(config):
+            solved.append(config)
+            return solve_optimal_tau(config)
+
+        monkeypatch.setattr(checks, "solve_optimal_tau", solver)
+        return solved
+
+    def test_one_solve_per_distinct_cell(self, monkeypatch):
+        grid = VerifyGrid()
+        cells = set(grid.cells()) | set(grid.sweep_cells())
+        solved = self._counting(monkeypatch)
+        checks.run_all(grid)
+        assert len(solved) == len(cells) == 573
+        assert {(c.n_users, c.mpr, c.deadline) for c in solved} == cells
+        assert checks._SOLVES.get() is None
+
+    def test_solver_patched_between_runs_is_called(self, monkeypatch):
+        checks.run_all(SMALL)
+        solved = self._counting(monkeypatch)
+        checks.run_all(VerifyGrid(**vars(SMALL)))
+        cells = set(SMALL.cells()) | set(SMALL.sweep_cells())
+        assert len(solved) == len(cells)
+
+    def test_standalone_check_solves_every_cell(self, monkeypatch):
+        checks.run_all(SMALL)
+        solved = self._counting(monkeypatch)
+        grid = VerifyGrid()
+        checks.check_solver_localization(grid)
+        checks.check_solver_localization(grid)
+        assert len(solved) == 2 * len(list(grid.cells())) == 126
+
+    def test_table_dropped_when_a_check_raises(self, monkeypatch):
+        def broken(grid):
+            raise RuntimeError("broken check")
+
+        monkeypatch.setattr(checks, "check_solver_localization", broken)
+        with pytest.raises(RuntimeError, match="broken check"):
+            checks.run_all(SMALL)
+        assert checks._SOLVES.get() is None
+
+
 class TestGrid:
     def test_mpr_values_respect_population(self):
         grid = VerifyGrid()

@@ -168,6 +168,27 @@ class TestSolve:
         assert rows[0]["n_users"] == "20"
         assert rows[0]["converged"] == "true"
 
+    def test_row_lines_up_with_the_header(self):
+        # The row lists the fields by hand; the header reads them from the
+        # dataclasses.
+        config = analytic.ChannelConfig(20, 5, 7)
+        for converged in (True, False):
+            report = analytic.SolveReport(0.25, 0.5, 9, 1e-13, converged)
+            fields = {**dataclasses.asdict(config),
+                      **dataclasses.asdict(report),
+                      "converged": str(converged).lower()}
+            row = cli._solve_row(config, report)
+            assert dict(zip(cli._SOLVE_HEADER, row, strict=True)) == fields
+
+    def test_gap_outside_the_open_interval_exits_one(self, capsys):
+        # At D = 10^16 the bracket reaches tau = 1.0, where the gap
+        # raises the open-interval error (the cancellation near 1 is an
+        # open fault; this pins how it surfaces).
+        argv = ["solve", "--n", "50", "--m", "49", "--d", str(10**16)]
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == (
+            "error: value must be strictly inside (0, 1), got 1.0\n")
+
 
 class TestSweep:
     def test_csv_to_stdout(self, capsys):
