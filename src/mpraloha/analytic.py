@@ -365,7 +365,11 @@ def deadline_load(config: ChannelConfig, tau) -> float:
 def _deadline_load(n_users: int, deadline: int, tau: float) -> float:
     """`deadline_load` at the float tau, strictly inside (0, 1)."""
     window = _window_prob(tau, deadline)
-    return tau * (n_users + deadline - 1 - deadline / window)
+    quotient = deadline / window
+    if quotient < math.inf:
+        return tau * (n_users + deadline - 1 - quotient)
+    # At subnormal tau the quotient overflows, but tau times it does not.
+    return tau * (n_users + deadline - 1) - deadline * (tau / window)
 
 
 def delivery_prob(config: ChannelConfig, tau) -> float:
@@ -499,8 +503,13 @@ def _deadline_load_row(n_users: int, deadline: int, tau: np.ndarray,
                        window: np.ndarray) -> np.ndarray:
     """`deadline_load` at every element, given its window
     `_window_prob_row(tau, deadline)`."""
-    load = float(n_users + deadline - 1) - _quotient(float(deadline), window)
-    return tau * load
+    span, d = float(n_users + deadline - 1), float(deadline)
+    quotient = _quotient(d, window)
+    load = tau * (span - quotient)
+    # At subnormal tau the quotient overflows, as in `_deadline_load`.
+    huge = np.isinf(quotient)
+    load[huge] = tau[huge] * span - d * (tau[huge] / window[huge])
+    return load
 
 
 def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray) -> np.ndarray:

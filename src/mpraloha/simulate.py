@@ -130,8 +130,15 @@ def run_interval(
             f"hol_ages must have one entry per station ({n_users}), "
             f"got {len(hol_ages)}"
         )
+    # The per-slot process never carries an age of `deadline` or more; the
+    # chaining would expire age // deadline packets for one at once.
+    outside = (hol_ages < 0) | (hol_ages >= deadline)
+    if outside.any():
+        raise ValueError(
+            f"hol_ages must lie in [0, deadline), got {hol_ages[outside][0]}"
+        )
     # An age never exceeds the slots simulated, so a longer deadline expires
-    # no packet, as 2**62 does; `_expire`'s int64 arithmetic needs the clamp.
+    # no packet, as 2**62 does; the int64 expiry arithmetic needs the clamp.
     deadline = min(deadline, 2**62)
     block = max(1, _BLOCK_CELLS // max(1, n_users))
     bit_gen = rng.bit_generator
@@ -153,16 +160,15 @@ def run_interval(
             (part_rng, hi - lo, tx_probs, mpr, deadline, probes)
             for part_rng, lo, hi in zip(rngs, cuts, cuts[1:])
         ]
-        for part_succeeded, heard, hits, gaps in _run_parts(jobs):
-            succeeded += part_succeeded
+        for delivered, heard, hits, inner, head, tail in _run_parts(jobs):
+            succeeded += delivered
             for c, part_heard in zip(probes, heard):
                 probe_counts[c] += part_heard
-            if deadline > 1:
-                completed += hits + _expire(gaps, hits, hol_ages, deadline)
-        del gaps  # not held through the next block's draw
-        if deadline == 1:
-            # Every silent slot expires its packet and no age carries over.
-            completed += n
+            # The part's first silent run follows the age carried in, and a
+            # station that never sent carries that whole run on.
+            head += hol_ages
+            completed += hits + inner + head // deadline
+            hol_ages[:] = np.where(hits > 0, tail, head % deadline)
         if k > 1:
             # The last part ended where the serial draw ends. `random` does
             # not touch the generator's buffered 32-bit half, so keep it.
@@ -211,9 +217,10 @@ def _part(
 ) -> tuple:
     """Draw and reduce `n` slots of one block from `rng`.
 
-    Returns, per station, its successes and, for each probe in order, its
-    heard probe slots; then, unless `deadline == 1`, its transmissions and
-    the raw gap vector for `_expire`. Only numpy calls that release the
+    Returns, per station, its successes, for each probe in order its heard
+    probe slots, its transmissions, the expiries in every silent run but
+    the first (the trailing run's included), the first run's length and
+    the trailing run mod `deadline`. Only numpy calls that release the
     interpreter lock do the work, so parts on other threads run at once.
     """
     n_users = len(tx_probs)
@@ -234,16 +241,23 @@ def _part(
     for c in probes:
         in_probe = totals == c
         heard.append(np.count_nonzero(in_probe) - _sent_in(bits, in_probe))
-    if deadline == 1:
-        return succeeded, heard, None, None
     hits = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
+    if deadline == 1:
+        # Every silent slot expires its packet and no age carries over.
+        return succeeded, heard, hits, n - hits, 0 * hits, 0 * hits
     # Set cells: the transmissions and one sentinel per station.
     sparse = hits.sum() + n_users <= _SPARSE_SCAN_SHARE * marks.size
     scan = _packed_flatnonzero if sparse else np.flatnonzero
     # Silent slots before each transmission, the sentinel's included.
     gaps = np.diff(scan(marks), prepend=-1)
     gaps -= 1
-    return succeeded, heard, hits, gaps
+    last = np.cumsum(hits + 1) - 1
+    first = last - hits
+    head = gaps[first]
+    tail = gaps[last] % deadline
+    gaps[first] = 0
+    gaps //= deadline
+    return succeeded, heard, hits, np.add.reduceat(gaps, first), head, tail
 
 
 def _packed_flatnonzero(marks: np.ndarray) -> np.ndarray:
@@ -262,30 +276,6 @@ def _sent_in(bits: np.ndarray, slots: np.ndarray) -> np.ndarray:
     return np.bitwise_count(bits & np.packbits(slots)).sum(
         axis=1, dtype=np.int64
     )
-
-
-def _expire(
-    gaps: np.ndarray,
-    hits: np.ndarray,
-    hol_ages: np.ndarray,
-    deadline: int,
-) -> np.ndarray:
-    """Packets each station let expire in one part; advances hol_ages.
-
-    `gaps` holds, station by station, the silent slots before each of the
-    station's `hits` transmissions in the part and before a sentinel
-    transmission after it. Every full `deadline` silent slots in a gap
-    expire one packet. The sentinel gives every station at least one gap and
-    makes its final gap the tail that carries over as its new age.
-    """
-    last = np.cumsum(hits + 1) - 1
-    first = last - hits
-    # A station's first gap follows its carried-over age rather than the
-    # previous station's sentinel.
-    gaps[first] += hol_ages
-    hol_ages[:] = gaps[last] % deadline
-    gaps //= deadline
-    return np.add.reduceat(gaps, first)
 
 
 def run_stationary(

@@ -298,6 +298,25 @@ class TestLoadCurves:
             lo = lower_bound_tau(n, d)
             assert deadline_load(cfg, lo) == pytest.approx(0.0, abs=1e-10)
 
+    def test_finite_at_subnormal_tau(self):
+        # deadline / window overflows below about 5.6e-309, yet the load
+        # keeps its limit -1 and the derivative its limit D.
+        assert deadline_load(ChannelConfig(10, 2, 5), 1e-310) == (
+            pytest.approx(-1.0, abs=1e-15))
+        for n, m, d in ((2, 1, 1), (10, 2, 5)):
+            assert delivery_prob_derivative(
+                ChannelConfig(n, m, d), 5e-324) == pytest.approx(d, rel=1e-15)
+
+    @pytest.mark.parametrize("n, d", [(2, 1), (10, 5), (1000, 10**6)])
+    def test_row_matches_scalar_at_subnormal_tau(self, n, d):
+        taus = [5e-324, 1e-320, 1e-310, 5e-309, 2e-308, sys.float_info.min]
+        row = np.array(taus)
+        got = analytic._deadline_load_row(
+            n, d, row, analytic._window_prob_row(row, d))
+        assert np.isfinite(got).all()
+        assert _bits(got) == _bits(
+            [deadline_load(ChannelConfig(n, 1, d), t) for t in taus])
+
     def test_moment_ratio_exceeds_load_by_one(self):
         # n=3, m=2 at tau=1/2: ratio 5/3 versus load 2/3.
         cfg = ChannelConfig(3, 2, 1)

@@ -238,6 +238,18 @@ def test_run_interval_rejects_what_it_cannot_simulate(
                      slots, np.zeros(n_ages, dtype=np.int64))
 
 
+@pytest.mark.parametrize("deadline, age", [
+    (1, 1), (1, 3), (4, 4), (4, -1), (2**62, 2**62),
+])
+def test_run_interval_rejects_ages_outside_the_deadline(deadline, age):
+    # The per-slot reference keeps every age below the deadline; an age at
+    # or past it would be counted as that many silent slots.
+    ages = np.array([0, age, 0], dtype=np.int64)
+    with pytest.raises(ValueError, match="hol_ages must lie in"):
+        run_interval(np.random.default_rng(0), np.full(3, 0.5), 2, deadline,
+                     10, ages)
+
+
 @pytest.mark.parametrize("deadline", [2**62, 10**19, 2**70])
 def test_deadline_past_int64_acts_as_no_deadline(deadline):
     # No age passes the slots simulated plus the age carried in (307 here),
@@ -529,6 +541,47 @@ class TestParts:
         env = dict(os.environ, PYTHONPATH=src)
         subprocess.run([sys.executable, "-c", code], env=env, check=True,
                        timeout=60)
+
+
+@st.composite
+def _chained_calls(draw):
+    """Stations, deadline, carried ages, slots and parts for one
+    `run_interval` call. Tau 0 stations never send, so they stay silent
+    through every part; low tau gives silent runs that cross the parts'
+    boundaries."""
+    n_users = draw(st.integers(1, 8))
+    taus = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 0.2),
+                  st.floats(0.0, 1.0)),
+        min_size=n_users, max_size=n_users,
+    ))
+    deadline = draw(st.sampled_from([1, 2, 7, 2**62]))
+    ages = draw(st.lists(st.integers(0, deadline - 1), min_size=n_users,
+                         max_size=n_users))
+    return (np.array(taus), draw(st.integers(1, 3)), deadline, ages,
+            draw(st.integers(1, 300)), draw(st.integers(1, 4)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@given(call=_chained_calls())
+@example(call=(np.array([0.0, 0.05, 1.0]), 2, 7, [5, 6, 3], 40, 4, 1))
+@example(call=(np.array([0.0, 0.3]), 1, 2**62, [2**62 - 50, 9], 300, 3, 2))
+@settings(max_examples=150, deadline=None)
+def test_chained_parts_match_reference(call):
+    # Each part hands back per-station counts only, and the calling thread
+    # chains them through the ages: the result must be the per-slot one.
+    taus, mpr, deadline, ages, slots, parts, seed = call
+    probes = (0, 1, 2)
+    rng_ref = np.random.default_rng(seed)
+    completed, succeeded, ref_ages, heard = _reference(
+        taus, mpr, deadline, slots, rng_ref, ages, probes
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        _split(patch, parts)
+        got = _outcome(np.random.default_rng(seed), taus, mpr, deadline,
+                       slots, ages, probes)
+    assert got[:4] == (completed, succeeded, heard, ref_ages)
+    assert got[4] == rng_ref.bit_generator.state
 
 
 class TestRunStationary:
