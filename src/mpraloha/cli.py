@@ -24,6 +24,8 @@ import os
 import sys
 from statistics import fmean, stdev
 
+import numpy as np
+
 from . import analytic, checks, scenario, simulate
 
 __all__ = ["main", "build_parser"]
@@ -175,13 +177,19 @@ def _cmd_simulate(args) -> int:
             ) from None
     expected = analytic.delivery_prob(config, tau)
     if args.reps < 1:
-        raise ValueError(f"--reps must be >= 1, got {args.reps}")
+        raise ValueError(
+            f"--reps must be >= 1, got {analytic._int_text(args.reps)}"
+        )
     # Here, not at the first replication, so no CSV is started for a run
     # that cannot happen.
     if args.slots < 1:
-        raise ValueError(f"--slots must be >= 1, got {args.slots}")
+        raise ValueError(
+            f"--slots must be >= 1, got {analytic._int_text(args.slots)}"
+        )
     if args.seed < 0:
-        raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        raise ValueError(
+            f"--seed must be >= 0, got {analytic._int_text(args.seed)}"
+        )
     rep_sdps = []
     total_completed = 0
     total_succeeded = 0
@@ -256,16 +264,21 @@ _STAGES_HEADER = [
     "sdp_theory", "sdp_mean", "sdp_variance", "samples",
 ]
 
-# Trace rows converted to Python numbers at a time, which bounds the memory
-# the conversion takes whatever the length of the run.
-_CSV_CHUNK_ROWS = 1 << 16
+# Trace rows gathered before they are written: few enough that memory does
+# not grow with the run, enough that their conversion to Python numbers
+# runs in bulk.
+_CSV_CHUNK_ROWS = 1 << 12
 
 
-def _trace_rows(trace: scenario.Trace):
-    columns = [getattr(trace, name) for name in _TRACE_COLUMNS]
-    for start in range(0, len(trace), _CSV_CHUNK_ROWS):
-        stop = start + _CSV_CHUNK_ROWS
-        yield from zip(*(column[start:stop].tolist() for column in columns))
+def _write_trace(writer, pending: list) -> None:
+    """Write the `scenario.Trace` rows gathered in `pending`, then empty
+    it."""
+    columns = (
+        np.concatenate([getattr(rows, name) for rows in pending]).tolist()
+        for name in _TRACE_COLUMNS
+    )
+    writer.writerows(zip(*columns))
+    pending.clear()
 
 
 def _cmd_dynamic(args) -> int:
@@ -273,23 +286,39 @@ def _cmd_dynamic(args) -> int:
     if args.seed is not None:
         timeline = dataclasses.replace(timeline, seed=args.seed)
     # Before the run, so an unusable directory fails in a moment. A failed
-    # run removes the directories made here, still empty, innermost first.
+    # run removes its partial trace and the directories made here, still
+    # empty, innermost first.
     created = []
     path = os.path.abspath(args.out)
     while not os.path.exists(path):
         created.append(path)
         path = os.path.dirname(path)
     os.makedirs(args.out, exist_ok=True)
+    trace_path = os.path.join(args.out, "trace.csv")
+    stages_path = os.path.join(args.out, "stages.csv")
+    opened = False
     try:
-        result = scenario.run_dynamic(timeline)
+        # The rows are written as the run goes, so memory does not grow
+        # with it.
+        with _csv_writer(trace_path, _TRACE_COLUMNS) as writer:
+            opened = True
+            pending = []
+
+            def sink(rows):
+                pending.append(rows)
+                if sum(map(len, pending)) >= _CSV_CHUNK_ROWS:
+                    _write_trace(writer, pending)
+
+            result = scenario.run_dynamic(timeline, sink=sink)
+            if pending:
+                _write_trace(writer, pending)
     except BaseException:
         with contextlib.suppress(OSError):
+            if opened:
+                os.remove(trace_path)
             for path in created:
                 os.rmdir(path)
         raise
-    trace_path = os.path.join(args.out, "trace.csv")
-    stages_path = os.path.join(args.out, "stages.csv")
-    _emit_csv(trace_path, _TRACE_COLUMNS, _trace_rows(result.trace))
     _emit_csv(
         stages_path,
         _STAGES_HEADER,

@@ -7,7 +7,8 @@ worst-case population guess; stations leaving simply disappear, abandoning
 any head-of-line packet. `run_dynamic` simulates the whole timeline slot by
 slot and records, per station and interval, the population estimate and
 transmission probability in force plus the packet counts, so the adaptation
-transient is visible in the output.
+transient is visible in the output. It hands each interval's rows on as the
+interval ends, so a long run need not hold its trace.
 
 Scenario files are plain text, read by `parse_scenario`:
 
@@ -36,12 +37,12 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
-from statistics import fmean, pvariance
+from collections import Counter
+from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .analytic import ChannelConfig, solve_optimal_tau
+from .analytic import ChannelConfig, _int_text, solve_optimal_tau
 from .estimator import EstimatorConfig, PopulationEstimator
 from .simulate import delivery_rate, run_interval
 
@@ -99,38 +100,41 @@ class ScenarioTimeline:
 
     def __post_init__(self) -> None:
         if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+            raise ValueError(
+                f"seed must be >= 0, got {_int_text(self.seed)}"
+            )
         if not self.stages:
             raise ValueError("scenario needs at least one stage in [stages]")
         cfg = self.estimator
         expected_first = 1
         for index, stage in enumerate(self.stages):
+            span = f"{_int_text(stage.first)}-{_int_text(stage.last)}"
             if stage.first != expected_first:
                 raise _StageError(
                     index,
                     f"stages must cover intervals contiguously from 1; "
-                    f"expected a stage starting at {expected_first}, got "
-                    f"{stage.first}",
+                    f"expected a stage starting at "
+                    f"{_int_text(expected_first)}, got "
+                    f"{_int_text(stage.first)}",
                 )
             if stage.last < stage.first:
-                raise _StageError(
-                    index, f"stage {stage.first}-{stage.last} is empty"
-                )
+                raise _StageError(index, f"stage {span} is empty")
             if not cfg.mpr < stage.active_users <= cfg.n_max:
                 raise _StageError(
                     index,
-                    f"stage {stage.first}-{stage.last}: active_users must "
-                    f"be in ({cfg.mpr}, {cfg.n_max}], got "
-                    f"{stage.active_users}",
+                    f"stage {span}: active_users must be in "
+                    f"({cfg.mpr}, {cfg.n_max}], got "
+                    f"{_int_text(stage.active_users)}",
                 )
             expected_first = stage.last + 1
 
 
 @dataclass(frozen=True, eq=False)
 class Trace:
-    """Every station's view of every interval, as columns with one row per
-    station and interval, ordered by interval and then station id: the
-    estimate and tau the station used, and what happened to its packets."""
+    """Stations' views of intervals, as columns with one row per station
+    and interval, ordered by interval and then station id: the estimate and
+    tau the station used, and what happened to its packets. `run_dynamic`
+    hands a sink one interval's rows at a time."""
 
     interval: np.ndarray
     user_id: np.ndarray
@@ -168,7 +172,10 @@ class StageStats:
 
 @dataclass(frozen=True)
 class DynamicResult:
-    trace: Trace
+    """A run's trace, or the range of its row numbers when a sink took the
+    rows, and its per-stage statistics."""
+
+    trace: Trace | range
     stages: tuple[StageStats, ...]
 
 
@@ -288,28 +295,35 @@ def load_scenario(path) -> ScenarioTimeline:
     return parse_scenario(text, source=str(path))
 
 
-def run_dynamic(timeline: ScenarioTimeline) -> DynamicResult:
+def run_dynamic(timeline: ScenarioTimeline, sink=None) -> DynamicResult:
     """Simulate the whole timeline. Deterministic in timeline.seed.
 
     Stations are numbered from 0; a population change keeps the lowest ids.
     Uniform draws are consumed one (interval_len, active) block per interval
     in row-major order, so a run is reproducible even across stage changes.
+
+    Each interval's rows, a `Trace` ordered by station id, go to
+    `sink(rows)` as the interval ends, and the stage statistics accumulate
+    as they go, so a run with a sink keeps no row past its interval; its
+    result's `trace` is then the `range` of the row numbers handed over.
+    Without a sink the rows are collected into one `Trace`, allocated up
+    front, so a trace too large for memory fails at once.
     """
     cfg = timeline.estimator
     rng = np.random.default_rng(timeline.seed)
     rows = sum(_stage_rows(stage) for stage in timeline.stages)
-    trace = Trace(
-        interval=np.empty(rows, dtype=np.int64),
-        user_id=np.empty(rows, dtype=np.int64),
-        n_est=np.empty(rows, dtype=np.int64),
-        tau=np.empty(rows),
-        packets_completed=np.empty(rows, dtype=np.int64),
-        packets_succeeded=np.empty(rows, dtype=np.int64),
-    )
+    if sink is None:
+        trace = Trace(*(
+            np.empty(rows, dtype=float if f.name == "tau" else np.int64)
+            for f in fields(Trace)
+        ))
+        sink = _filler(trace)
+    else:
+        trace = range(rows)
     estimators = PopulationEstimator(cfg, stations=0)
     hol_ages = np.zeros(0, dtype=np.int64)
-    stop = 0
-    for stage in timeline.stages:
+    stats = []
+    for number, stage in enumerate(timeline.stages, start=1):
         count = stage.active_users
         estimators.resize(count)
         joiners = max(0, count - len(hol_ages))
@@ -317,8 +331,8 @@ def run_dynamic(timeline: ScenarioTimeline) -> DynamicResult:
             [hol_ages[:count], np.zeros(joiners, dtype=np.int64)]
         )
         user_ids = np.arange(count)
+        rates = Counter()
         for interval in range(stage.first, stage.last + 1):
-            start, stop = stop, stop + count
             outcome = run_interval(
                 rng,
                 estimators.tau,
@@ -328,15 +342,32 @@ def run_dynamic(timeline: ScenarioTimeline) -> DynamicResult:
                 hol_ages,
                 probes=cfg.probes,
             )
-            trace.interval[start:stop] = interval
-            trace.user_id[start:stop] = user_ids
-            trace.n_est[start:stop] = estimators.n_est
-            trace.tau[start:stop] = estimators.tau
-            trace.packets_completed[start:stop] = outcome.completed
-            trace.packets_succeeded[start:stop] = outcome.succeeded
+            rates.update(_rates(outcome.succeeded, outcome.completed))
+            sink(Trace(
+                interval=np.full(count, interval, dtype=np.int64),
+                user_id=user_ids,
+                n_est=estimators.n_est,
+                tau=estimators.tau,
+                packets_completed=outcome.completed,
+                packets_succeeded=outcome.succeeded,
+            ))
             estimators.add_counts(outcome.probe_counts)
             estimators.end_interval()
-    return DynamicResult(trace, stage_statistics(timeline, trace))
+        stats.append(_stage_stats(number, stage, cfg, rates))
+    return DynamicResult(trace, tuple(stats))
+
+
+def _filler(trace: Trace):
+    """A sink that writes each interval's rows into `trace`, in turn."""
+    stop = 0
+
+    def sink(rows: Trace) -> None:
+        nonlocal stop
+        start, stop = stop, stop + len(rows)
+        for f in fields(Trace):
+            getattr(trace, f.name)[start:stop] = getattr(rows, f.name)
+
+    return sink
 
 
 def _stage_rows(stage: Stage) -> int:
@@ -351,38 +382,65 @@ def stage_statistics(
     `trace` is the interval-ordered trace `run_dynamic` made of `timeline`,
     so each stage is one contiguous slice of its rows.
     """
-    cfg = timeline.estimator
     rows = sum(_stage_rows(stage) for stage in timeline.stages)
     if len(trace) != rows:
         raise ValueError(
             f"trace has {len(trace)} rows, the timeline's stages {rows}"
         )
-    sdp = trace.sdp
     stats = []
     stop = 0
     for number, stage in enumerate(timeline.stages, start=1):
         start, stop = stop, stop + _stage_rows(stage)
-        theory = solve_optimal_tau(
-            ChannelConfig(stage.active_users, cfg.mpr, cfg.deadline)
-        ).sdp_max
-        completed = trace.packets_completed[start:stop]
-        samples = sdp[start:stop][completed > 0].tolist()
-        if samples:
-            mean = fmean(samples)
-            variance = pvariance(samples, mu=mean)
-        else:
-            mean = math.nan
-            variance = math.nan
-        stats.append(
-            StageStats(
-                number=number,
-                first=stage.first,
-                last=stage.last,
-                active_users=stage.active_users,
-                sdp_theory=theory,
-                sdp_mean=mean,
-                sdp_variance=variance,
-                samples=len(samples),
-            )
-        )
+        rates = Counter(_rates(
+            trace.packets_succeeded[start:stop],
+            trace.packets_completed[start:stop],
+        ))
+        stats.append(_stage_stats(number, stage, timeline.estimator, rates))
     return tuple(stats)
+
+
+def _stage_stats(
+    number: int, stage: Stage, cfg: EstimatorConfig, rates: Counter
+) -> StageStats:
+    """A stage's statistics from the count of each delivery rate in it."""
+    theory = solve_optimal_tau(
+        ChannelConfig(stage.active_users, cfg.mpr, cfg.deadline)
+    ).sdp_max
+    mean, variance = _mean_variance(rates)
+    return StageStats(
+        number=number,
+        first=stage.first,
+        last=stage.last,
+        active_users=stage.active_users,
+        sdp_theory=theory,
+        sdp_mean=mean,
+        sdp_variance=variance,
+        samples=rates.total(),
+    )
+
+
+def _rates(succeeded: np.ndarray, completed: np.ndarray) -> list[float]:
+    """Delivery rates of the rows that completed a packet: the samples."""
+    return delivery_rate(succeeded, completed)[completed > 0].tolist()
+
+
+def _mean_variance(rates: Counter) -> tuple[float, float]:
+    """(mean, population variance) of samples given as a count per value;
+    NaN for none. Bit for bit what CPython 3.11's `statistics.fmean` and
+    `pvariance(samples, mu=mean)` give, so memory need not grow with the
+    samples: `fsum` over the count, and the exact sum of the float terms
+    (x - mean)**2, summed per denominator as `statistics` does, over the
+    count, rounded once."""
+    n = rates.total()
+    if not n:
+        return math.nan, math.nan
+    mean = math.fsum(rates.elements()) / n
+    partials: dict[int, int] = {}
+    for x, count in rates.items():
+        d = x - mean
+        num, den = (d * d).as_integer_ratio()
+        partials[den] = partials.get(den, 0) + count * num
+    # Every denominator is a power of two, so each divides the largest.
+    scale = max(partials)
+    squares = sum(num * (scale // den) for den, num in partials.items())
+    return mean, squares / (scale * n)

@@ -11,7 +11,8 @@ expires unsent and counts as a failure.
 consumes one uniform draw per station per slot, slot-major then
 station-index order, so it gives the same counts as a per-slot simulation
 of the same stream (the tests keep such a reference). It turns each block
-of draws into a station-major transmission matrix with one bit per slot.
+of draws, taken a fixed chunk of slots at a time, into a station-major
+transmission matrix with one bit per slot.
 Per-slot totals mark the decodable slots and the slots of each probed
 multiplicity, and a station's count over such a set of slots is the
 popcount of its bits ANDed with the set's bits. Expiries come from the
@@ -58,15 +59,21 @@ class IntervalOutcome:
     probe_counts: dict[int, np.ndarray] = field(default_factory=dict)
 
 
-# Most station-slots `run_interval` simulates at once. A block peaks at
-# about 9 bytes per station-slot while its float64 draw and the bool mask
-# coexist, or, when most stations transmit, at up to 25 in the expiry scan
-# (1 for the matrix, 24 per transmission for positions and gaps): from
-# about 10 MB at a low tau to about 26 MB when every station always sends.
+# Most station-slots `run_interval` simulates at once. A block holds its
+# transmission matrix, 1 byte per station-slot, plus one draw chunk per
+# part (below); when most stations transmit, its expiry scan adds up to
+# 24 bytes per transmission for positions and gaps.
 _BLOCK_CELLS = 1 << 20
 
+# Most station-slots a part draws at once: 2 MiB of float64 uniforms, a
+# fresh array per chunk. A buffer reused across calls, or much smaller
+# chunks, let the allocator hand the heap back to the OS and fault it in
+# again on every call: a reused 2^16-cell buffer took 336k minor page
+# faults per `surge` run, against about 10k for these.
+_DRAW_CELLS = 1 << 18
+
 # Slot-contiguous parts per block, one per usable CPU. The parts hold one
-# block's draws between them, so the split does not change the peak.
+# block's matrix between them, plus one draw chunk each.
 _PARTS = (
     len(os.sched_getaffinity(0))
     if hasattr(os, "sched_getaffinity")
@@ -224,13 +231,17 @@ def _part(
     interpreter lock do the work, so parts on other threads run at once.
     """
     n_users = len(tx_probs)
-    transmitted = rng.random((n, n_users)) < tx_probs
     # Station-major, plus a sentinel transmission after the last slot for
-    # the expiry scan.
+    # the expiry scan. The draws come in consecutive chunks of slots, so
+    # only one chunk's float64 uniforms live at a time, and each chunk is
+    # compared straight into its columns, with no bool temporary.
     marks = np.empty((n_users, n + 1), dtype=bool)
-    marks[:, :n] = transmitted.T
+    step = max(1, _DRAW_CELLS // max(1, n_users))
+    for lo in range(0, n, step):
+        m = min(step, n - lo)
+        np.less(rng.random((m, n_users)), tx_probs,
+                out=marks[:, lo:lo + m].T)
     marks[:, n] = True
-    del transmitted  # not held through the expiry scan
     sent = marks[:, :n]
     # Transmitters per slot, in the smallest type that holds n_users.
     totals = sent.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n_users))
@@ -286,7 +297,7 @@ def run_stationary(
     Fresh stations (hol_age 0), counts from zero. Deterministic in `seed`.
     """
     if slots < 1:
-        raise ValueError(f"slots must be >= 1, got {slots}")
+        raise ValueError(f"slots must be >= 1, got {_int_text(slots)}")
     return run_interval(
         np.random.default_rng(seed),
         np.full(config.n_users, as_probability(tau)),

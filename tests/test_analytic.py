@@ -1,3 +1,4 @@
+import argparse
 import itertools
 import math
 import sys
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mpraloha import analytic, checks
+from mpraloha import analytic, checks, cli
 from mpraloha.analytic import (
     _COARSE_POINTS,
     _SCALED_BELOW,
@@ -31,7 +32,8 @@ from mpraloha.analytic import (
     window_bound,
 )
 from mpraloha.estimator import EstimatorConfig
-from mpraloha.simulate import run_interval
+from mpraloha.scenario import ScenarioTimeline, Stage
+from mpraloha.simulate import run_interval, run_stationary
 import reference
 
 
@@ -142,9 +144,32 @@ class TestValidation:
         (lambda: run_interval(np.random.default_rng(0), np.full(3, 0.5), 2,
                               1, -10**5000, np.zeros(3, dtype=np.int64)),
          "n_slots must be >= 0, got a negative 5001-digit number"),
+        (lambda: run_stationary(ChannelConfig(5, 2, 3), 0.1, -10**5000, 1),
+         "slots must be >= 1, got a negative 5001-digit number"),
+        (lambda: _timeline(Stage(1, 3, 20), seed=-10**5000),
+         "seed must be >= 0, got a negative 5001-digit number"),
+        (lambda: _timeline(Stage(10**5000, 3, 20)),
+         "stages must cover intervals contiguously from 1; expected a "
+         "stage starting at 1, got a 5001-digit number"),
+        (lambda: _timeline(Stage(1, 10**5000, 20), Stage(5, 6, 20)),
+         "stages must cover intervals contiguously from 1; expected a "
+         "stage starting at a 5001-digit number, got 5"),
+        (lambda: _timeline(Stage(1, -10**5000, 20)),
+         "stage 1-a negative 5001-digit number is empty"),
+        (lambda: _timeline(Stage(1, 3, 10**5000)),
+         "stage 1-3: active_users must be in (5, 100], got a 5001-digit "
+         "number"),
+        (lambda: _simulate_args(reps=-10**5000),
+         "--reps must be >= 1, got a negative 5001-digit number"),
+        (lambda: _simulate_args(slots=-10**5000),
+         "--slots must be >= 1, got a negative 5001-digit number"),
+        (lambda: _simulate_args(seed=-10**5000),
+         "--seed must be >= 0, got a negative 5001-digit number"),
     ], ids=["population", "mpr", "lower_bound_tau", "binomial_pmf-n",
             "binomial_pmf-i", "valid_cell", "interval_len", "n_max",
-            "n_slots"])
+            "n_slots", "slots", "seed", "stage-first", "stage-after",
+            "stage-empty", "stage-users", "cli-reps", "cli-slots",
+            "cli-seed"])
     def test_oversized_int_named_by_its_digits(self, entry, message):
         # str() refuses ints past 4300 digits: every validator names the
         # int it rejects by its digit count past the float range.
@@ -169,6 +194,21 @@ class TestValidation:
                 fn(cfg, 0.0)
             with pytest.raises(ValueError):
                 fn(cfg, 1.0)
+
+
+def _timeline(*stages, seed=0):
+    return ScenarioTimeline(
+        stages, EstimatorConfig(100, 0.5, 2, 5, 100, 5, 1), seed=seed
+    )
+
+
+def _simulate_args(reps=1, slots=10, seed=0):
+    # Such ints reach the command only from the API: argparse's int()
+    # refuses strings past 4300 digits first.
+    return cli._cmd_simulate(argparse.Namespace(
+        n=5, m=2, d=3, tau="0.1", reps=reps, slots=slots, seed=seed,
+        out=None,
+    ))
 
 
 class TestBinomialPmf:

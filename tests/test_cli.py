@@ -478,6 +478,29 @@ class TestDynamic:
             tmp_path / "chunked" / "trace.csv"
         ).read_bytes()
 
+    def test_failed_run_leaves_no_partial_trace(
+        self, scenario_path, tmp_path, monkeypatch, capsys
+    ):
+        # The run fails after its first interval's rows were written.
+        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 1)
+        run_dynamic = scenario.run_dynamic
+
+        def fail_after_one_interval(timeline, sink):
+            def first_then_fail(rows):
+                sink(rows)
+                raise MemoryError("interval 2")
+            return run_dynamic(timeline, first_then_fail)
+
+        monkeypatch.setattr(scenario, "run_dynamic", fail_after_one_interval)
+        out_dir = tmp_path / "new" / "out"
+        assert cli.main(
+            ["dynamic", "--scenario", str(scenario_path),
+             "--out", str(out_dir)]
+        ) == 1
+        assert capsys.readouterr().err == "error: out of memory: interval 2\n"
+        # The partial trace and the directories made for --out are gone.
+        assert not (tmp_path / "new").exists()
+
     def test_unusable_out_fails_before_the_run(
         self, scenario_path, tmp_path, monkeypatch
     ):
@@ -497,27 +520,35 @@ class TestDynamic:
              "--out", str(tmp_path)]
         ) == 3
 
-    def test_oversized_stage_exits_one_without_traceback(self, tmp_path):
-        # The trace would take 1.42 PiB, more than any 64-bit address
-        # space, so the allocation fails at once and takes no memory.
-        path = tmp_path / "huge.cfg"
-        path.write_text(
-            SCENARIO.replace("n_max = 100", "n_max = 1000")
-            .replace("1-4 = 20\n5-8 = 40", "1-200000000000 = 1000")
+    def test_peak_memory_does_not_grow_with_the_run(self, tmp_path):
+        # The shipped scale check cut to 60 and to 180 intervals of 1000
+        # stations. The trace is written as the run goes, so the longer run
+        # peaks within 5 % of the shorter one; a trace held whole would add
+        # about 100 bytes a row, 12 MB here.
+        root = pathlib.Path(__file__).parents[1]
+        scale = (root / "scenarios" / "scale.cfg").read_text()
+        code = (
+            "import resource, sys\n"
+            "from mpraloha import cli\n"
+            "assert cli.main(sys.argv[1:]) == 0\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
         )
-        src = pathlib.Path(__file__).parents[1] / "src"
-        proc = subprocess.run(
-            [sys.executable, "-m", "mpraloha.cli", "dynamic", "--scenario",
-             str(path), "--out", str(tmp_path / "new" / "out")],
-            env=dict(os.environ, PYTHONPATH=str(src)),
-            capture_output=True, text=True, timeout=60,
-        )
-        assert proc.returncode == 1
-        assert "Traceback" not in proc.stderr
-        assert proc.stderr.startswith("error: ")
-        assert proc.stderr.count("\n") == 1
-        # The directories made for --out are removed again.
-        assert not (tmp_path / "new").exists()
+
+        def peak(intervals):
+            path = tmp_path / f"scale{intervals}.cfg"
+            path.write_text(
+                scale.replace("1-500 = 1000", f"1-{intervals} = 1000")
+            )
+            proc = subprocess.run(
+                [sys.executable, "-c", code, "dynamic", "--scenario",
+                 str(path), "--out", str(tmp_path / str(intervals))],
+                env=dict(os.environ, PYTHONPATH=str(root / "src")),
+                capture_output=True, text=True, timeout=120, check=True,
+            )
+            return int(proc.stdout.splitlines()[-1])
+
+        short = peak(60)
+        assert peak(180) <= 1.05 * short
 
     def test_malformed_scenario_is_config_error(self, tmp_path, capsys):
         path = tmp_path / "bad.cfg"

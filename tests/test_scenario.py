@@ -1,8 +1,13 @@
 import dataclasses
+import statistics
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from mpraloha import scenario
 from mpraloha.estimator import EstimatorConfig
 from mpraloha.scenario import (
     ScenarioError,
@@ -241,3 +246,74 @@ class TestRunDynamic:
 
         want = solve_optimal_tau(ChannelConfig(40, 5, 1)).sdp_max
         assert result.stages[1].sdp_theory == want
+
+    def test_sink_gets_each_interval_in_order(self, result):
+        # The rows handed to a sink, joined, are the collected trace, and
+        # the stage statistics are the same either way.
+        received = []
+        streamed = run_dynamic(parse_scenario(GOOD), sink=received.append)
+        assert [set(rows.interval.tolist()) for rows in received] == [
+            {k} for k in range(1, 11)
+        ]
+        joined = scenario.Trace(*(
+            np.concatenate([getattr(rows, f.name) for rows in received])
+            for f in dataclasses.fields(scenario.Trace)
+        ))
+        assert _same_columns(joined, result.trace)
+        assert streamed.trace == range(len(result.trace))
+        assert streamed.stages == result.stages
+
+    def test_oversized_collected_trace_fails_at_once(self):
+        # Without a sink the whole trace is allocated before the first
+        # interval; 2e14 rows take 9.6 PB, more than any 64-bit address
+        # space, so the allocation fails at once and takes no memory.
+        huge = parse_scenario(
+            GOOD.replace("n_max = 100", "n_max = 1000")
+            .replace("1-3 = 20      # inline comment\n4-8 = 40\n9-10 = 20",
+                     "1-200000000000 = 1000")
+        )
+        with pytest.raises(MemoryError):
+            run_dynamic(huge)
+
+
+# (succeeded, completed) of a row: small counts as they occur, so rates
+# repeat and 0.0 and 1.0 occur, an arbitrary float rate in [0, 1] over one
+# completed packet, and rows that completed nothing, which are no sample.
+_rows = st.one_of(
+    st.integers(0, 60).flatmap(
+        lambda c: st.tuples(st.integers(0, c), st.just(c))
+    ),
+    st.tuples(st.floats(0.0, 1.0), st.just(1)),
+)
+
+
+@given(
+    intervals=st.lists(
+        st.lists(_rows, min_size=1, max_size=30).map(lambda v: v * 2)
+        | st.lists(_rows, max_size=30),
+        min_size=1, max_size=6,
+    )
+)
+@example(intervals=[[(3, 10)]])
+@example(intervals=[[(0, 4), (0, 7), (0, 1)]])
+@example(intervals=[[(2, 2)], [(5, 5), (1, 1)]])
+@example(intervals=[[(1, 10)] * 7 + [(0, 0)], [(7, 10), (1, 10)]])
+@example(intervals=[[(5e-324, 1), (1, 1), (0, 3)]])
+@settings(max_examples=300, deadline=None)
+def test_stage_samples_match_statistics(intervals):
+    # The per-stage counts, kept interval by interval, rebuild
+    # statistics.fmean and pvariance(samples, mu=mean) bit for bit.
+    rates = Counter()
+    for rows in intervals:
+        succeeded, completed = (np.array(column, dtype=float)
+                                for column in zip(*rows or [(0, 0)]))
+        rates.update(scenario._rates(succeeded, completed))
+    flat = [s / c for rows in intervals for s, c in rows if c > 0]
+    mean, variance = scenario._mean_variance(rates)
+    assert rates.total() == len(flat)
+    if not flat:
+        assert np.isnan(mean) and np.isnan(variance)
+        return
+    want = statistics.fmean(flat)
+    assert mean.hex() == want.hex()
+    assert variance.hex() == statistics.pvariance(flat, mu=want).hex()

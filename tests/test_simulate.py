@@ -355,6 +355,7 @@ class TestParts:
 
     TAUS = np.array([0.0, 1.0, 0.35, 0.05, 0.1, 0.6, 0.2])
     PROBES = (0, 1, 2, 4)
+    DRAW_CELLS = (1, 7, 23)
 
     def _compare(self, monkeypatch, parts, taus, deadline, slots, seed,
                  block_cells=None, buffered=False, mpr=3, probes=PROBES):
@@ -371,9 +372,20 @@ class TestParts:
             results.append(
                 _outcome(rng, taus, mpr, deadline, slots, ages, probes)
             )
-        one, split = results
-        assert split[:4] == one[:4]
-        assert split[4] == one[4]
+        # The split run again with draw chunks of under one slot row (one
+        # slot a chunk) and of a few rows that do not divide the part.
+        for cells in self.DRAW_CELLS:
+            monkeypatch.setattr(simulate, "_DRAW_CELLS", cells)
+            rng = np.random.default_rng(seed)
+            if buffered:
+                rng.integers(0, 10, dtype=np.int32)
+            results.append(
+                _outcome(rng, taus, mpr, deadline, slots, ages, probes)
+            )
+        one, *split = results
+        for other in split:
+            assert other[:4] == one[:4]
+            assert other[4] == one[4]
         return one
 
     @pytest.mark.parametrize("parts", [2, 3])
@@ -448,6 +460,52 @@ class TestParts:
         _split(monkeypatch, parts)
         peak(2000)  # first use of the worker thread
         assert peak(5 * 2000) <= 1.05 * one_block
+
+    @pytest.mark.parametrize("parts", [1, 3])
+    @pytest.mark.parametrize("draw_cells", DRAW_CELLS)
+    def test_draw_chunks_match_reference(self, monkeypatch, parts,
+                                         draw_cells):
+        # 7 stations: one slot a chunk for 1 and 7 cells, three slots for
+        # 23, which divides none of the parts of 301 slots.
+        monkeypatch.setattr(simulate, "_DRAW_CELLS", draw_cells)
+        _split(monkeypatch, parts)
+        ages = np.array([0, 1, 2, 3, 0, 1, 2])
+        rng_ref = np.random.default_rng(11)
+        completed, succeeded, ref_ages, heard = _reference(
+            self.TAUS, 3, 4, 301, rng_ref, ages, self.PROBES
+        )
+        rng = np.random.default_rng(11)
+        out = _outcome(rng, self.TAUS, 3, 4, 301, ages, self.PROBES)
+        assert out[:4] == (completed, succeeded, heard, ref_ages)
+        assert out[4] == rng_ref.bit_generator.state
+
+    def test_draw_peaks_at_one_chunk(self, monkeypatch):
+        # A `surge` call: 40 stations by 20,000 slots at tau 0.069. The
+        # float64 draw lives one chunk at a time, so the call peaks below
+        # the matrix plus one chunk of uniforms plus the expiry scan's
+        # arrays (two packed rows of bits, and 32 bytes a set cell for
+        # positions and gaps), not at 9 bytes a station-slot.
+        _split(monkeypatch, 1)
+        n_users, slots = 40, 20_000
+        taus = np.full(n_users, 0.069)
+
+        def call(rng):
+            run_interval(rng, taus, 5, 20, slots,
+                         np.zeros(n_users, dtype=np.int64), probes=(2, 5))
+
+        rng = np.random.default_rng(1)
+        call(rng)  # first use: numpy's caches
+        tracemalloc.start()
+        try:
+            call(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        cells = n_users * slots
+        set_cells = 0.069 * cells + n_users
+        bound = (n_users * (slots + 1) + 8 * simulate._DRAW_CELLS
+                 + 2 * cells // 8 + 32 * 1.1 * set_cells)
+        assert peak < bound < 9 * cells
 
     def test_part_failure_propagates(self, monkeypatch):
         _split(monkeypatch, 2)
@@ -560,17 +618,23 @@ def _chained_calls(draw):
                          max_size=n_users))
     return (np.array(taus), draw(st.integers(1, 3)), deadline, ages,
             draw(st.integers(1, 300)), draw(st.integers(1, 4)),
-            draw(st.integers(0, 2**32 - 1)))
+            draw(st.integers(0, 2**32 - 1)),
+            draw(st.sampled_from([1, 7, 23, simulate._DRAW_CELLS])))
 
 
 @given(call=_chained_calls())
-@example(call=(np.array([0.0, 0.05, 1.0]), 2, 7, [5, 6, 3], 40, 4, 1))
-@example(call=(np.array([0.0, 0.3]), 1, 2**62, [2**62 - 50, 9], 300, 3, 2))
+@example(call=(np.array([0.0, 0.05, 1.0]), 2, 7, [5, 6, 3], 40, 4, 1,
+               simulate._DRAW_CELLS))
+@example(call=(np.array([0.0, 0.3]), 1, 2**62, [2**62 - 50, 9], 300, 3, 2,
+               simulate._DRAW_CELLS))
+@example(call=(np.array([0.0, 0.05, 1.0, 0.5]), 2, 7, [5, 6, 3, 0], 97, 3,
+               4, 7))
 @settings(max_examples=150, deadline=None)
 def test_chained_parts_match_reference(call):
     # Each part hands back per-station counts only, and the calling thread
-    # chains them through the ages: the result must be the per-slot one.
-    taus, mpr, deadline, ages, slots, parts, seed = call
+    # chains them through the ages: the result must be the per-slot one,
+    # whatever chunks each part draws its slots in.
+    taus, mpr, deadline, ages, slots, parts, seed, draw_cells = call
     probes = (0, 1, 2)
     rng_ref = np.random.default_rng(seed)
     completed, succeeded, ref_ages, heard = _reference(
@@ -578,6 +642,7 @@ def test_chained_parts_match_reference(call):
     )
     with pytest.MonkeyPatch.context() as patch:
         _split(patch, parts)
+        patch.setattr(simulate, "_DRAW_CELLS", draw_cells)
         got = _outcome(np.random.default_rng(seed), taus, mpr, deadline,
                        slots, ages, probes)
     assert got[:4] == (completed, succeeded, heard, ref_ages)
