@@ -636,11 +636,6 @@ def _gap_of(config: ChannelConfig):
     return gap
 
 
-def _stationarity_gap(config: ChannelConfig, x: float) -> float:
-    """The gap of `_gap_of` at one point."""
-    return _gap_of(config)(x)
-
-
 def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
     """Find the tau in (0, 1) maximizing `delivery_prob`.
 

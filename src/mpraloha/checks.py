@@ -41,9 +41,9 @@ from .analytic import (
     _delivery_prob_derivative_rows,
     _delivery_prob_rows,
     _elementwise,
+    _gap_of,
     _int_text,
     _iteration_map_rows,
-    _stationarity_gap,
     _success_size_ratio_rows,
     _window_prob_row,
     delivery_prob,
@@ -498,7 +498,7 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
         if not report.converged:
             out = math.inf
         if m >= 2:
-            out = max(out, abs(_stationarity_gap(cfg, tau)) - 1e-9)
+            out = max(out, abs(_gap_of(cfg)(tau)) - 1e-9)
         violations.append(out)
     return _reduce("solver_localization", [(None, np.array(violations))],
                    lambda _, k: "n={} m={} d={}".format(*cells[k]), 0.0,

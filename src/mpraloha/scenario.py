@@ -7,8 +7,10 @@ worst-case population guess; stations leaving simply disappear, abandoning
 any head-of-line packet. `run_dynamic` simulates the whole timeline slot by
 slot and records, per station and interval, the population estimate and
 transmission probability in force plus the packet counts, so the adaptation
-transient is visible in the output. It hands each interval's rows on as the
-interval ends, so a long run need not hold its trace.
+transient is visible in the output. It hands each interval's rows to the
+caller's sink as the interval ends and keeps only a count of each stage's
+delivery rates, from which `stage_statistics` pools the stage's mean and
+variance, so a long run need not hold its trace.
 
 Scenario files are plain text, read by `parse_scenario`:
 
@@ -37,8 +39,9 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,10 +175,10 @@ class StageStats:
 
 @dataclass(frozen=True)
 class DynamicResult:
-    """A run's trace, or the range of its row numbers when a sink took the
-    rows, and its per-stage statistics."""
+    """The range of the row numbers a run handed to its sink, and the
+    run's per-stage statistics."""
 
-    trace: Trace | range
+    trace: range
     stages: tuple[StageStats, ...]
 
 
@@ -242,14 +245,12 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
                     line_no,
                     f"stage range must look like '1-100', got {key!r}",
                 )
-            try:
-                count = int(value)
-            except ValueError:
-                raise ScenarioError(
-                    source, line_no, f"stage population must be an integer, "
-                    f"got {value!r}"
-                ) from None
-            stages.append(Stage(int(match[1]), int(match[2]), count))
+            first, last = (
+                _number(int, bound, "stage bound", source, line_no)
+                for bound in match.groups()
+            )
+            count = _number(int, value, "stage population", source, line_no)
+            stages.append(Stage(first, last, count))
             stage_lines.append(line_no)
             continue
         convert = _SECTION_KEYS[section].get(key)
@@ -261,12 +262,9 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
             raise ScenarioError(
                 source, line_no, f"duplicate key {key!r} in [{section}]"
             )
-        try:
-            values[section][key] = convert(value)
-        except ValueError:
-            raise ScenarioError(
-                source, line_no, f"bad value for {key!r}: {value!r}"
-            ) from None
+        values[section][key] = _number(
+            convert, value, f"value for {key!r}", source, line_no
+        )
 
     for sect in ("estimator", "channel"):
         for key in _SECTION_KEYS[sect]:
@@ -288,6 +286,26 @@ def parse_scenario(text: str, source: str = "<scenario>") -> ScenarioTimeline:
         raise ScenarioError(source, None, str(exc)) from None
 
 
+def _number(convert, token: str, what: str, source: str, line_no: int):
+    """`token` read by `convert`, int or float, or a ScenarioError naming
+    `what` at `source:line_no`. A decimal token that int() refuses has more
+    digits than Python converts; it is named by its digit count, not
+    echoed."""
+    try:
+        return convert(token)
+    except ValueError:
+        pass
+    digits = token[1:] if token[:1] in ("+", "-") else token
+    if digits.isdecimal():
+        got = (
+            f"a {len(digits)}-digit number, more than the "
+            f"{sys.get_int_max_str_digits()} digits Python converts"
+        )
+    else:
+        got = repr(token)
+    raise ScenarioError(source, line_no, f"bad {what}: {got}")
+
+
 def load_scenario(path) -> ScenarioTimeline:
     """Read and parse a scenario file. I/O failures propagate as OSError."""
     with open(path, "r", encoding="utf-8") as handle:
@@ -295,7 +313,7 @@ def load_scenario(path) -> ScenarioTimeline:
     return parse_scenario(text, source=str(path))
 
 
-def run_dynamic(timeline: ScenarioTimeline, sink=None) -> DynamicResult:
+def run_dynamic(timeline: ScenarioTimeline, sink) -> DynamicResult:
     """Simulate the whole timeline. Deterministic in timeline.seed.
 
     Stations are numbered from 0; a population change keeps the lowest ids.
@@ -303,27 +321,17 @@ def run_dynamic(timeline: ScenarioTimeline, sink=None) -> DynamicResult:
     in row-major order, so a run is reproducible even across stage changes.
 
     Each interval's rows, a `Trace` ordered by station id, go to
-    `sink(rows)` as the interval ends, and the stage statistics accumulate
-    as they go, so a run with a sink keeps no row past its interval; its
-    result's `trace` is then the `range` of the row numbers handed over.
-    Without a sink the rows are collected into one `Trace`, allocated up
-    front, so a trace too large for memory fails at once.
+    `sink(rows)` as the interval ends, and only a count of each stage's
+    delivery rates is kept, so memory does not grow with the run. The
+    result's `trace` is the `range` of the row numbers handed over.
     """
     cfg = timeline.estimator
     rng = np.random.default_rng(timeline.seed)
-    rows = sum(_stage_rows(stage) for stage in timeline.stages)
-    if sink is None:
-        trace = Trace(*(
-            np.empty(rows, dtype=float if f.name == "tau" else np.int64)
-            for f in fields(Trace)
-        ))
-        sink = _filler(trace)
-    else:
-        trace = range(rows)
     estimators = PopulationEstimator(cfg, stations=0)
     hol_ages = np.zeros(0, dtype=np.int64)
-    stats = []
-    for number, stage in enumerate(timeline.stages, start=1):
+    rows = 0
+    stage_rates = []
+    for stage in timeline.stages:
         count = stage.active_users
         estimators.resize(count)
         joiners = max(0, count - len(hol_ages))
@@ -351,72 +359,38 @@ def run_dynamic(timeline: ScenarioTimeline, sink=None) -> DynamicResult:
                 packets_completed=outcome.completed,
                 packets_succeeded=outcome.succeeded,
             ))
+            rows += count
             estimators.add_counts(outcome.probe_counts)
             estimators.end_interval()
-        stats.append(_stage_stats(number, stage, cfg, rates))
-    return DynamicResult(trace, tuple(stats))
-
-
-def _filler(trace: Trace):
-    """A sink that writes each interval's rows into `trace`, in turn."""
-    stop = 0
-
-    def sink(rows: Trace) -> None:
-        nonlocal stop
-        start, stop = stop, stop + len(rows)
-        for f in fields(Trace):
-            getattr(trace, f.name)[start:stop] = getattr(rows, f.name)
-
-    return sink
-
-
-def _stage_rows(stage: Stage) -> int:
-    return (stage.last - stage.first + 1) * stage.active_users
+        stage_rates.append(rates)
+    return DynamicResult(range(rows), stage_statistics(timeline, stage_rates))
 
 
 def stage_statistics(
-    timeline: ScenarioTimeline, trace: Trace
+    timeline: ScenarioTimeline, rates: list[Counter]
 ) -> tuple[StageStats, ...]:
-    """Pool per-station per-interval delivery rates within each stage.
-
-    `trace` is the interval-ordered trace `run_dynamic` made of `timeline`,
-    so each stage is one contiguous slice of its rows.
-    """
-    rows = sum(_stage_rows(stage) for stage in timeline.stages)
-    if len(trace) != rows:
-        raise ValueError(
-            f"trace has {len(trace)} rows, the timeline's stages {rows}"
-        )
+    """Each stage's statistics from the count of each delivery rate in it,
+    one `Counter` per stage of `timeline`, in order."""
+    cfg = timeline.estimator
     stats = []
-    stop = 0
-    for number, stage in enumerate(timeline.stages, start=1):
-        start, stop = stop, stop + _stage_rows(stage)
-        rates = Counter(_rates(
-            trace.packets_succeeded[start:stop],
-            trace.packets_completed[start:stop],
+    for number, (stage, counts) in enumerate(
+        zip(timeline.stages, rates, strict=True), start=1
+    ):
+        theory = solve_optimal_tau(
+            ChannelConfig(stage.active_users, cfg.mpr, cfg.deadline)
+        ).sdp_max
+        mean, variance = _mean_variance(counts)
+        stats.append(StageStats(
+            number=number,
+            first=stage.first,
+            last=stage.last,
+            active_users=stage.active_users,
+            sdp_theory=theory,
+            sdp_mean=mean,
+            sdp_variance=variance,
+            samples=counts.total(),
         ))
-        stats.append(_stage_stats(number, stage, timeline.estimator, rates))
     return tuple(stats)
-
-
-def _stage_stats(
-    number: int, stage: Stage, cfg: EstimatorConfig, rates: Counter
-) -> StageStats:
-    """A stage's statistics from the count of each delivery rate in it."""
-    theory = solve_optimal_tau(
-        ChannelConfig(stage.active_users, cfg.mpr, cfg.deadline)
-    ).sdp_max
-    mean, variance = _mean_variance(rates)
-    return StageStats(
-        number=number,
-        first=stage.first,
-        last=stage.last,
-        active_users=stage.active_users,
-        sdp_theory=theory,
-        sdp_mean=mean,
-        sdp_variance=variance,
-        samples=rates.total(),
-    )
 
 
 def _rates(succeeded: np.ndarray, completed: np.ndarray) -> list[float]:

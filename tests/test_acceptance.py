@@ -178,7 +178,13 @@ def test_criterion_6_estimator_exact_recovery():
 )
 def test_criterion_7_dynamic_adaptation(name):
     timeline = load_scenario(SCENARIO_DIR / name)
-    result = run_dynamic(timeline)
+    last = timeline.stages[-1].last
+    recent = []  # the estimates of the last 50 intervals
+
+    def sink(rows):
+        recent.extend(rows.n_est[rows.interval > last - 50].tolist())
+
+    result = run_dynamic(timeline, sink)
     details = []
     ok = True
     for s in result.stages:
@@ -193,10 +199,7 @@ def test_criterion_7_dynamic_adaptation(name):
     # After the surge recedes the estimators must settle back on the true
     # population: median estimate across the last 50 intervals.
     final_stage = result.stages[-1]
-    trace = result.trace
-    recovered = median(
-        trace.n_est[trace.interval > final_stage.last - 50].tolist()
-    )
+    recovered = median(recent)
     ok = ok and recovered == final_stage.active_users
     details.append(f"recovered median estimate {recovered}")
     _report(

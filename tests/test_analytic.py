@@ -502,7 +502,6 @@ class TestSolver:
         want = _outcome(
             lambda t: admitted_load(cfg, t) - deadline_load(cfg, t), x)
         assert _outcome(analytic._gap_of(cfg), x) == want
-        assert _outcome(analytic._stationarity_gap, cfg, x) == want
         if not 0.0 < x < 1.0:
             assert want[0] is ValueError
 

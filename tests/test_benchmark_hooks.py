@@ -56,8 +56,10 @@ metrics = tracing.layer_metrics(tracer)
 assert metrics["simulate.run_interval.calls"] == 5, metrics
 assert metrics["simulate.station_slots"] == (2 * 4 + 3 * 6) * 300, metrics
 assert metrics["simulate.run_interval.s"] > 0, metrics
-# The trace has a length and the estimator runs through its wrapped methods.
+# The trace has a length, run_dynamic pools the stages through the wrapped
+# stage_statistics, and the estimator runs through its wrapped methods.
 assert metrics["scenario.trace_rows"] == 2 * 4 + 3 * 6, metrics
+assert metrics["scenario.stage_statistics.s"] > 0, metrics
 assert metrics["estimator.end_interval.s"] > 0, metrics
 """
 

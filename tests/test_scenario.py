@@ -129,6 +129,27 @@ class TestParser:
         assert str(err.value).startswith("big.cfg: deadline must be at most")
         assert str(err.value).endswith("got a 310-digit number")
 
+    @pytest.mark.parametrize(
+        "needle,replacement,line_fragment",
+        [
+            ("1-3 = 20", "1-{} = 20", ":17:"),
+            ("1-3 = 20", "1-3 = {}", ":17:"),
+            ("mpr = 5", "mpr = {}", ":3:"),
+        ],
+        ids=["stage_bound", "stage_population", "mpr"],
+    )
+    def test_oversized_int_is_named_by_its_digits(
+        self, needle, replacement, line_fragment
+    ):
+        # 5000 digits are more than int() converts by default.
+        text = GOOD.replace(needle, replacement.format("9" * 5000))
+        with pytest.raises(ScenarioError) as err:
+            parse_scenario(text, source="big.cfg")
+        message = str(err.value)
+        assert message.startswith("big.cfg" + line_fragment)
+        assert "a 5000-digit number" in message
+        assert len(message) < 200
+
     def test_negative_seed_rejected(self):
         text = GOOD.replace("seed = 7", "seed = -3")
         with pytest.raises(ScenarioError, match="seed"):
@@ -170,8 +191,20 @@ class TestTimelineValidation:
 
 
 @pytest.fixture(scope="module")
-def result():
-    return run_dynamic(parse_scenario(GOOD))
+def run():
+    """The run of GOOD: the rows its sink collected, joined into one
+    `Trace`, and its result."""
+    return _collect(parse_scenario(GOOD))
+
+
+def _collect(timeline):
+    received = []
+    result = run_dynamic(timeline, received.append)
+    trace = scenario.Trace(*(
+        np.concatenate([getattr(rows, f.name) for rows in received])
+        for f in dataclasses.fields(scenario.Trace)
+    ))
+    return trace, result
 
 
 def _same_columns(a, b):
@@ -182,9 +215,10 @@ def _same_columns(a, b):
 
 
 class TestRunDynamic:
-    def test_trace_covers_every_station_interval(self, result):
-        trace = result.trace
+    def test_trace_covers_every_station_interval(self, run):
+        trace, result = run
         assert len(trace) == 3 * 20 + 5 * 40 + 2 * 20
+        assert result.trace == range(len(trace))
         per_interval = {}
         for interval, user_id in zip(trace.interval, trace.user_id):
             per_interval.setdefault(int(interval), []).append(int(user_id))
@@ -193,16 +227,16 @@ class TestRunDynamic:
             expected = 40 if 4 <= interval <= 8 else 20
             assert sorted(ids) == list(range(expected))
 
-    def test_everyone_starts_from_worst_case(self, result):
-        trace = result.trace
+    def test_everyone_starts_from_worst_case(self, run):
+        trace, _ = run
         first = trace.interval == 1
         assert set(trace.n_est[first].tolist()) == {100}
         # A joiner mid-run starts from the worst case too.
         joiners = (trace.interval == 4) & (trace.user_id >= 20)
         assert set(trace.n_est[joiners].tolist()) == {100}
 
-    def test_survivors_keep_their_state_across_shrink(self, result):
-        trace = result.trace
+    def test_survivors_keep_their_state_across_shrink(self, run):
+        trace, _ = run
         last_big = (trace.interval == 8) & (trace.user_id < 20)
         after = trace.interval == 9
         # Estimates evolve by one end_interval step between the reads, but
@@ -210,21 +244,33 @@ class TestRunDynamic:
         assert all(v < 100 for v in trace.n_est[after])
         assert set(trace.user_id[after]) == set(trace.user_id[last_big])
 
-    def test_deterministic_and_seed_sensitive(self, result):
-        again = run_dynamic(parse_scenario(GOOD))
-        assert _same_columns(again.trace, result.trace)
+    def test_deterministic_and_seed_sensitive(self, run):
+        trace, result = run
+        again_trace, again = _collect(parse_scenario(GOOD))
+        assert _same_columns(again_trace, trace)
         assert again.stages == result.stages
-        other = run_dynamic(
+        other_trace, _ = _collect(
             dataclasses.replace(parse_scenario(GOOD), seed=8)
         )
-        assert not _same_columns(other.trace, result.trace)
+        assert not _same_columns(other_trace, trace)
 
-    def test_stage_stats_match_trace(self, result):
+    def test_stage_stats_match_trace(self, run):
+        trace, result = run
         tl = parse_scenario(GOOD)
-        stats = stage_statistics(tl, result.trace)
+        # Each stage's rows pooled, as run_dynamic counts them.
+        in_stages = (
+            (s.first <= trace.interval) & (trace.interval <= s.last)
+            for s in tl.stages
+        )
+        rates = [
+            Counter(scenario._rates(
+                trace.packets_succeeded[rows], trace.packets_completed[rows]
+            ))
+            for rows in in_stages
+        ]
+        stats = stage_statistics(tl, rates)
         assert stats == result.stages
         s2 = stats[1]
-        trace = result.trace
         rows = trace.sdp[
             (4 <= trace.interval)
             & (trace.interval <= 8)
@@ -234,46 +280,27 @@ class TestRunDynamic:
         assert s2.sdp_mean == pytest.approx(sum(rows) / len(rows))
         assert s2.active_users == 40
 
-    def test_stage_stats_reject_a_trace_of_other_stages(self, result):
-        tl = dataclasses.replace(
-            parse_scenario(GOOD), stages=(Stage(1, 10, 20),)
-        )
-        with pytest.raises(ValueError, match="rows"):
-            stage_statistics(tl, result.trace)
+    @pytest.mark.parametrize("stages", [2, 4])
+    def test_stage_stats_need_one_count_per_stage(self, stages):
+        with pytest.raises(ValueError):
+            stage_statistics(parse_scenario(GOOD), [Counter()] * stages)
 
-    def test_theory_column_uses_true_population(self, result):
+    def test_theory_column_uses_true_population(self, run):
         from mpraloha.analytic import ChannelConfig, solve_optimal_tau
 
         want = solve_optimal_tau(ChannelConfig(40, 5, 1)).sdp_max
-        assert result.stages[1].sdp_theory == want
+        assert run[1].stages[1].sdp_theory == want
 
-    def test_sink_gets_each_interval_in_order(self, result):
-        # The rows handed to a sink, joined, are the collected trace, and
-        # the stage statistics are the same either way.
+    def test_sink_gets_each_interval_in_order(self):
         received = []
-        streamed = run_dynamic(parse_scenario(GOOD), sink=received.append)
+        run_dynamic(parse_scenario(GOOD), received.append)
         assert [set(rows.interval.tolist()) for rows in received] == [
             {k} for k in range(1, 11)
         ]
-        joined = scenario.Trace(*(
-            np.concatenate([getattr(rows, f.name) for rows in received])
-            for f in dataclasses.fields(scenario.Trace)
-        ))
-        assert _same_columns(joined, result.trace)
-        assert streamed.trace == range(len(result.trace))
-        assert streamed.stages == result.stages
-
-    def test_oversized_collected_trace_fails_at_once(self):
-        # Without a sink the whole trace is allocated before the first
-        # interval; 2e14 rows take 9.6 PB, more than any 64-bit address
-        # space, so the allocation fails at once and takes no memory.
-        huge = parse_scenario(
-            GOOD.replace("n_max = 100", "n_max = 1000")
-            .replace("1-3 = 20      # inline comment\n4-8 = 40\n9-10 = 20",
-                     "1-200000000000 = 1000")
+        assert all(
+            np.array_equal(rows.user_id, np.arange(len(rows)))
+            for rows in received
         )
-        with pytest.raises(MemoryError):
-            run_dynamic(huge)
 
 
 # (succeeded, completed) of a row: small counts as they occur, so rates
