@@ -29,10 +29,10 @@ a whole array of tau at once, with the scalar functions' values bit for
 bit; `checks` evaluates its property checks with them. `delivery_prob` has
 two array forms, one per kernel: `_delivery_prob_rows`, one n_users over
 many tau, for the check rows and, with numpy's factors, the coarse scan,
-and `_delivery_prob_row`, one config per element, for the lockstep
-refinement. `_head_sums_row` is the one array recurrence of the binomial
-head sums: the `_*_rows` forms run it once per n_users and read it at
-each mpr.
+and `_RefinementKernel`, one config per element, banded by mpr, for the
+lockstep refinement. `_head_sums_row` is the one array recurrence of the
+binomial head sums: the `_*_rows` forms run it once per n_users and read
+it at each mpr.
 """
 
 from __future__ import annotations
@@ -460,7 +460,8 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # `checks.VerifyGrid` guarantees. The `_*_rows` forms serve one n_users:
 # generators that yield one row for each mpr of `mprs`, or for each
 # (mpr, deadline) of mprs x deadlines with mpr major, from one head-sum
-# recurrence read at each mpr and one window per deadline. A form exists
+# recurrence read at each mpr and one window per deadline; the refinement's
+# `_RefinementKernel` binds its τ-free work once per chunk. A form exists
 # only where a caller would otherwise loop a costly scalar function, and a
 # scalar twin only where a caller loops on it, which only the solver does:
 # its gap, `_gap_of`, binds one config's `_head_sums` and `_deadline_load`
@@ -512,40 +513,84 @@ def _deadline_load_row(n_users: int, deadline: int, tau: np.ndarray,
     return load
 
 
-def _delivery_prob_row(n_users, mpr, deadline, tau: np.ndarray) -> np.ndarray:
-    """`delivery_prob` at every element of the 1-D array `tau`, all strictly
-    inside (0, 1), bit for bit, with one config per element: `n_users` and
-    `mpr` are int arrays and `deadline` a float array, one value each.
+class _RefinementKernel:
+    """`delivery_prob` at one tau per cell, tau strictly inside (0, 1),
+    bit for bit, over a chunk of cells: int arrays `n_users` and `mpr`,
+    mpr descending, and a float array `deadline`. It starts bound to every
+    cell; `keep(cells)` binds it to the cells at the ascending indices
+    `cells`, and a call takes and returns one value per bound cell.
 
-    Column j of a matrix holds the terms of element j's head sum: row 0 is
-    the start (1-tau)^(n-1), row i the recurrence factor ((n-i)/i) *
-    tau/(1-tau) and row mpr 0, so that every later term is an exact zero.
-    Sequential products and sums down the columns give the scalar terms and
-    head. An element whose start is at most _SCALED_BELOW takes its head
-    from `_head_sums` instead, which carries it scaled. For one n_users
-    over many tau, `_delivery_prob_rows` is the faster kernel.
+    Cell j's head sum has mpr[j] terms: sequential products and then sums
+    down a column whose row 0 is the start (1-tau)^(n-1) and row i > 0
+    the factor ((n-i+1)/i) * tau/(1-tau). With mpr descending, the cells
+    that need row i are a column prefix, so rows 1 to max(mpr) - 1 form
+    one band per distinct mpr, as wide as the cells that reach its last
+    row, back to back in one buffer of sum(mpr) terms that every binding
+    reuses. A binding computes the τ-free work: the factors (n-i+1)/i,
+    the start exponents, each head's position (row mpr - 1) and the cells
+    with deadline != 1, the only ones whose window takes libm. A call
+    multiplies each band by tau/(1-tau) once and runs the product and
+    then the sum accumulate down it, carrying in the row above it. A
+    start at most _SCALED_BELOW takes its head from `_head_sums`, which
+    carries it scaled.
     """
-    n = n_users - 1
-    complement = 1.0 - tau
-    terms = np.empty((int(mpr.max()), tau.size))
-    terms[0] = _elementwise(pow, complement, n)
-    scaled = np.flatnonzero(terms[0] <= _SCALED_BELOW)
-    terms[0, scaled] = 0.0
-    # (n - (i - 1)) / i, in floats: every operand is an exact integer.
-    i = np.arange(1.0, terms.shape[0])[:, None]
-    np.subtract(n, i - 1.0, out=terms[1:])
-    terms[1:] /= i
-    terms[1:] *= tau / complement
-    short = np.flatnonzero(mpr < terms.shape[0])
-    terms[mpr[short], short] = 0.0
-    # In place: the products, then their running sums, down each column.
-    np.multiply.accumulate(terms, out=terms)
-    head = np.add.accumulate(terms, out=terms)[-1]
-    for j in scaled.tolist():
-        sums, _, shift = _head_sums(int(n[j]), int(mpr[j]), float(tau[j]))
-        head[j] = math.ldexp(sums, shift)
-    admit = np.where(head < 1.0, head, 1.0)
-    return _window_prob_row(tau, deadline) * admit
+
+    def __init__(self, n_users, mpr, deadline):
+        self._chunk = (n_users - 1, mpr, deadline)
+        self._terms = np.empty(int(mpr.sum()))
+        self.keep(np.arange(mpr.size))
+
+    def keep(self, cells) -> None:
+        n, self._mpr, deadline = (values[cells] for values in self._chunk)
+        self._exponents = n.tolist()
+        self._far = np.flatnonzero(deadline != 1.0)
+        self._far_deadline = deadline[self._far]
+        # A cell of mpr 1 reads its head in row 0, any other in the last
+        # row of the band that ends at its mpr: each band overwrites the
+        # heads of the cells that reach it.
+        columns = np.arange(n.size)
+        self._head = columns.copy()
+        self._bands = []
+        offset, low = n.size, 1
+        for high in sorted(set(self._mpr.tolist()) - {1}):
+            width = int(np.count_nonzero(self._mpr >= high))
+            # (n - (i - 1)) / i, in floats: every operand is an exact
+            # integer.
+            i = np.arange(float(low), high)[:, None]
+            factors = (n[:width] - (i - 1.0)) / i
+            end = offset + factors.size
+            self._bands.append(
+                (factors, self._terms[offset:end].reshape(factors.shape)))
+            self._head[:width] = columns[:width] + (end - width)
+            offset, low = end, high
+
+    def __call__(self, tau: np.ndarray) -> np.ndarray:
+        complement = 1.0 - tau
+        start = self._terms[:tau.size]
+        start[:] = np.fromiter(map(pow, complement.tolist(), self._exponents),
+                               dtype=float, count=tau.size)
+        scaled = np.flatnonzero(start <= _SCALED_BELOW)
+        start[scaled] = 0.0
+        ratio = tau / complement
+        # In place: the products, then their running sums, down each band.
+        above = start
+        for factors, block in self._bands:
+            np.multiply(factors, ratio[:block.shape[1]], out=block)
+            block[0] *= above[:block.shape[1]]
+            above = np.multiply.accumulate(block, out=block)[-1]
+        above = start
+        for _, block in self._bands:
+            block[0] += above[:block.shape[1]]
+            above = np.add.accumulate(block, out=block)[-1]
+        head = self._terms[self._head]
+        for j in scaled.tolist():
+            sums, _, shift = _head_sums(self._exponents[j], int(self._mpr[j]),
+                                        float(tau[j]))
+            head[j] = math.ldexp(sums, shift)
+        window = tau.copy()
+        window[self._far] = _window_prob_row(tau[self._far],
+                                             self._far_deadline)
+        return window * np.minimum(head, 1.0, out=head)
 
 
 def _delivery_prob_rows(n_users: int, mprs, deadlines, tau: np.ndarray,
@@ -723,34 +768,39 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
 def _golden_section(n_users: np.ndarray, mpr: np.ndarray,
                     deadline: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Golden-section search for the maximum of `delivery_prob` on [a, b],
-    for every cell (n_users[j], mpr[j], deadline[j]) in lockstep: one new
-    point per unfinished cell per step, with the scalar search's branch and
-    arithmetic, down to a bracket of width 1e-10. Returns the arrays (tau,
-    sdp)."""
+    for every cell (n_users[j], mpr[j], deadline[j]) in lockstep, mpr in
+    descending order: one new point per unfinished cell per step, with the
+    scalar search's branch and arithmetic, down to a bracket of width
+    1e-10. Returns the arrays (tau, sdp)."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
+    kernel = _RefinementKernel(n_users, mpr, deadline)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
-    fc = _delivery_prob_row(n_users, mpr, deadline, c)
-    fd = _delivery_prob_row(n_users, mpr, deadline, d)
-    live = np.arange(a.size)
+    fc, fd = kernel(c), kernel(d)
+    # The arrays hold the unfinished cells only: a finished cell's bracket
+    # is stored once, and the kernel rebound, as the set shrinks.
+    cells = np.arange(a.size)
+    lo, hi = np.empty_like(a), np.empty_like(b)
     while True:
-        live = live[b[live] - a[live] > 1e-10]
-        if not live.size:
-            break
-        lc, ld, lfc, lfd = c[live], d[live], fc[live], fd[live]
+        open_ = b - a > 1e-10
+        if not open_.all():
+            lo[cells[~open_]], hi[cells[~open_]] = a[~open_], b[~open_]
+            cells, a, b, c, d, fc, fd = (
+                v[open_] for v in (cells, a, b, c, d, fc, fd))
+            if not cells.size:
+                break
+            kernel.keep(cells)
         # fc > fd keeps [a, d], else [c, b], as the scalar branch does.
-        left = lfc > lfd
-        la = a[live] = np.where(left, a[live], lc)
-        lb = b[live] = np.where(left, ld, b[live])
-        x = np.where(left, lb - inv_phi * (lb - la),
-                     la + inv_phi * (lb - la))
-        fx = _delivery_prob_row(n_users[live], mpr[live], deadline[live], x)
-        c[live] = np.where(left, x, ld)
-        d[live] = np.where(left, lc, x)
-        fc[live] = np.where(left, fx, lfd)
-        fd[live] = np.where(left, lfc, fx)
-    tau = 0.5 * (a + b)
-    return tau, _delivery_prob_row(n_users, mpr, deadline, tau)
+        left = fc > fd
+        a = np.where(left, a, c)
+        b = np.where(left, d, b)
+        x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
+        fx = kernel(x)
+        c, d = np.where(left, x, d), np.where(left, c, x)
+        fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
+    tau = 0.5 * (lo + hi)
+    kernel.keep(np.arange(tau.size))
+    return tau, kernel(tau)
 
 
 def grid_search_optimum(configs) -> list[tuple[float, float]]:
@@ -819,7 +869,8 @@ def grid_search_optimum(configs) -> list[tuple[float, float]]:
     b = np.minimum(lo + (best + 1) * step, 1.0)
     tau = np.empty(len(configs))
     sdp = np.empty(len(configs))
-    # The refinement matrix has max(mpr) rows: chunk the cells by mpr.
+    # The refinement holds at most max(mpr) terms per cell and needs its
+    # cells in descending mpr: chunk them in that order.
     order = np.argsort(-mpr, kind="stable")
     start = 0
     while start < len(order):

@@ -303,11 +303,15 @@ def _cmd_dynamic(args) -> int:
         with _csv_writer(trace_path, _TRACE_COLUMNS) as writer:
             opened = True
             pending = []
+            pending_rows = 0
 
             def sink(rows):
+                nonlocal pending_rows
                 pending.append(rows)
-                if sum(map(len, pending)) >= _CSV_CHUNK_ROWS:
+                pending_rows += len(rows)
+                if pending_rows >= _CSV_CHUNK_ROWS:
                     _write_trace(writer, pending)
+                    pending_rows = 0
 
             result = scenario.run_dynamic(timeline, sink=sink)
             if pending:

@@ -652,9 +652,11 @@ def _cells():
     )
 
 
-_N200_SWEEP_ROW = [(200, m, d)
+# The `analytic` benchmark's 115-cell sweep, and its n = 200 row.
+_ANALYTIC_SWEEP = [(n, m, d) for n in (10, 50, 200)
                    for m in (1, 2, 5, 9, 20, 25, 45, 49, 100, 180, 199)
-                   for d in (1, 5, 20, 100, 1000)]
+                   if m < n for d in (1, 5, 20, 100, 1000)]
+_N200_SWEEP_ROW = [cell for cell in _ANALYTIC_SWEEP if cell[0] == 200]
 _N1000_SHUFFLED = [
     (1000, 998, 20), (1000, 1, 10**15), (1000, 999, 1), (1000, 500, 20),
     (1000, 2, 1), (1000, 999, 10**15), (1000, 1, 20), (1000, 998, 20),
@@ -680,6 +682,22 @@ class TestGridSearchBatch:
     # n = 200 row, and n = 1000 in shuffled order with duplicates, where
     # scaled starts and rescales fall between the steps that are read;
     # budgets of 4000 and 1 split one n's deadline rows across chunks.
+    # The refinement bands each chunk's rows by mpr, its cells sorted by
+    # descending mpr: the whole sweep in one chunk of 11 distinct mpr;
+    # chunks of d = 1 cells only and of d != 1 cells only, whose window
+    # takes no libm and only libm; and cells whose brackets finish on
+    # different steps, the mpr 1 cell first and then the cell of the
+    # largest mpr, 10, whose band goes while the others run on, or one of
+    # a middle mpr, before the rest.
+    @example(cells=_ANALYTIC_SWEEP, budget=2**16)
+    @example(cells=[(200, 199, 1), (50, 25, 1), (1000, 2, 1), (10, 3, 1),
+                    (2, 1, 1)], budget=2**16)
+    @example(cells=[(200, 199, 20), (50, 25, 10**15), (1000, 2, 7),
+                    (10, 3, 5), (1000, 1, 10**15)], budget=2**16)
+    @example(cells=[(1000, 10, 10**15), (200, 5, 20), (10, 3, 5), (2, 1, 1),
+                    (50, 8, 1)], budget=2**16)
+    @example(cells=[(200, 199, 1), (1000, 10, 10**15), (200, 5, 20),
+                    (10, 3, 5), (2, 1, 1), (50, 8, 1)], budget=2**16)
     @example(cells=_N200_SWEEP_ROW, budget=2**16)
     @example(cells=_N200_SWEEP_ROW, budget=4000)
     @example(cells=_N1000_SHUFFLED, budget=2**16)
@@ -965,7 +983,10 @@ class TestArrayForms:
                     taus = [*rng.random(6), 1.0 - 2**-53, 1.0 - 1e-9, 0.6]
                     elements += [(n, m, d, t) for t in taus]
         n, m, d, tau = (np.array(column) for column in zip(*elements))
-        got = analytic._delivery_prob_row(n, m, d.astype(float), tau)
+        order = np.argsort(-m, kind="stable")
+        got = np.empty_like(tau)
+        got[order] = analytic._RefinementKernel(
+            n[order], m[order], d[order].astype(float))(tau[order])
         want = [delivery_prob(ChannelConfig(*cell[:3]), cell[3])
                 for cell in elements]
         assert _bits(got) == _bits(want)

@@ -478,6 +478,25 @@ class TestDynamic:
             tmp_path / "chunked" / "trace.csv"
         ).read_bytes()
 
+    def test_sink_counts_each_interval_once(
+        self, scenario_path, tmp_path, monkeypatch
+    ):
+        # The sink keeps a running row count: one len() per interval's
+        # rows, not a re-count of every pending interval on each one.
+        calls = []
+        trace_len = scenario.Trace.__len__
+
+        def counting_len(rows):
+            calls.append(1)
+            return trace_len(rows)
+
+        monkeypatch.setattr(scenario.Trace, "__len__", counting_len)
+        assert cli.main(
+            ["dynamic", "--scenario", str(scenario_path),
+             "--out", str(tmp_path / "out")]
+        ) == 0
+        assert 0 < len(calls) <= 8
+
     def test_failed_run_leaves_no_partial_trace(
         self, scenario_path, tmp_path, monkeypatch, capsys
     ):
