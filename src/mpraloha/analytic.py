@@ -12,7 +12,8 @@ attempt lands in a decodable slot before the deadline passes.
 `delivery_prob` evaluates the per-packet success probability for a given tau,
 and `solve_optimal_tau` finds the tau that maximizes it: Brent's bracketed
 zero search on the stationarity gap admitted_load - deadline_load inside
-[lower_bound_tau, 1), a function of tau bound to the config once per solve.
+[lower_bound_tau, 1), a function of tau bound to the config once per solve,
+whose head sum at the tau returned also gives the reported maximum.
 The paper characterises the same optimum as the fixed point of
 `iteration_map`, which `checks` verifies; the solver does not iterate it,
 because it contracts with a slope near 1 when mpr/n_users or the deadline
@@ -30,7 +31,7 @@ bit; `checks` evaluates its property checks with them. `delivery_prob` has
 two array forms, one per kernel: `_delivery_prob_rows`, one n_users over
 many tau, for the check rows and, with numpy's factors, the coarse scan,
 and `_RefinementKernel`, one config per element, banded by mpr, for the
-lockstep refinement. `_head_sums_row` is the one array recurrence of the
+lockstep refinement, scaled starts included. `_head_sums_row` is the one array recurrence of the
 binomial head sums: the `_*_rows` forms run it once per n_users and read
 it at each mpr.
 """
@@ -165,8 +166,8 @@ def _digits(value: int) -> int:
 class SolveReport:
     """Outcome of `solve_optimal_tau`.
 
-    sdp_max is the delivery probability re-evaluated at tau_opt, not a value
-    carried through the search. iterations counts gap evaluations after the
+    sdp_max is `delivery_prob` at tau_opt, bit for bit, from the head sum
+    that the gap evaluation at tau_opt computed. iterations counts gap evaluations after the
     bracket is set, residual is the width of the final sign-change bracket
     (0.0 on an exact zero of the gap), and converged holds when that width
     is at most the fixed 1e-12 tolerance.
@@ -336,6 +337,11 @@ def admit_prob(config: ChannelConfig, tau) -> float:
     above the mean interferer count."""
     t = as_probability(tau)
     head, _, shift = _head_sums(config.n_users - 1, config.mpr, t)
+    return _admit(head, shift)
+
+
+def _admit(head: float, shift: int) -> float:
+    """`admit_prob` from the head and shift of `_head_sums`."""
     head = math.ldexp(head, shift)
     return head if head < 1.0 else 1.0
 
@@ -464,11 +470,13 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # `_RefinementKernel` binds its τ-free work once per chunk. A form exists
 # only where a caller would otherwise loop a costly scalar function, and a
 # scalar twin only where a caller loops on it, which only the solver does:
-# its gap, `_gap_of`, binds one config's `_head_sums` and `_deadline_load`
-# (with `_window_prob`) once per solve, and `admitted_load`,
-# `deadline_load` and `delivery_prob` are built from the same three (the
-# grid search's lockstep refinement takes `_head_sums` only where a head
-# sum must be carried scaled). `binomial_pmf`, `success_size_ratio`,
+# its gap, `_gap_of`, binds one config's head-sum factors once per solve
+# and runs `_head_sums`'s recurrence on them, or `_head_sums` itself where
+# the start is scaled, then `_deadline_load` (with `_window_prob`);
+# `admitted_load`, `deadline_load` and `delivery_prob` are built from the
+# same three (the grid search's lockstep refinement takes `_head_sums`
+# only where a scaled column would overflow its band). `binomial_pmf`,
+# `success_size_ratio`,
 # `delivery_prob_derivative` and `iteration_map`, which no caller loops
 # on, are their forms at one point.
 
@@ -530,9 +538,17 @@ class _RefinementKernel:
     the start exponents, each head's position (row mpr - 1) and the cells
     with deadline != 1, the only ones whose window takes libm. A call
     multiplies each band by tau/(1-tau) once and runs the product and
-    then the sum accumulate down it, carrying in the row above it. A
-    start at most _SCALED_BELOW takes its head from `_head_sums`, which
-    carries it scaled.
+    then the sum accumulate down it, carrying in the row above it.
+
+    A start at most _SCALED_BELOW runs in the bands from its frexp start
+    frac^(n-1), as `_head_sums` carries it, and its head is multiplied by
+    2^shift at the end, with no rescale on the way: a power of two
+    commutes with every product and sum while they stay in the normal
+    range, and the terms rise from that start to their mode and fall below
+    the normal range only past it, where they no longer move the head. So
+    the head is `_head_sums`'s bit for bit, unless a term or the sum
+    passes the float range, which only the rescales of `_head_sums`
+    avoid: such a column takes its head from there.
     """
 
     def __init__(self, n_users, mpr, deadline):
@@ -542,7 +558,7 @@ class _RefinementKernel:
 
     def keep(self, cells) -> None:
         n, self._mpr, deadline = (values[cells] for values in self._chunk)
-        self._exponents = n.tolist()
+        self._n, self._exponents = n, n.tolist()
         self._far = np.flatnonzero(deadline != 1.0)
         self._far_deadline = deadline[self._far]
         # A cell of mpr 1 reads its head in row 0, any other in the last
@@ -570,23 +586,30 @@ class _RefinementKernel:
         start[:] = np.fromiter(map(pow, complement.tolist(), self._exponents),
                                dtype=float, count=tau.size)
         scaled = np.flatnonzero(start <= _SCALED_BELOW)
-        start[scaled] = 0.0
+        if scaled.size:
+            n = self._n[scaled]
+            frac, exp2 = np.frexp(complement[scaled])
+            start[scaled] = _elementwise(pow, frac, n)
         ratio = tau / complement
         # In place: the products, then their running sums, down each band.
-        above = start
-        for factors, block in self._bands:
-            np.multiply(factors, ratio[:block.shape[1]], out=block)
-            block[0] *= above[:block.shape[1]]
-            above = np.multiply.accumulate(block, out=block)[-1]
-        above = start
-        for _, block in self._bands:
-            block[0] += above[:block.shape[1]]
-            above = np.add.accumulate(block, out=block)[-1]
+        # Only a scaled column can overflow, and then takes `_head_sums`.
+        with np.errstate(over="ignore"):
+            above = start
+            for factors, block in self._bands:
+                np.multiply(factors, ratio[:block.shape[1]], out=block)
+                block[0] *= above[:block.shape[1]]
+                above = np.multiply.accumulate(block, out=block)[-1]
+            above = start
+            for _, block in self._bands:
+                block[0] += above[:block.shape[1]]
+                above = np.add.accumulate(block, out=block)[-1]
         head = self._terms[self._head]
-        for j in scaled.tolist():
-            sums, _, shift = _head_sums(self._exponents[j], int(self._mpr[j]),
-                                        float(tau[j]))
-            head[j] = math.ldexp(sums, shift)
+        if scaled.size:
+            head[scaled] = np.ldexp(head[scaled], exp2 * n)
+            for j in scaled[np.isinf(head[scaled])].tolist():
+                sums, _, shift = _head_sums(self._exponents[j],
+                                            int(self._mpr[j]), float(tau[j]))
+                head[j] = math.ldexp(sums, shift)
         window = tau.copy()
         window[self._far] = _window_prob_row(tau[self._far],
                                              self._far_deadline)
@@ -666,19 +689,46 @@ def _success_size_ratio_rows(n_users: int, mprs, tau: np.ndarray):
 def _gap_of(config: ChannelConfig):
     """The stationarity gap of `config`, admitted_load(x) - deadline_load(x),
     as a function of the float x, bit for bit: it has the sign of the
-    delivery-probability derivative. The config is read once, and each
-    evaluation checks x with one comparison, taking `_open_probability`'s
-    error only outside (0, 1)."""
+    delivery-probability derivative. Returns (gap, sdp): sdp(x) is
+    `delivery_prob` at an x the gap has evaluated, from the head sum of
+    that evaluation.
+
+    The config is read once, and each evaluation checks x with one
+    comparison, taking `_open_probability`'s error only outside (0, 1).
+    The step factors (peers - i) / (i + 1) of `_head_sums` are bound once
+    too, as the same floats, with each i as a float: an unscaled start
+    runs its recurrence on them with no rescale test, since unscaled
+    terms stay near 1 at most, and a scaled one goes through
+    `_head_sums`.
+    """
     peers, mpr = config.n_users - 1, config.mpr
     n_users, deadline = config.n_users, config.deadline
+    steps = [(float(i), (peers - i) / (i + 1)) for i in range(mpr)]
+    # (head, shift) at every x evaluated.
+    sums = {}
 
     def gap(x: float) -> float:
         if not 0.0 < x < 1.0:
             _open_probability(x)
-        head, weighted, _ = _head_sums(peers, mpr, x)
+        complement = 1.0 - x
+        term = complement**peers
+        if term > _SCALED_BELOW:
+            ratio = x / complement
+            head = weighted = 0.0
+            shift = 0
+            for i, factor in steps:
+                head += term
+                weighted += i * term
+                term *= factor * ratio
+        else:
+            head, weighted, shift = _head_sums(peers, mpr, x)
+        sums[x] = head, shift
         return weighted / head - _deadline_load(n_users, deadline, x)
 
-    return gap
+    def sdp(x: float) -> float:
+        return _window_prob(x, deadline) * _admit(*sums[x])
+
+    return gap, sdp
 
 
 def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
@@ -706,7 +756,7 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
             residual=0.0,
             converged=True,
         )
-    gap = _gap_of(config)
+    gap, sdp = _gap_of(config)
     # Bracket: gap(a) > 0 >= gap(b).
     a, fa = lo, gap(lo)
     b = 0.5 * (lo + 1.0)
@@ -758,7 +808,7 @@ def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
         iterations += 1
     return SolveReport(
         tau_opt=b,
-        sdp_max=delivery_prob(config, b),
+        sdp_max=sdp(b),
         iterations=iterations,
         residual=0.0 if fb == 0.0 else width,
         converged=fb == 0.0 or width <= 2.0 * tol,

@@ -498,7 +498,7 @@ def check_solver_localization(grid: VerifyGrid) -> CheckResult:
         if not report.converged:
             out = math.inf
         if m >= 2:
-            out = max(out, abs(_gap_of(cfg)(tau)) - 1e-9)
+            out = max(out, abs(_gap_of(cfg)[0](tau)) - 1e-9)
         violations.append(out)
     return _reduce("solver_localization", [(None, np.array(violations))],
                    lambda _, k: "n={} m={} d={}".format(*cells[k]), 0.0,

@@ -22,7 +22,6 @@ import dataclasses
 import math
 import os
 import sys
-from statistics import fmean, stdev
 
 import numpy as np
 
@@ -165,6 +164,10 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    # Imported here: `statistics` loads fractions, decimal and random, which
+    # no other command needs.
+    from statistics import fmean, stdev
+
     config = analytic.ChannelConfig(args.n, args.m, args.d)
     if args.tau == "optimal":
         tau = analytic.solve_optimal_tau(config).tau_opt

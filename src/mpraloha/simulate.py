@@ -126,10 +126,21 @@ def run_interval(
     simulated in blocks of at most _BLOCK_CELLS station-slots, which bounds
     memory, and each block in up to _PARTS slot-contiguous parts, none much
     smaller than _MIN_PART_CELLS station-slots, that run at once. Blocks and
-    parts chain the same way, so neither changes a count.
+    parts chain the same way, so neither changes a count. Every tx_probs
+    entry must be a probability and mpr at least 1.
     """
     n_users = len(tx_probs)
     _require_deadline(deadline)
+    if mpr < 1:
+        raise ValueError(f"mpr must be >= 1, got {_int_text(mpr)}")
+    # NaN fails both comparisons.
+    outside = ~((tx_probs >= 0.0) & (tx_probs <= 1.0))
+    if outside.any():
+        station = int(np.argmax(outside))
+        raise ValueError(
+            f"tx_probs must lie in [0, 1], got {float(tx_probs[station])!r} "
+            f"for station {station}"
+        )
     if n_slots < 0:
         raise ValueError(f"n_slots must be >= 0, got {_int_text(n_slots)}")
     if len(hol_ages) != n_users:

@@ -12,6 +12,12 @@ stream exactly as `run_interval` does.
 `grid_search_optimum` is the grid search one config at a time, which
 `analytic.grid_search_optimum` must match bit for bit on every config.
 
+`solve_optimal_tau` is the solver one config at a time as a plain scalar
+Brent: its gap runs the unbound `_head_sums` and `_deadline_load` at every
+evaluation, and its sdp_max is `delivery_prob` evaluated once more at the
+tau it returns. `analytic.solve_optimal_tau` must give the same
+`SolveReport` by repr, or raise the same error.
+
 `delivery_prob_derivative` is the derivative of the delivery probability
 by the product rule, in closed form. The package writes it instead as the
 solver's stationarity gap times a positive factor, so this form is an
@@ -30,21 +36,25 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from mpraloha import analytic
 from mpraloha.analytic import (
     _COARSE_POINTS,
     _RESCALE,
     _RESCALE_BITS,
     _SCALED_BELOW,
+    _TOLERANCE,
     ChannelConfig,
+    SolveReport,
+    _deadline_load,
     _head_sums,
     _head_sums_row,
+    _open_probability,
     _quotient,
     _window_prob,
     _window_prob_row,
     as_probability,
     delivery_prob,
     lower_bound_tau,
-    solve_optimal_tau,
 )
 from mpraloha.checks import (
     _DERIVATIVE_TOL,
@@ -155,6 +165,73 @@ def grid_search_optimum(config: ChannelConfig) -> tuple[float, float]:
             fd = delivery_prob(config, d)
     tau = 0.5 * (a + b)
     return tau, delivery_prob(config, tau)
+
+
+def solve_optimal_tau(config: ChannelConfig) -> SolveReport:
+    """The `SolveReport` of `analytic.solve_optimal_tau` for one config:
+    the closed form for mpr = 1, else Brent's zero search (Brent 1973,
+    ch. 4) on the gap admitted_load - deadline_load, from the bracket
+    [lower_bound_tau, midpoint] moved right while the gap there is
+    positive. Reads `analytic._MAX_ITER` when it runs."""
+    n, m, d = config.n_users, config.mpr, config.deadline
+    lo = lower_bound_tau(n, d)
+    if m == 1:
+        return SolveReport(lo, delivery_prob(config, lo), 0, 0.0, True)
+
+    def gap(x: float) -> float:
+        x = _open_probability(x)
+        head, weighted, _ = _head_sums(n - 1, m, x)
+        return weighted / head - _deadline_load(n, d, x)
+
+    a, fa = lo, gap(lo)
+    b = 0.5 * (lo + 1.0)
+    fb = gap(b)
+    while fb > 0.0:
+        a, fa = b, fb
+        b = 0.5 * (b + 1.0)
+        fb = gap(b)
+    c, fc = a, fa
+    step = prev_step = b - a
+    tol = 0.5 * _TOLERANCE
+    iterations = 0
+    while True:
+        if (fb > 0.0) == (fc > 0.0):
+            c, fc = a, fa
+            step = prev_step = b - a
+        if abs(fc) < abs(fb):
+            a, b, c = b, c, b
+            fa, fb, fc = fb, fc, fb
+        width = abs(c - b)
+        if fb == 0.0 or width <= 2.0 * tol or (
+                iterations == analytic._MAX_ITER):
+            break
+        half = 0.5 * (c - b)
+        if abs(prev_step) >= tol and abs(fa) > abs(fb):
+            s = fb / fa
+            if a == c:
+                p, q = 2.0 * half * s, 1.0 - s
+            else:
+                q, r = fa / fc, fb / fc
+                p = s * (2.0 * half * q * (q - r) - (b - a) * (r - 1.0))
+                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
+            if p > 0.0:
+                q = -q
+            else:
+                p = -p
+            bound = min(3.0 * half * q - abs(tol * q), abs(prev_step * q))
+            if 2.0 * p < bound:
+                prev_step, step = step, p / q
+            else:
+                step = prev_step = half
+        else:
+            step = prev_step = half
+        a, fa = b, fb
+        b += step if abs(step) > tol else math.copysign(tol, half)
+        fb = gap(b)
+        iterations += 1
+    converged = fb == 0.0 or width <= 2.0 * tol
+    return SolveReport(b, delivery_prob(config, b), iterations,
+                       0.0 if fb == 0.0 else width, converged)
 
 
 def delivery_prob_derivative(config: ChannelConfig, tau: float) -> float:
@@ -352,7 +429,7 @@ def iteration_map_bracketing(grid: VerifyGrid):
     def rows():
         for n, m, d in grid.cells():
             cfg = ChannelConfig(n, m, d)
-            tau_opt = solve_optimal_tau(cfg).tau_opt
+            tau_opt = analytic.solve_optimal_tau(cfg).tau_opt
             kept = np.flatnonzero(~(np.abs(row - tau_opt) <= exclusion))
             x = row[kept]
             gap = _iteration_map_row(cfg, x) - x

@@ -501,7 +501,7 @@ class TestSolver:
         cfg = ChannelConfig(*cell)
         want = _outcome(
             lambda t: admitted_load(cfg, t) - deadline_load(cfg, t), x)
-        assert _outcome(analytic._gap_of(cfg), x) == want
+        assert _outcome(analytic._gap_of(cfg)[0], x) == want
         if not 0.0 < x < 1.0:
             assert want[0] is ValueError
 
@@ -527,9 +527,16 @@ class TestSolver:
             assert report.tau_opt == pytest.approx(tau, rel=1e-9)
             assert report.sdp_max == pytest.approx(sdp, rel=1e-9)
 
-    def test_report_sdp_is_recomputed(self):
+    def test_report_sdp_is_recomputed(self, monkeypatch):
+        # For mpr >= 2 it comes from the gap's head sum at tau_opt, with no
+        # further `delivery_prob` call, and equals that call bit for bit.
+        def refuse(config, tau):
+            raise AssertionError("delivery_prob called")
+
         cfg = ChannelConfig(20, 5, 5)
+        monkeypatch.setattr(analytic, "delivery_prob", refuse)
         report = solve_optimal_tau(cfg)
+        monkeypatch.undo()
         assert report.sdp_max == delivery_prob(cfg, report.tau_opt)
 
     def test_solution_is_stationary(self):
@@ -666,6 +673,54 @@ _N1000_SHUFFLED = [
 ]
 
 
+# Cells near the population cap whose solves evaluate the gap at scaled
+# starts, and long deadlines where the solver raises or returns a wrong
+# converged tau (ROADMAP item 1), which it must keep doing exactly so.
+_SCALED_START_CELLS = [(n, m, d) for n in (1000, 999, 500)
+                       for m in (n - 1, n - 2, n - 10, n // 2)
+                       for d in (1, 5, 20, 10**6, 10**12)]
+_LONG_DEADLINE_CELLS = [(50, 49, 10**16), (3, 2, 10**17), (50, 20, 10**16)]
+
+
+class TestReferenceSolver:
+    """`solve_optimal_tau` binds its head-sum factors once per config and
+    takes sdp_max from the head sum of its gap evaluation at tau_opt; it
+    must report what the plain scalar Brent of `tests/reference.py`
+    reports, by repr, or raise its error."""
+
+    @staticmethod
+    def _report(solve, cell):
+        try:
+            return repr(solve(ChannelConfig(*cell)))
+        except (ValueError, ArithmeticError) as exc:
+            return type(exc), str(exc)
+
+    # The first set is the `analytic` benchmark's 643 cells: `verify`'s
+    # default sweep grid and the 115-cell sweep.
+    @pytest.mark.parametrize("cells", [
+        [*checks.VerifyGrid().sweep_cells(), *_ANALYTIC_SWEEP],
+        _SCALED_START_CELLS,
+        _LONG_DEADLINE_CELLS,
+    ], ids=["analytic-benchmark", "scaled-starts", "long-deadlines"])
+    def test_matches_reference_solver(self, cells):
+        for cell in cells:
+            assert self._report(solve_optimal_tau, cell) == self._report(
+                reference.solve_optimal_tau, cell), cell
+
+    def test_scaled_starts_take_the_scalar_head_sum(self):
+        # Every solve of these cells with mpr >= 2 evaluates its gap through
+        # `_head_sums` only where the start is scaled; some are.
+        with mock.patch.object(analytic, "_head_sums",
+                               wraps=analytic._head_sums) as scalar:
+            for cell in _SCALED_START_CELLS:
+                solve_optimal_tau(ChannelConfig(*cell))
+        assert scalar.call_count > 0
+        with mock.patch.object(analytic, "_head_sums",
+                               wraps=analytic._head_sums) as scalar:
+            solve_optimal_tau(ChannelConfig(20, 5, 5))
+        assert scalar.call_count == 0
+
+
 class TestGridSearchBatch:
     """`grid_search_optimum` searches all its configs at once; each result
     must be the one-config search of `tests/reference.py`, bit for bit."""
@@ -723,6 +778,18 @@ class TestGridSearchBatch:
 
     def test_empty_batch(self):
         assert grid_search_optimum([]) == []
+
+    def test_scaled_starts_stay_in_the_bands(self):
+        # The sweep's (200, 199, 1) cell refines at starts below
+        # _SCALED_BELOW at every evaluation; the kernel's bands carry them
+        # from their frexp start, so no scalar head sum runs.
+        configs = [ChannelConfig(*cell) for cell in _ANALYTIC_SWEEP]
+        with mock.patch.object(analytic, "_head_sums",
+                               wraps=analytic._head_sums) as scalar:
+            got = grid_search_optimum(configs)
+        assert scalar.call_count == 0
+        tau = got[_ANALYTIC_SWEEP.index((200, 199, 1))][0]
+        assert (1.0 - tau) ** 199 <= _SCALED_BELOW
 
     def test_memory_does_not_grow_with_cells(self):
         def peak(configs):
@@ -985,13 +1052,20 @@ class TestArrayForms:
         n, m, d, tau = (np.array(column) for column in zip(*elements))
         order = np.argsort(-m, kind="stable")
         got = np.empty_like(tau)
-        got[order] = analytic._RefinementKernel(
-            n[order], m[order], d[order].astype(float))(tau[order])
+        with mock.patch.object(analytic, "_head_sums",
+                               wraps=analytic._head_sums) as scalar:
+            got[order] = analytic._RefinementKernel(
+                n[order], m[order], d[order].astype(float))(tau[order])
         want = [delivery_prob(ChannelConfig(*cell[:3]), cell[3])
                 for cell in elements]
         assert _bits(got) == _bits(want)
         start = (1.0 - tau) ** (n - 1)
-        assert np.count_nonzero(start <= _SCALED_BELOW) > 50
+        scaled = np.count_nonzero(start <= _SCALED_BELOW)
+        assert scaled > 50
+        # Scaled columns stay in the bands unless their terms would pass
+        # the float range there, as at tau = 1 - 1e-9 for n = 1000; only
+        # those take `_head_sums`, which rescales.
+        assert 0 < scalar.call_count < scaled
 
     def test_conditional_forms_finite_past_the_underflow_edge(self):
         # The admit probability and the decoded-batch mass underflow to

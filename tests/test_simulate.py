@@ -238,6 +238,28 @@ def test_run_interval_rejects_what_it_cannot_simulate(
                      slots, np.zeros(n_ages, dtype=np.int64))
 
 
+@pytest.mark.parametrize("probs, mpr, message", [
+    ([0.5, 1.5, 0.5], 2, "tx_probs must lie in [0, 1], got 1.5 for station 1"),
+    ([0.5, 0.5, math.nan], 2,
+     "tx_probs must lie in [0, 1], got nan for station 2"),
+    ([-0.1, 0.5, 0.5], 2,
+     "tx_probs must lie in [0, 1], got -0.1 for station 0"),
+    ([0.5, 0.5, 0.5], 0, "mpr must be >= 1, got 0"),
+    ([0.5, 0.5, 0.5], -10**5000,
+     "mpr must be >= 1, got a negative 5001-digit number"),
+], ids=["prob-above-1", "prob-nan", "prob-negative", "mpr-0", "mpr-huge"])
+def test_run_interval_rejects_what_no_station_can_do(probs, mpr, message):
+    # A probability above 1 would send in every slot, NaN or a negative one
+    # in none, and mpr 0 would fail every packet: all raise before a draw.
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError) as info:
+        run_interval(rng, np.array(probs), mpr, 5, 10,
+                     np.zeros(3, dtype=np.int64))
+    assert str(info.value) == message
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("deadline, age", [
     (1, 1), (1, 3), (4, 4), (4, -1), (2**62, 2**62),
 ])
