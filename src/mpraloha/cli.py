@@ -23,8 +23,6 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from . import analytic, checks, scenario, simulate
 
 __all__ = ["main", "build_parser"]
@@ -267,23 +265,6 @@ _STAGES_HEADER = [
     "sdp_theory", "sdp_mean", "sdp_variance", "samples",
 ]
 
-# Trace rows gathered before they are written: few enough that memory does
-# not grow with the run, enough that their conversion to Python numbers
-# runs in bulk.
-_CSV_CHUNK_ROWS = 1 << 12
-
-
-def _write_trace(writer, pending: list) -> None:
-    """Write the `scenario.Trace` rows gathered in `pending`, then empty
-    it."""
-    columns = (
-        np.concatenate([getattr(rows, name) for rows in pending]).tolist()
-        for name in _TRACE_COLUMNS
-    )
-    writer.writerows(zip(*columns))
-    pending.clear()
-
-
 def _cmd_dynamic(args) -> int:
     timeline = scenario.load_scenario(args.scenario)
     if args.seed is not None:
@@ -301,24 +282,17 @@ def _cmd_dynamic(args) -> int:
     stages_path = os.path.join(args.out, "stages.csv")
     opened = False
     try:
-        # The rows are written as the run goes, so memory does not grow
-        # with it.
+        # Each interval's rows are written as it ends, so memory does not
+        # grow with the run.
         with _csv_writer(trace_path, _TRACE_COLUMNS) as writer:
             opened = True
-            pending = []
-            pending_rows = 0
 
             def sink(rows):
-                nonlocal pending_rows
-                pending.append(rows)
-                pending_rows += len(rows)
-                if pending_rows >= _CSV_CHUNK_ROWS:
-                    _write_trace(writer, pending)
-                    pending_rows = 0
+                writer.writerows(zip(*(
+                    getattr(rows, name).tolist() for name in _TRACE_COLUMNS
+                )))
 
             result = scenario.run_dynamic(timeline, sink=sink)
-            if pending:
-                _write_trace(writer, pending)
     except BaseException:
         with contextlib.suppress(OSError):
             if opened:

@@ -65,12 +65,14 @@ class IntervalOutcome:
 # 24 bytes per transmission for positions and gaps.
 _BLOCK_CELLS = 1 << 20
 
-# Most station-slots a part draws at once: 2 MiB of float64 uniforms, a
-# fresh array per chunk. A buffer reused across calls, or much smaller
-# chunks, let the allocator hand the heap back to the OS and fault it in
-# again on every call: a reused 2^16-cell buffer took 336k minor page
-# faults per `surge` run, against about 10k for these.
-_DRAW_CELLS = 1 << 18
+# Most station-slots a part draws at once: 1 MiB of float64 uniforms, a
+# fresh array per chunk. Smaller chunks, or a buffer reused across calls,
+# let the allocator hand the heap back to the OS and fault it in again on
+# every call. Minor page faults per seed-1 `surge` run, on top of the
+# interpreter's 5.7k: about 204k at 2^16, 2.1-3.2k at 2^17 and 3.3-3.9k at
+# 2^18, whose two concurrent 2 MiB chunks also raised a 2-part call's peak
+# from 3.0 to 4.8 MiB.
+_DRAW_CELLS = 1 << 17
 
 # Slot-contiguous parts per block, one per usable CPU. The parts hold one
 # block's matrix between them, plus one draw chunk each.

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from mpraloha import analytic, checks, cli, scenario
@@ -466,42 +467,38 @@ class TestDynamic:
         assert not out_dir.exists()
         assert "seed" in capsys.readouterr().err
 
-    def test_chunked_trace_is_byte_identical(
-        self, scenario_path, tmp_path, monkeypatch
-    ):
-        args = ["dynamic", "--scenario", str(scenario_path), "--seed", "3"]
-        assert cli.main(args + ["--out", str(tmp_path / "whole")]) == 0
-        # 240 rows in chunks of 7: many chunks and a short last one.
-        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 7)
-        assert cli.main(args + ["--out", str(tmp_path / "chunked")]) == 0
-        assert (tmp_path / "whole" / "trace.csv").read_bytes() == (
-            tmp_path / "chunked" / "trace.csv"
-        ).read_bytes()
-
-    def test_sink_counts_each_interval_once(
-        self, scenario_path, tmp_path, monkeypatch
-    ):
-        # The sink keeps a running row count: one len() per interval's
-        # rows, not a re-count of every pending interval on each one.
-        calls = []
-        trace_len = scenario.Trace.__len__
-
-        def counting_len(rows):
-            calls.append(1)
-            return trace_len(rows)
-
-        monkeypatch.setattr(scenario.Trace, "__len__", counting_len)
+    def test_trace_holds_every_row_the_run_hands_on(self, tmp_path):
+        # 100 stations over 45 intervals: 4,500 rows, each interval's
+        # written as it ends, in the order and with the values the run's
+        # sink receives.
+        path = tmp_path / "long.cfg"
+        path.write_text(
+            SCENARIO.replace("interval_len = 500", "interval_len = 20")
+            .replace("n_max = 100", "n_max = 200")
+            .replace("1-4 = 20\n5-8 = 40", "1-45 = 100")
+        )
         assert cli.main(
-            ["dynamic", "--scenario", str(scenario_path),
+            ["dynamic", "--scenario", str(path), "--seed", "3",
              "--out", str(tmp_path / "out")]
         ) == 0
-        assert 0 < len(calls) <= 8
+        received = []
+        scenario.run_dynamic(
+            dataclasses.replace(scenario.load_scenario(path), seed=3),
+            received.append,
+        )
+        trace = _rows(tmp_path / "out" / "trace.csv")
+        assert len(trace) == sum(map(len, received)) == 4500
+        for name in cli._TRACE_COLUMNS:
+            column = np.concatenate([getattr(rows, name) for rows in received])
+            np.testing.assert_array_equal(
+                np.array([row[name] for row in trace], dtype=column.dtype),
+                column,
+            )
 
     def test_failed_run_leaves_no_partial_trace(
         self, scenario_path, tmp_path, monkeypatch, capsys
     ):
         # The run fails after its first interval's rows were written.
-        monkeypatch.setattr(cli, "_CSV_CHUNK_ROWS", 1)
         run_dynamic = scenario.run_dynamic
 
         def fail_after_one_interval(timeline, sink):

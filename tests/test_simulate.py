@@ -529,6 +529,29 @@ class TestParts:
                  + 2 * cells // 8 + 32 * 1.1 * set_cells)
         assert peak < bound < 9 * cells
 
+    def test_two_part_call_peak(self, monkeypatch):
+        # The same call in 2 parts, whose draw chunks live at once when the
+        # parts overlap. With 1 MiB chunks of 2^17 cells, 65 calls peaked
+        # at 3.03 MiB at most; with 2 MiB chunks of 2^18, 54 of 60 calls
+        # peaked above 3.4 MiB, most at 4.84 MiB. The highest of five
+        # calls stays under a fixed bound.
+        _split(monkeypatch, 2)
+        taus = np.full(40, 0.069)
+        rng = np.random.default_rng(1)
+
+        def peak():
+            ages = np.zeros(40, dtype=np.int64)
+            tracemalloc.start()
+            try:
+                run_interval(rng, taus, 5, 20, 20_000, ages, probes=(2, 5))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak()  # first use: numpy's caches and the worker thread
+        peaks = [peak() for _ in range(5)]
+        assert max(peaks) < 3.4 * 2**20, peaks
+
     def test_part_failure_propagates(self, monkeypatch):
         _split(monkeypatch, 2)
         part = simulate._part
