@@ -30,10 +30,10 @@ a whole array of tau at once, with the scalar functions' values bit for
 bit; `checks` evaluates its property checks with them. `delivery_prob` has
 two array forms, one per kernel: `_delivery_prob_rows`, one n_users over
 many tau, for the check rows and, with numpy's factors, the coarse scan,
-and `_RefinementKernel`, one config per element, banded by mpr, for the
-lockstep refinement, scaled starts included. `_head_sums_row` is the one array recurrence of the
-binomial head sums: the `_*_rows` forms run it once per n_users and read
-it at each mpr.
+and `_refinement_kernel`, one config per element, banded by mpr, for the
+lockstep refinement, scaled starts included. `_head_sums_row` is the one
+array recurrence of the binomial head sums: the `_*_rows` forms run it
+once per n_users and read it at each mpr.
 """
 
 from __future__ import annotations
@@ -467,7 +467,8 @@ def iteration_map(config: ChannelConfig, x) -> float:
 # generators that yield one row for each mpr of `mprs`, or for each
 # (mpr, deadline) of mprs x deadlines with mpr major, from one head-sum
 # recurrence read at each mpr and one window per deadline; the refinement's
-# `_RefinementKernel` binds its τ-free work once per chunk. A form exists
+# `_refinement_kernel` does its τ-free work once per chunk, and its golden
+# section keeps every cell of the chunk to the end. A form exists
 # only where a caller would otherwise loop a costly scalar function, and a
 # scalar twin only where a caller loops on it, which only the solver does:
 # its gap, `_gap_of`, binds one config's head-sum factors once per solve
@@ -521,23 +522,22 @@ def _deadline_load_row(n_users: int, deadline: int, tau: np.ndarray,
     return load
 
 
-class _RefinementKernel:
+def _refinement_kernel(n_users, mpr, deadline):
     """`delivery_prob` at one tau per cell, tau strictly inside (0, 1),
     bit for bit, over a chunk of cells: int arrays `n_users` and `mpr`,
-    mpr descending, and a float array `deadline`. It starts bound to every
-    cell; `keep(cells)` binds it to the cells at the ascending indices
-    `cells`, and a call takes and returns one value per bound cell.
+    mpr descending, and a float array `deadline`. Returns the kernel, which
+    takes and returns one value per cell of the chunk.
 
     Cell j's head sum has mpr[j] terms: sequential products and then sums
     down a column whose row 0 is the start (1-tau)^(n-1) and row i > 0
     the factor ((n-i+1)/i) * tau/(1-tau). With mpr descending, the cells
     that need row i are a column prefix, so rows 1 to max(mpr) - 1 form
     one band per distinct mpr, as wide as the cells that reach its last
-    row, back to back in one buffer of sum(mpr) terms that every binding
-    reuses. A binding computes the τ-free work: the factors (n-i+1)/i,
-    the start exponents, each head's position (row mpr - 1) and the cells
-    with deadline != 1, the only ones whose window takes libm. A call
-    multiplies each band by tau/(1-tau) once and runs the product and
+    row, back to back in one buffer of sum(mpr) terms that every call
+    reuses. The τ-free work is done here, once per chunk: the factors
+    (n-i+1)/i, the start exponents, each head's position (row mpr - 1) and
+    the cells with deadline != 1, the only ones whose window takes libm. A
+    call multiplies each band by tau/(1-tau) once and runs the product and
     then the sum accumulate down it, carrying in the row above it.
 
     A start at most _SCALED_BELOW runs in the bands from its frexp start
@@ -550,70 +550,63 @@ class _RefinementKernel:
     passes the float range, which only the rescales of `_head_sums`
     avoid: such a column takes its head from there.
     """
+    n = n_users - 1
+    exponents = n.tolist()
+    far = np.flatnonzero(deadline != 1.0)
+    far_deadline = deadline[far]
+    terms = np.empty(int(mpr.sum()))
+    # A cell of mpr 1 reads its head in row 0, any other in the last row of
+    # the band that ends at its mpr: each band overwrites the heads of the
+    # cells that reach it.
+    columns = np.arange(n.size)
+    heads = columns.copy()
+    bands = []
+    offset, low = n.size, 1
+    for high in sorted(set(mpr.tolist()) - {1}):
+        width = int(np.count_nonzero(mpr >= high))
+        # (n - (i - 1)) / i, in floats: every operand is an exact integer.
+        i = np.arange(float(low), high)[:, None]
+        factors = (n[:width] - (i - 1.0)) / i
+        end = offset + factors.size
+        bands.append((factors, terms[offset:end].reshape(factors.shape)))
+        heads[:width] = columns[:width] + (end - width)
+        offset, low = end, high
 
-    def __init__(self, n_users, mpr, deadline):
-        self._chunk = (n_users - 1, mpr, deadline)
-        self._terms = np.empty(int(mpr.sum()))
-        self.keep(np.arange(mpr.size))
-
-    def keep(self, cells) -> None:
-        n, self._mpr, deadline = (values[cells] for values in self._chunk)
-        self._n, self._exponents = n, n.tolist()
-        self._far = np.flatnonzero(deadline != 1.0)
-        self._far_deadline = deadline[self._far]
-        # A cell of mpr 1 reads its head in row 0, any other in the last
-        # row of the band that ends at its mpr: each band overwrites the
-        # heads of the cells that reach it.
-        columns = np.arange(n.size)
-        self._head = columns.copy()
-        self._bands = []
-        offset, low = n.size, 1
-        for high in sorted(set(self._mpr.tolist()) - {1}):
-            width = int(np.count_nonzero(self._mpr >= high))
-            # (n - (i - 1)) / i, in floats: every operand is an exact
-            # integer.
-            i = np.arange(float(low), high)[:, None]
-            factors = (n[:width] - (i - 1.0)) / i
-            end = offset + factors.size
-            self._bands.append(
-                (factors, self._terms[offset:end].reshape(factors.shape)))
-            self._head[:width] = columns[:width] + (end - width)
-            offset, low = end, high
-
-    def __call__(self, tau: np.ndarray) -> np.ndarray:
+    def kernel(tau: np.ndarray) -> np.ndarray:
         complement = 1.0 - tau
-        start = self._terms[:tau.size]
-        start[:] = np.fromiter(map(pow, complement.tolist(), self._exponents),
+        start = terms[:tau.size]
+        start[:] = np.fromiter(map(pow, complement.tolist(), exponents),
                                dtype=float, count=tau.size)
         scaled = np.flatnonzero(start <= _SCALED_BELOW)
         if scaled.size:
-            n = self._n[scaled]
+            peers = n[scaled]
             frac, exp2 = np.frexp(complement[scaled])
-            start[scaled] = _elementwise(pow, frac, n)
+            start[scaled] = _elementwise(pow, frac, peers)
         ratio = tau / complement
         # In place: the products, then their running sums, down each band.
         # Only a scaled column can overflow, and then takes `_head_sums`.
         with np.errstate(over="ignore"):
             above = start
-            for factors, block in self._bands:
+            for factors, block in bands:
                 np.multiply(factors, ratio[:block.shape[1]], out=block)
                 block[0] *= above[:block.shape[1]]
                 above = np.multiply.accumulate(block, out=block)[-1]
             above = start
-            for _, block in self._bands:
+            for _, block in bands:
                 block[0] += above[:block.shape[1]]
                 above = np.add.accumulate(block, out=block)[-1]
-        head = self._terms[self._head]
+        head = terms[heads]
         if scaled.size:
-            head[scaled] = np.ldexp(head[scaled], exp2 * n)
+            head[scaled] = np.ldexp(head[scaled], exp2 * peers)
             for j in scaled[np.isinf(head[scaled])].tolist():
-                sums, _, shift = _head_sums(self._exponents[j],
-                                            int(self._mpr[j]), float(tau[j]))
+                sums, _, shift = _head_sums(exponents[j], int(mpr[j]),
+                                            float(tau[j]))
                 head[j] = math.ldexp(sums, shift)
         window = tau.copy()
-        window[self._far] = _window_prob_row(tau[self._far],
-                                             self._far_deadline)
+        window[far] = _window_prob_row(tau[far], far_deadline)
         return window * np.minimum(head, 1.0, out=head)
+
+    return kernel
 
 
 def _delivery_prob_rows(n_users: int, mprs, deadlines, tau: np.ndarray,
@@ -819,37 +812,27 @@ def _golden_section(n_users: np.ndarray, mpr: np.ndarray,
                     deadline: np.ndarray, a: np.ndarray, b: np.ndarray):
     """Golden-section search for the maximum of `delivery_prob` on [a, b],
     for every cell (n_users[j], mpr[j], deadline[j]) in lockstep, mpr in
-    descending order: one new point per unfinished cell per step, with the
-    scalar search's branch and arithmetic, down to a bracket of width
-    1e-10. Returns the arrays (tau, sdp)."""
+    descending order: one new point per cell per step, with the scalar
+    search's branch and arithmetic, committed in place only where the
+    bracket is still wider than 1e-10, so that a finished cell's bracket
+    stays as the scalar search leaves it. Returns the arrays (tau, sdp);
+    `a` and `b` end as the final brackets."""
     inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    kernel = _RefinementKernel(n_users, mpr, deadline)
+    kernel = _refinement_kernel(n_users, mpr, deadline)
     c = b - inv_phi * (b - a)
     d = a + inv_phi * (b - a)
     fc, fd = kernel(c), kernel(d)
-    # The arrays hold the unfinished cells only: a finished cell's bracket
-    # is stored once, and the kernel rebound, as the set shrinks.
-    cells = np.arange(a.size)
-    lo, hi = np.empty_like(a), np.empty_like(b)
-    while True:
-        open_ = b - a > 1e-10
-        if not open_.all():
-            lo[cells[~open_]], hi[cells[~open_]] = a[~open_], b[~open_]
-            cells, a, b, c, d, fc, fd = (
-                v[open_] for v in (cells, a, b, c, d, fc, fd))
-            if not cells.size:
-                break
-            kernel.keep(cells)
+    while (open_ := b - a > 1e-10).any():
         # fc > fd keeps [a, d], else [c, b], as the scalar branch does.
+        # A finished cell's points move on unread: only its bracket stays.
         left = fc > fd
-        a = np.where(left, a, c)
-        b = np.where(left, d, b)
+        np.copyto(a, c, where=open_ & ~left)
+        np.copyto(b, d, where=open_ & left)
         x = np.where(left, b - inv_phi * (b - a), a + inv_phi * (b - a))
         fx = kernel(x)
         c, d = np.where(left, x, d), np.where(left, c, x)
         fc, fd = np.where(left, fx, fd), np.where(left, fc, fx)
-    tau = 0.5 * (lo + hi)
-    kernel.keep(np.arange(tau.size))
+    tau = 0.5 * (a + b)
     return tau, kernel(tau)
 
 

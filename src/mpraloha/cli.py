@@ -339,6 +339,15 @@ def _cmd_verify(args) -> int:
     return EXIT_OK
 
 
+def _channel_flags(p) -> None:
+    """The --n, --m and --d of one channel, as solve and simulate take it."""
+    p.add_argument("--n", type=int, required=True, help="number of stations")
+    p.add_argument("--m", type=int, required=True,
+                   help="receiver capability (packets decodable per slot)")
+    p.add_argument("--d", type=int, required=True,
+                   help="per-packet deadline in slots")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="mpraloha",
@@ -352,11 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "solve", help="optimal transmission probability for one channel"
     )
-    p.add_argument("--n", type=int, required=True, help="number of stations")
-    p.add_argument("--m", type=int, required=True,
-                   help="receiver capability (packets decodable per slot)")
-    p.add_argument("--d", type=int, required=True,
-                   help="per-packet deadline in slots")
+    _channel_flags(p)
     p.add_argument("--out", help="also write the result as one CSV row")
     p.set_defaults(func=_cmd_solve)
 
@@ -387,11 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "simulate", help="Monte Carlo at fixed tau against the analytic value"
     )
-    p.add_argument("--n", type=int, required=True, help="number of stations")
-    p.add_argument("--m", type=int, required=True,
-                   help="receiver capability (packets decodable per slot)")
-    p.add_argument("--d", type=int, required=True,
-                   help="per-packet deadline in slots")
+    _channel_flags(p)
     p.add_argument("--tau", default="optimal",
                    help="transmission probability, or 'optimal' (default)")
     p.add_argument("--slots", type=int, default=100_000,

@@ -15,7 +15,9 @@ probability, so it can be inverted for the station count. Stations with
 different probabilities, as in the transient after a population change,
 bias it. The raw measure is clamped to the feasible range, smoothed
 exponentially, inverted, rounded, and used to retune the station's
-transmission probability via the analytic solver.
+transmission probability via the analytic solver. An interval with a zero
+denominator measures nothing and reads the worst case, the measure of
+n_max, as a joining station does.
 """
 
 from __future__ import annotations
@@ -126,10 +128,10 @@ def tuned_tau(n_users: int, mpr: int, deadline: int) -> float:
 class PopulationEstimator:
     """Every active station's view, one array element per station id.
 
-    Each station keeps its own probe counters, smoothed measure, previous
-    raw measure, population guess and tau; the arrays only hold them side
-    by side. A joining station assumes the worst case n_max and transmits
-    with the tau tuned for it; `end_interval` updates every guess from the
+    Each station keeps its own probe counters, smoothed measure,
+    population guess and tau; the arrays only hold them side by side. A
+    joining station assumes the worst case n_max and transmits with the
+    tau tuned for it; `end_interval` updates every guess from the
     interval's counts and resets the counters.
     """
 
@@ -139,7 +141,6 @@ class PopulationEstimator:
             c: np.zeros(0, dtype=np.int64) for c in config.probes
         }
         self.mu = np.zeros(0)
-        self._mu_raw_prev = np.zeros(0)
         self.n_est = np.zeros(0, dtype=np.int64)
         self.tau = np.zeros(0)
         self.resize(stations)
@@ -157,7 +158,6 @@ class PopulationEstimator:
 
         self.counters = {c: fit(v, 0) for c, v in self.counters.items()}
         self.mu = fit(self.mu, cfg.mu_floor)
-        self._mu_raw_prev = fit(self._mu_raw_prev, cfg.mu_floor)
         self.n_est = fit(self.n_est, cfg.n_max)
         self.tau = fit(
             self.tau, tuned_tau(cfg.n_max, cfg.mpr, cfg.deadline)
@@ -180,16 +180,15 @@ class PopulationEstimator:
         retune tau, reset the counters. Returns the new estimates."""
         cfg = self.config
         i1, i2 = cfg.probe_low, cfg.probe_high
-        # No usable measurement (a zero denominator): carry the previous one.
+        # A zero denominator reads 0, which the clamp lifts to mu_floor:
+        # no usable measurement reads the worst case, N = n_max.
         mu_raw = _count_ratio(
             self.counters[i1],
             self.counters[i2 - 1],
             self.counters[i2],
             self.counters[i1 - 1],
-            self._mu_raw_prev,
         )
         mu_raw = np.minimum(np.maximum(mu_raw, cfg.mu_floor), cfg.mu_cap)
-        self._mu_raw_prev = mu_raw
         delta = cfg.memory_factor
         self.mu = delta * self.mu + (1.0 - delta) * mu_raw
         # mu >= mu_floor > i2 / i1, so raw_n > i2 > 0 and rounds half up.
@@ -214,10 +213,10 @@ class PopulationEstimator:
 _EXACT_COUNT = 1 << 26
 
 
-def _count_ratio(a, b, c, d, fallback) -> np.ndarray:
-    """a*b / (c*d) per element, rounded once from the exact integers, or
-    `fallback` where c*d is 0."""
-    ratio = fallback.copy()
+def _count_ratio(a, b, c, d) -> np.ndarray:
+    """a*b / (c*d) per element, rounded once from the exact integers, or 0
+    where c*d is 0."""
+    ratio = np.zeros(len(a))
     den = c.astype(np.float64) * d
     np.divide(a.astype(np.float64) * b, den, out=ratio, where=den != 0)
     large = np.maximum(np.maximum(a, b), np.maximum(c, d)) >= _EXACT_COUNT

@@ -742,8 +742,8 @@ class TestGridSearchBatch:
     # chunks of d = 1 cells only and of d != 1 cells only, whose window
     # takes no libm and only libm; and cells whose brackets finish on
     # different steps, the mpr 1 cell first and then the cell of the
-    # largest mpr, 10, whose band goes while the others run on, or one of
-    # a middle mpr, before the rest.
+    # largest mpr, 10, whose bracket stays put while the others run on, or
+    # one of a middle mpr, before the rest.
     @example(cells=_ANALYTIC_SWEEP, budget=2**16)
     @example(cells=[(200, 199, 1), (50, 25, 1), (1000, 2, 1), (10, 3, 1),
                     (2, 1, 1)], budget=2**16)
@@ -1054,7 +1054,7 @@ class TestArrayForms:
         got = np.empty_like(tau)
         with mock.patch.object(analytic, "_head_sums",
                                wraps=analytic._head_sums) as scalar:
-            got[order] = analytic._RefinementKernel(
+            got[order] = analytic._refinement_kernel(
                 n[order], m[order], d[order].astype(float))(tau[order])
         want = [delivery_prob(ChannelConfig(*cell[:3]), cell[3])
                 for cell in elements]

@@ -649,6 +649,37 @@ class TestVerify:
         assert "checks failed" in captured.err
 
 
+# ROADMAP item 1: past D = 2^53, N + D - 1 is no longer exact and
+# deadline_load cancels. Each test asserts the right answer; item 1's fix
+# turns them into passes, and strict=True makes it remove the marks.
+_ITEM_1 = pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: deadline_load cancels at D = 10^16",
+)
+
+
+class TestLongDeadlines:
+    @_ITEM_1
+    def test_solve_converges(self):
+        report = analytic.solve_optimal_tau(
+            analytic.ChannelConfig(50, 49, 10**16))
+        assert report.converged
+
+    @_ITEM_1
+    def test_sweep_row_reaches_the_grid_optimum(self, capsys):
+        assert cli.main(
+            ["sweep", "--n", "50", "--m", "20", "--d", str(10**16)]) == 0
+        (row,) = csv.DictReader(capsys.readouterr().out.splitlines())
+        assert row["converged"] == "true"
+        assert float(row["sdp_max"]) >= float(row["grid_sdp"]) - 1e-9
+
+    @_ITEM_1
+    def test_verify_passes(self):
+        assert cli.main(
+            ["verify", "--n", "50", "--m", "20", "--d", f"1,{10**16}",
+             "--sweep-n", "50", "--sweep-m", "20", "--sweep-d", "1"]) == 0
+
+
 def _readme_section(title):
     readme = pathlib.Path(__file__).parents[1] / "README.md"
     section = readme.read_text().split(f"## {title}", 1)[1]

@@ -1,3 +1,4 @@
+import copy
 import math
 import statistics
 
@@ -108,14 +109,23 @@ class TestSafeguards:
         est.add_counts({1: 10**9, 2: 1, 4: 1, 5: 10**9})
         assert est.end_interval() == 100
 
-    def test_all_zero_counts_reuse_previous_measurement(self):
-        cfg = _config()
+    def test_all_zero_counts_read_the_worst_case(self):
+        cfg = _config(memory_factor=0.5)
         est = PopulationEstimator(cfg)
-        est.add_counts(_comb_counts(cfg, 30))
-        assert est.end_interval() == 30
-        # Nothing observed: the previous (clamped) measurement carries over.
-        assert est.end_interval() == 30
+        for _ in range(40):
+            est.add_counts(_comb_counts(cfg, 30))
+            est.end_interval()
+        assert est.n_est == 30
+        mu_30 = est.mu.copy()
+        # Nothing observed: the interval measures mu_floor (n_max), as a
+        # joining station assumes, not the last measure again.
+        est.end_interval()
+        assert est.mu == 0.5 * mu_30 + 0.5 * cfg.mu_floor
+        assert est.n_est > 30
         assert est.counters == {c: 0 for c in cfg.probes}
+        for _ in range(20):
+            est.end_interval()
+        assert est.n_est == cfg.n_max
 
     def test_fresh_estimator_assumes_worst_case(self):
         cfg = _config()
@@ -193,6 +203,48 @@ class TestStationaryConsistency:
         assert max(abs(e - n_true) for e in estimates) <= 5
 
 
+class TestNoAbsorbingState:
+    @pytest.fixture(scope="class")
+    def locked_in(self):
+        """1000 stations under scenarios/scale.cfg's channel and estimator,
+        every one tuned for M + 1 = 6 stations."""
+        cfg = _config(interval_len=200, memory_factor=0.9, n_max=1000,
+                      deadline=20)
+        est = PopulationEstimator(cfg, stations=1000)
+        # The counts clamp the measure at mu_cap; 400 intervals bring the
+        # smoothed measure to within an ulp of it.
+        for _ in range(400):
+            est.add_counts({1: 1, 2: 10**9, 4: 10**9, 5: 1})
+            est.end_interval()
+        assert est.mu == pytest.approx(cfg.mu_cap, rel=1e-15)
+        assert (est.n_est == cfg.mpr + 1).all()
+        return est
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_locked_in_population_sees_a_probe_again(self, locked_in, seed):
+        """Tuned for 6, each of the 1000 stations sends in about 29 % of
+        the slots, so no silent station sees 1 or 5 others sending, and
+        every probe denominator is 0. Carrying the last measure forward
+        keeps them there for good (none escapes within 200 intervals at
+        seeds 1-3); reading mu_floor lets the estimates rise until some
+        station measures again, at intervals 60-65 over seeds 1-12."""
+        est = copy.deepcopy(locked_in)
+        cfg = est.config
+        rng = np.random.default_rng(seed)
+        hol_ages = np.zeros(1000, dtype=np.int64)
+        for _ in range(100):
+            outcome = run_interval(
+                rng, est.tau, cfg.mpr, cfg.deadline, cfg.interval_len,
+                hol_ages, probes=cfg.probes,
+            )
+            counts = outcome.probe_counts
+            if (counts[cfg.probe_high] * counts[cfg.probe_low - 1]).any():
+                return
+            est.add_counts(counts)
+            est.end_interval()
+        pytest.fail("no station saw a nonzero denominator in 100 intervals")
+
+
 class TestAddCounts:
     def test_only_probed_multiplicities_counted(self):
         # Probes are {1, 2, 4, 5}: the hits at multiplicity 3 are ignored,
@@ -211,7 +263,6 @@ class _ScalarEstimator:
         self.config = config
         self.counters = {c: 0 for c in config.probes}
         self.mu = config.mu_floor
-        self.mu_raw_prev = config.mu_floor
         self.n_est = config.n_max
         self.tau = tuned_tau(config.n_max, config.mpr, config.deadline)
 
@@ -220,11 +271,10 @@ class _ScalarEstimator:
         i1, i2 = cfg.probe_low, cfg.probe_high
         denom = self.counters[i2] * self.counters[i1 - 1]
         if denom == 0:
-            mu_raw = self.mu_raw_prev
+            mu_raw = cfg.mu_floor
         else:
             mu_raw = (self.counters[i1] * self.counters[i2 - 1]) / denom
         mu_raw = min(max(mu_raw, cfg.mu_floor), cfg.mu_cap)
-        self.mu_raw_prev = mu_raw
         delta = cfg.memory_factor
         self.mu = delta * self.mu + (1.0 - delta) * mu_raw
         raw_n = i2 * (i2 - i1) / (i1 * self.mu - i2) + i2
@@ -269,7 +319,7 @@ class TestArraysMatchScalarReference:
         self._interval(est, reference, [
             _comb_counts(cfg, 30),
             dict(zip(probes, (17, 40, 23, 5))),
-            # Zero denominators: the previous raw measure carries over.
+            # Zero denominators: the worst case, mu_floor, is measured.
             dict(zip(probes, (0, 40, 23, 5))),
             dict(zip(probes, (0, 2**30, 2**30, 2**29))),
             # Products near 2**59, far above 2**53, whose float64 quotient
@@ -277,7 +327,7 @@ class TestArraysMatchScalarReference:
             dict(zip(probes, (187664724, 452740236, 856875179, 625427705))),
         ])
         self._interval(est, reference, [
-            # Nothing seen: the measure of 30 stations carries over.
+            # Nothing seen: mu_floor, not the measure of 30 stations.
             dict(zip(probes, (0, 0, 0, 0))),
             # Clamped at mu_cap and at mu_floor.
             {1: 1, 2: 10**9, 4: 10**9, 5: 1},
