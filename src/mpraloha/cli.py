@@ -255,8 +255,8 @@ def _z_score(estimate: float, expected: float, se: float) -> float:
     return (estimate - expected) / se
 
 
-# trace.csv columns: the Trace fields, then the derived `sdp`.
-_TRACE_COLUMNS = [f.name for f in dataclasses.fields(scenario.Trace)] + ["sdp"]
+# trace.csv columns: the Trace fields, in order.
+_TRACE_COLUMNS = [f.name for f in dataclasses.fields(scenario.Trace)]
 
 # stages.csv columns: the StageStats fields, in order; `stage`,
 # `first_interval` and `last_interval` name `number`, `first` and `last`.

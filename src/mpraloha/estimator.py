@@ -4,8 +4,9 @@ Each station runs its own copy of this estimator; `PopulationEstimator`
 holds the copies of every active station side by side in arrays. During an
 interval of fixed length a station watches the channel in the slots where
 it stays silent and tallies how often it sees exactly c total
-transmissions, for the four probe multiplicities low-1, low, high-1, high.
-At the end of the interval the ratio
+transmissions, for every c from 0 to high, in one histogram row per
+station that `run_interval(..., heard=high + 1)` fills. At the end of the
+interval the ratio of four of its columns
 
     count(low) * count(high - 1) / (count(high) * count(low - 1))
 
@@ -85,20 +86,6 @@ class EstimatorConfig:
         _require_deadline(self.deadline)
 
     @property
-    def probes(self) -> tuple[int, ...]:
-        """Multiplicities that need counting, ascending and deduplicated."""
-        return tuple(
-            sorted(
-                {
-                    self.probe_low - 1,
-                    self.probe_low,
-                    self.probe_high - 1,
-                    self.probe_high,
-                }
-            )
-        )
-
-    @property
     def mu_floor(self) -> float:
         """Measure value at the largest supported population."""
         i1, i2 = self.probe_low, self.probe_high
@@ -128,8 +115,9 @@ def tuned_tau(n_users: int, mpr: int, deadline: int) -> float:
 class PopulationEstimator:
     """Every active station's view, one array element per station id.
 
-    Each station keeps its own probe counters, smoothed measure,
-    population guess and tau; the arrays only hold them side by side. A
+    Each station keeps its own row of counters, one column per
+    multiplicity 0..probe_high, smoothed measure, population guess and
+    tau; the arrays only hold them side by side. A
     joining station assumes the worst case n_max and transmits with the
     tau tuned for it; `end_interval` updates every guess from the
     interval's counts and resets the counters.
@@ -137,9 +125,7 @@ class PopulationEstimator:
 
     def __init__(self, config: EstimatorConfig, stations: int = 1):
         self.config = config
-        self.counters = {
-            c: np.zeros(0, dtype=np.int64) for c in config.probes
-        }
+        self.counters = np.zeros((0, config.probe_high + 1), dtype=np.int64)
         self.mu = np.zeros(0)
         self.n_est = np.zeros(0, dtype=np.int64)
         self.tau = np.zeros(0)
@@ -152,28 +138,27 @@ class PopulationEstimator:
         joiners = max(0, stations - len(self.n_est))
 
         def fit(values, fill):
-            return np.concatenate(
-                [values[:stations], np.full(joiners, fill, values.dtype)]
-            )
+            return np.concatenate([
+                values[:stations],
+                np.full((joiners, *values.shape[1:]), fill, values.dtype),
+            ])
 
-        self.counters = {c: fit(v, 0) for c, v in self.counters.items()}
+        self.counters = fit(self.counters, 0)
         self.mu = fit(self.mu, cfg.mu_floor)
         self.n_est = fit(self.n_est, cfg.n_max)
         self.tau = fit(
             self.tau, tuned_tau(cfg.n_max, cfg.mpr, cfg.deadline)
         )
 
-    def add_counts(self, counts) -> None:
-        """Tally probe hits: `counts` maps a multiplicity to, per station,
-        the number of slots in which that station stayed silent and saw that
-        many transmissions (an array, or one number for every station), as
-        in `IntervalOutcome.probe_counts`. Only silent slots carry
-        information, because a station's own transmission would shift the
-        multiplicity it observes. Multiplicities that are not probed are
-        ignored."""
-        for c, hits in counts.items():
-            if c in self.counters:
-                self.counters[c] += hits
+    def add_counts(self, heard) -> None:
+        """Tally what the stations heard: column c of `heard` holds, per
+        station, the number of slots in which that station stayed silent
+        and saw c transmissions, for c = 0..probe_high (a stations by
+        probe_high + 1 array, or one row for every station), as in
+        `IntervalOutcome.heard`. Only silent slots carry information,
+        because a station's own transmission would shift the multiplicity
+        it observes."""
+        self.counters += heard
 
     def end_interval(self) -> np.ndarray:
         """Fold the interval's counts into every population estimate,
@@ -182,11 +167,9 @@ class PopulationEstimator:
         i1, i2 = cfg.probe_low, cfg.probe_high
         # A zero denominator reads 0, which the clamp lifts to mu_floor:
         # no usable measurement reads the worst case, N = n_max.
+        counts = self.counters
         mu_raw = _count_ratio(
-            self.counters[i1],
-            self.counters[i2 - 1],
-            self.counters[i2],
-            self.counters[i1 - 1],
+            counts[:, i1], counts[:, i2 - 1], counts[:, i2], counts[:, i1 - 1]
         )
         mu_raw = np.minimum(np.maximum(mu_raw, cfg.mu_floor), cfg.mu_cap)
         delta = cfg.memory_factor
@@ -202,8 +185,7 @@ class PopulationEstimator:
         tuned = {n: tuned_tau(n, cfg.mpr, cfg.deadline)
                  for n in dict.fromkeys(estimates)}
         self.tau = np.array([tuned[n] for n in estimates])
-        for counter in self.counters.values():
-            counter.fill(0)
+        self.counters.fill(0)
         return self.n_est
 
 

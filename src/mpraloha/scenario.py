@@ -6,11 +6,13 @@ by estimation interval. Stations joining at a stage boundary start from the
 worst-case population guess; stations leaving simply disappear, abandoning
 any head-of-line packet. `run_dynamic` simulates the whole timeline slot by
 slot and records, per station and interval, the population estimate and
-transmission probability in force plus the packet counts, so the adaptation
-transient is visible in the output. It hands each interval's rows to the
-caller's sink as the interval ends and keeps only a count of each stage's
-delivery rates, from which `stage_statistics` pools the stage's mean and
-variance, so a long run need not hold its trace.
+transmission probability in force plus the packet counts and their delivery
+rate, so the adaptation transient is visible in the output; what each
+station heard in its silent slots updates its estimate for the next
+interval. It hands each interval's rows to the caller's sink as the
+interval ends and keeps only a count of each stage's delivery rates, from
+which `stage_statistics` pools the stage's mean and variance, so a long
+run need not hold its trace.
 
 Scenario files are plain text, read by `parse_scenario`:
 
@@ -136,8 +138,9 @@ class ScenarioTimeline:
 class Trace:
     """Stations' views of intervals, as columns with one row per station
     and interval, ordered by interval and then station id: the estimate and
-    tau the station used, and what happened to its packets. `run_dynamic`
-    hands a sink one interval's rows at a time."""
+    tau the station used, what happened to its packets and its delivery
+    rate, NaN where no packet completed. `run_dynamic` hands a sink one
+    interval's rows at a time."""
 
     interval: np.ndarray
     user_id: np.ndarray
@@ -145,14 +148,10 @@ class Trace:
     tau: np.ndarray
     packets_completed: np.ndarray
     packets_succeeded: np.ndarray
+    sdp: np.ndarray
 
     def __len__(self) -> int:
         return len(self.interval)
-
-    @property
-    def sdp(self) -> np.ndarray:
-        """Delivery rate per row; NaN where no packet completed."""
-        return delivery_rate(self.packets_succeeded, self.packets_completed)
 
 
 @dataclass(frozen=True)
@@ -323,13 +322,15 @@ def run_dynamic(timeline: ScenarioTimeline, sink) -> DynamicResult:
     Each interval's rows, a `Trace` ordered by station id, go to
     `sink(rows)` as the interval ends, and only a count of each stage's
     delivery rates is kept, so memory does not grow with the run. The
-    result's `trace` is the `range` of the row numbers handed over.
+    result's `trace` is the `range` of the row numbers handed over. No
+    estimate is updated after the last interval, since no row reads it.
     """
     cfg = timeline.estimator
     rng = np.random.default_rng(timeline.seed)
     estimators = PopulationEstimator(cfg, stations=0)
     hol_ages = np.zeros(0, dtype=np.int64)
     rows = 0
+    last = timeline.stages[-1].last
     stage_rates = []
     for stage in timeline.stages:
         count = stage.active_users
@@ -348,9 +349,11 @@ def run_dynamic(timeline: ScenarioTimeline, sink) -> DynamicResult:
                 cfg.deadline,
                 cfg.interval_len,
                 hol_ages,
-                probes=cfg.probes,
+                heard=cfg.probe_high + 1,
             )
-            rates.update(_rates(outcome.succeeded, outcome.completed))
+            sdp = delivery_rate(outcome.succeeded, outcome.completed)
+            # The samples: the rates of the rows that completed a packet.
+            rates.update(sdp[outcome.completed > 0].tolist())
             sink(Trace(
                 interval=np.full(count, interval, dtype=np.int64),
                 user_id=user_ids,
@@ -358,10 +361,12 @@ def run_dynamic(timeline: ScenarioTimeline, sink) -> DynamicResult:
                 tau=estimators.tau,
                 packets_completed=outcome.completed,
                 packets_succeeded=outcome.succeeded,
+                sdp=sdp,
             ))
             rows += count
-            estimators.add_counts(outcome.probe_counts)
-            estimators.end_interval()
+            if interval < last:
+                estimators.add_counts(outcome.heard)
+                estimators.end_interval()
         stage_rates.append(rates)
     return DynamicResult(range(rows), stage_statistics(timeline, stage_rates))
 
@@ -391,11 +396,6 @@ def stage_statistics(
             samples=counts.total(),
         ))
     return tuple(stats)
-
-
-def _rates(succeeded: np.ndarray, completed: np.ndarray) -> list[float]:
-    """Delivery rates of the rows that completed a packet: the samples."""
-    return delivery_rate(succeeded, completed)[completed > 0].tolist()
 
 
 def _mean_variance(rates: Counter) -> tuple[float, float]:

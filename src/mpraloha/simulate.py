@@ -13,15 +13,18 @@ station-index order, so it gives the same counts as a per-slot simulation
 of the same stream (the tests keep such a reference). It turns each block
 of draws, taken a fixed chunk of slots at a time, into a station-major
 transmission matrix with one bit per slot.
-Per-slot totals mark the decodable slots and the slots of each probed
-multiplicity, and a station's count over such a set of slots is the
-popcount of its bits ANDed with the set's bits. Expiries come from the
-gaps between each station's transmissions, found in one pass over the
-matrix (a sparse one is read a byte of eight cells at a time). Each block
-is split into slot-contiguous parts, one per usable CPU, that run at once
-on threads: a part draws its own piece of the stream from a copy of the
-generator moved on by PCG64's exact jump-ahead, so the split changes no
-count and leaves the caller's generator where a serial run would.
+Per-slot totals mark the slots of each multiplicity c, and a station's
+transmissions in them are the popcount of its bits ANDed with theirs; the
+rest are its silent slots there. One such pass per c in 1..K-1 gives the
+K-column histogram of what each station heard, and the passes up to mpr
+sum to its successes; one more covers any decodable c past K-1.
+Expiries come from the gaps between each station's transmissions, found
+in one pass over the matrix (a sparse one is read a byte of eight cells
+at a time). Each block is split into slot-contiguous parts, one per
+usable CPU, that run at once on threads: a part draws its own piece of
+the stream from a copy of the generator moved on by PCG64's exact
+jump-ahead, so the split changes no count and leaves the caller's
+generator where a serial run would.
 `run_stationary` runs it for fresh stations at one fixed tau, and
 `delivery_rate` turns the counts into delivery rates.
 """
@@ -31,7 +34,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -50,13 +53,14 @@ __all__ = [
 class IntervalOutcome:
     """Per-station counts for one simulated stretch of slots.
 
-    probe_counts[c] holds, per station, the number of slots in which the
-    station was silent and exactly c transmissions occurred in total.
+    heard is an int64 (stations, K) array for the `heard=K` asked of
+    `run_interval`: heard[j, c] is the number of slots in which station j
+    was silent and exactly c transmissions occurred in total.
     """
 
     completed: np.ndarray
     succeeded: np.ndarray
-    probe_counts: dict[int, np.ndarray] = field(default_factory=dict)
+    heard: np.ndarray
 
 
 # Most station-slots `run_interval` simulates at once. A block holds its
@@ -117,7 +121,7 @@ def run_interval(
     deadline: int,
     n_slots: int,
     hol_ages: np.ndarray,
-    probes: tuple[int, ...] = (),
+    heard: int = 0,
 ) -> IntervalOutcome:
     """Vectorized simulation of `n_slots` slots for len(tx_probs) stations.
 
@@ -129,7 +133,8 @@ def run_interval(
     memory, and each block in up to _PARTS slot-contiguous parts, none much
     smaller than _MIN_PART_CELLS station-slots, that run at once. Blocks and
     parts chain the same way, so neither changes a count. Every tx_probs
-    entry must be a probability and mpr at least 1.
+    entry must be a probability, mpr at least 1 and heard, the number of
+    multiplicities 0..heard-1 whose silent slots are counted, at least 0.
     """
     n_users = len(tx_probs)
     _require_deadline(deadline)
@@ -145,6 +150,8 @@ def run_interval(
         )
     if n_slots < 0:
         raise ValueError(f"n_slots must be >= 0, got {_int_text(n_slots)}")
+    if heard < 0:
+        raise ValueError(f"heard must be >= 0, got {_int_text(heard)}")
     if len(hol_ages) != n_users:
         raise ValueError(
             f"hol_ages must have one entry per station ({n_users}), "
@@ -165,7 +172,7 @@ def run_interval(
     parts = _PARTS if _exact_advance(bit_gen) else 1
     completed = np.zeros(n_users, dtype=np.int64)
     succeeded = np.zeros(n_users, dtype=np.int64)
-    probe_counts = {c: np.zeros(n_users, dtype=np.int64) for c in probes}
+    silent = np.zeros((n_users, heard), dtype=np.int64)
     for start in range(0, n_slots, block):
         n = min(block, n_slots - start)
         k = max(1, min(parts, n, n * n_users // _MIN_PART_CELLS))
@@ -177,13 +184,12 @@ def run_interval(
             for cut in cuts[1:-1]
         ]
         jobs = [
-            (part_rng, hi - lo, tx_probs, mpr, deadline, probes)
+            (part_rng, hi - lo, tx_probs, mpr, deadline, heard)
             for part_rng, lo, hi in zip(rngs, cuts, cuts[1:])
         ]
-        for delivered, heard, hits, inner, head, tail in _run_parts(jobs):
+        for delivered, silent_in, hits, inner, head, tail in _run_parts(jobs):
             succeeded += delivered
-            for c, part_heard in zip(probes, heard):
-                probe_counts[c] += part_heard
+            silent += silent_in
             # The part's first silent run follows the age carried in, and a
             # station that never sent carries that whole run on.
             head += hol_ages
@@ -195,7 +201,7 @@ def run_interval(
             state = bit_gen.state
             state["state"] = rngs[-1].bit_generator.state["state"]
             bit_gen.state = state
-    return IntervalOutcome(completed, succeeded, probe_counts)
+    return IntervalOutcome(completed, succeeded, silent)
 
 
 def _exact_advance(bit_gen) -> bool:
@@ -233,15 +239,16 @@ def _part(
     tx_probs: np.ndarray,
     mpr: int,
     deadline: int,
-    probes: tuple[int, ...],
+    heard: int,
 ) -> tuple:
     """Draw and reduce `n` slots of one block from `rng`.
 
-    Returns, per station, its successes, for each probe in order its heard
-    probe slots, its transmissions, the expiries in every silent run but
-    the first (the trailing run's included), the first run's length and
-    the trailing run mod `deadline`. Only numpy calls that release the
-    interpreter lock do the work, so parts on other threads run at once.
+    Returns, per station, its successes, its silent slots of each
+    multiplicity below `heard` (one row of `heard` columns), its
+    transmissions, the expiries in every silent run but the first (the
+    trailing run's included), the first run's length and the trailing run
+    mod `deadline`. Only numpy calls that release the interpreter lock do
+    the work, so parts on other threads run at once.
     """
     n_users = len(tx_probs)
     # Station-major, plus a sentinel transmission after the last slot for
@@ -259,16 +266,23 @@ def _part(
     # Transmitters per slot, in the smallest type that holds n_users.
     totals = sent.view(np.uint8).sum(axis=0, dtype=np.min_scalar_type(n_users))
     bits = np.packbits(sent, axis=1)
-    succeeded = _sent_in(bits, totals <= mpr)
-    # Probe slots the station heard, i.e. those it did not send in.
-    heard = []
-    for c in probes:
-        in_probe = totals == c
-        heard.append(np.count_nonzero(in_probe) - _sent_in(bits, in_probe))
+    # No station sends in an empty slot, so every station hears each one.
+    silent = np.zeros((n_users, heard), dtype=np.int64)
+    silent[:, :1] = np.count_nonzero(totals == 0)
+    succeeded = np.zeros(n_users, dtype=np.int64)
+    for c in range(1, heard):
+        in_slots = totals == c
+        sent_in = _sent_in(bits, in_slots)
+        silent[:, c] = np.count_nonzero(in_slots) - sent_in
+        if c <= mpr:
+            succeeded += sent_in
+    if heard <= mpr:
+        # The decodable slots that no column above covered.
+        succeeded += _sent_in(bits, (totals >= heard) & (totals <= mpr))
     hits = np.bitwise_count(bits).sum(axis=1, dtype=np.int64)
     if deadline == 1:
         # Every silent slot expires its packet and no age carries over.
-        return succeeded, heard, hits, n - hits, 0 * hits, 0 * hits
+        return succeeded, silent, hits, n - hits, 0 * hits, 0 * hits
     # Set cells: the transmissions and one sentinel per station.
     sparse = hits.sum() + n_users <= _SPARSE_SCAN_SHARE * marks.size
     scan = _packed_flatnonzero if sparse else np.flatnonzero
@@ -281,7 +295,7 @@ def _part(
     tail = gaps[last] % deadline
     gaps[first] = 0
     gaps //= deadline
-    return succeeded, heard, hits, np.add.reduceat(gaps, first), head, tail
+    return succeeded, silent, hits, np.add.reduceat(gaps, first), head, tail
 
 
 def _packed_flatnonzero(marks: np.ndarray) -> np.ndarray:

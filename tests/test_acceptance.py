@@ -153,15 +153,15 @@ def test_criterion_6_estimator_exact_recovery():
     for n_true in range(cfg.mpr + 2, cfg.n_max + 1):
         est = PopulationEstimator(cfg)
         est.add_counts(
-            {c: math.comb(n_true - 1, c) for c in cfg.probes}
+            [math.comb(n_true - 1, c) for c in range(cfg.probe_high + 1)]
         )
         if est.end_interval() != n_true:
             bad.append(n_true)
     high = PopulationEstimator(cfg)
-    high.add_counts({1: 1, 2: 10**9, 4: 10**9, 5: 1})
+    high.add_counts([0, 1, 10**9, 0, 10**9, 1])
     clamp_small = high.end_interval()
     low = PopulationEstimator(cfg)
-    low.add_counts({1: 10**9, 2: 1, 4: 1, 5: 10**9})
+    low.add_counts([0, 10**9, 1, 0, 1, 10**9])
     clamp_large = low.end_interval()
     ok = not bad and clamp_small == 6 and clamp_large == 100
     _report(

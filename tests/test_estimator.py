@@ -29,10 +29,31 @@ def _config(**overrides):
     return EstimatorConfig(**base)
 
 
+# The columns the measurement ratio reads under _config(): probe_low - 1,
+# probe_low, probe_high - 1 and probe_high.
+PROBED = (1, 2, 4, 5)
+
+
 def _comb_counts(config, n_true):
-    """Counts proportional to the stationary probe frequencies with every
-    tau power cancelling, so the measurement ratio is exactly rational."""
-    return {c: math.comb(n_true - 1, c) for c in config.probes}
+    """Counts proportional to the stationary frequencies of multiplicities
+    0..probe_high with every tau power cancelling, so the measurement ratio
+    is exactly rational."""
+    return np.array(
+        [math.comb(n_true - 1, c) for c in range(config.probe_high + 1)]
+    )
+
+
+def _row(counts, width=6):
+    """A histogram row of `width` columns from {multiplicity: hits}."""
+    row = np.zeros(width, dtype=np.int64)
+    for c, hits in counts.items():
+        row[c] = hits
+    return row
+
+
+def _probed(values):
+    """A histogram row with `values` at the PROBED columns, zero elsewhere."""
+    return _row(dict(zip(PROBED, values)))
 
 
 class TestConfig:
@@ -58,10 +79,6 @@ class TestConfig:
         with pytest.raises(ValueError):
             _config(memory_factor=1.1)
 
-    def test_probe_multiplicities_deduplicated(self):
-        assert _config().probes == (1, 2, 4, 5)
-        assert _config(probe_low=4, probe_high=5).probes == (3, 4, 5)
-
     def test_measure_range_endpoints(self):
         cfg = _config()
         # Measure at the provisioning limit and at the smallest population.
@@ -84,9 +101,7 @@ class TestExactRecovery:
         cfg = _config()
         for scale in (1, 17, 10**6):
             est = PopulationEstimator(cfg)
-            est.add_counts(
-                {c: v * scale for c, v in _comb_counts(cfg, 42).items()}
-            )
+            est.add_counts(_comb_counts(cfg, 42) * scale)
             assert est.end_interval() == 42
 
     @given(n_true=st.integers(min_value=7, max_value=100))
@@ -101,12 +116,12 @@ class TestExactRecovery:
 class TestSafeguards:
     def test_huge_measure_clamps_to_smallest_population(self):
         est = PopulationEstimator(_config())
-        est.add_counts({1: 1, 2: 10**9, 4: 10**9, 5: 1})
+        est.add_counts(_probed((1, 10**9, 10**9, 1)))
         assert est.end_interval() == 6
 
     def test_tiny_measure_clamps_to_provisioning_limit(self):
         est = PopulationEstimator(_config())
-        est.add_counts({1: 10**9, 2: 1, 4: 1, 5: 10**9})
+        est.add_counts(_probed((10**9, 1, 1, 10**9)))
         assert est.end_interval() == 100
 
     def test_all_zero_counts_read_the_worst_case(self):
@@ -122,7 +137,7 @@ class TestSafeguards:
         est.end_interval()
         assert est.mu == 0.5 * mu_30 + 0.5 * cfg.mu_floor
         assert est.n_est > 30
-        assert est.counters == {c: 0 for c in cfg.probes}
+        assert est.counters.tolist() == [[0] * 6]
         for _ in range(20):
             est.end_interval()
         assert est.n_est == cfg.n_max
@@ -139,7 +154,7 @@ class TestSafeguards:
         cfg = _config()
         est = PopulationEstimator(cfg)
         # probe_high count present but count(probe_low - 1) zero: invalid.
-        est.add_counts({1: 0, 2: 50, 4: 50, 5: 10})
+        est.add_counts(_probed((0, 50, 50, 10)))
         assert est.end_interval() == cfg.n_max
 
 
@@ -193,11 +208,9 @@ class TestStationaryConsistency:
         for _ in range(50):
             outcome = run_interval(
                 rng, tx_probs, cfg.mpr, cfg.deadline, cfg.interval_len,
-                hol_ages, probes=cfg.probes,
+                hol_ages, heard=cfg.probe_high + 1,
             )
-            est.add_counts(
-                {c: int(v[0]) for c, v in outcome.probe_counts.items()}
-            )
+            est.add_counts(outcome.heard[0])
             estimates.append(est.end_interval())
         assert statistics.median(estimates) == n_true
         assert max(abs(e - n_true) for e in estimates) <= 5
@@ -214,7 +227,7 @@ class TestNoAbsorbingState:
         # The counts clamp the measure at mu_cap; 400 intervals bring the
         # smoothed measure to within an ulp of it.
         for _ in range(400):
-            est.add_counts({1: 1, 2: 10**9, 4: 10**9, 5: 1})
+            est.add_counts(_probed((1, 10**9, 10**9, 1)))
             est.end_interval()
         assert est.mu == pytest.approx(cfg.mu_cap, rel=1e-15)
         assert (est.n_est == cfg.mpr + 1).all()
@@ -235,10 +248,11 @@ class TestNoAbsorbingState:
         for _ in range(100):
             outcome = run_interval(
                 rng, est.tau, cfg.mpr, cfg.deadline, cfg.interval_len,
-                hol_ages, probes=cfg.probes,
+                hol_ages, heard=cfg.probe_high + 1,
             )
-            counts = outcome.probe_counts
-            if (counts[cfg.probe_high] * counts[cfg.probe_low - 1]).any():
+            counts = outcome.heard
+            if (counts[:, cfg.probe_high]
+                    * counts[:, cfg.probe_low - 1]).any():
                 return
             est.add_counts(counts)
             est.end_interval()
@@ -247,12 +261,12 @@ class TestNoAbsorbingState:
 
 class TestAddCounts:
     def test_only_probed_multiplicities_counted(self):
-        # Probes are {1, 2, 4, 5}: the hits at multiplicity 3 are ignored,
-        # repeated calls accumulate.
+        # The ratio reads columns {1, 2, 4, 5}: the hits at multiplicity 3
+        # are kept but never read, repeated calls accumulate.
         est = PopulationEstimator(_config())
-        est.add_counts({2: 1, 3: 4, 5: 1})
-        est.add_counts({2: 2, 3: 1})
-        assert est.counters == {1: 0, 2: 3, 4: 0, 5: 1}
+        est.add_counts(_row({2: 1, 3: 4, 5: 1}))
+        est.add_counts(_row({2: 2, 3: 1}))
+        assert est.counters[:, PROBED].tolist() == [[0, 3, 0, 1]]
 
 
 class _ScalarEstimator:
@@ -261,7 +275,7 @@ class _ScalarEstimator:
 
     def __init__(self, config):
         self.config = config
-        self.counters = {c: 0 for c in config.probes}
+        self.counters = [0] * (config.probe_high + 1)
         self.mu = config.mu_floor
         self.n_est = config.n_max
         self.tau = tuned_tau(config.n_max, config.mpr, config.deadline)
@@ -281,7 +295,7 @@ class _ScalarEstimator:
         n = math.floor(raw_n + 0.5)
         self.n_est = min(max(n, cfg.mpr + 1), cfg.n_max)
         self.tau = tuned_tau(self.n_est, cfg.mpr, cfg.deadline)
-        self.counters = {c: 0 for c in cfg.probes}
+        self.counters = [0] * (cfg.probe_high + 1)
         return self.n_est
 
 
@@ -290,18 +304,13 @@ class TestArraysMatchScalarReference:
         assert est.n_est.tolist() == [r.n_est for r in reference]
         assert est.mu.tolist() == [r.mu for r in reference]
         assert est.tau.tolist() == [r.tau for r in reference]
-        for c, counter in est.counters.items():
-            assert counter.tolist() == [r.counters[c] for r in reference]
+        assert est.counters.tolist() == [r.counters for r in reference]
 
-    def _add(self, est, reference, counts):
-        """counts: one {multiplicity: hits} dict per station."""
-        for r, station in zip(reference, counts):
-            for c, hits in station.items():
-                r.counters[c] += hits
-        est.add_counts({
-            c: np.array([station[c] for station in counts], dtype=np.int64)
-            for c in est.config.probes
-        })
+    def _add(self, est, reference, rows):
+        """rows: one histogram row per station."""
+        for r, row in zip(reference, rows):
+            r.counters = [a + int(b) for a, b in zip(r.counters, row)]
+        est.add_counts(np.array(rows))
 
     def _interval(self, est, reference, counts):
         self._add(est, reference, counts)
@@ -312,33 +321,32 @@ class TestArraysMatchScalarReference:
 
     def test_element_for_element(self):
         cfg = _config(memory_factor=0.6)
-        probes = cfg.probes  # (1, 2, 4, 5)
         est = PopulationEstimator(cfg, stations=5)
         reference = [_ScalarEstimator(cfg) for _ in range(5)]
         self._check(est, reference)
         self._interval(est, reference, [
             _comb_counts(cfg, 30),
-            dict(zip(probes, (17, 40, 23, 5))),
+            _probed((17, 40, 23, 5)),
             # Zero denominators: the worst case, mu_floor, is measured.
-            dict(zip(probes, (0, 40, 23, 5))),
-            dict(zip(probes, (0, 2**30, 2**30, 2**29))),
+            _probed((0, 40, 23, 5)),
+            _probed((0, 2**30, 2**30, 2**29)),
             # Products near 2**59, far above 2**53, whose float64 quotient
             # differs from the exact one in the last bit.
-            dict(zip(probes, (187664724, 452740236, 856875179, 625427705))),
+            _probed((187664724, 452740236, 856875179, 625427705)),
         ])
         self._interval(est, reference, [
             # Nothing seen: mu_floor, not the measure of 30 stations.
-            dict(zip(probes, (0, 0, 0, 0))),
+            _probed((0, 0, 0, 0)),
             # Clamped at mu_cap and at mu_floor.
-            {1: 1, 2: 10**9, 4: 10**9, 5: 1},
-            {1: 10**9, 2: 1, 4: 1, 5: 10**9},
+            _probed((1, 10**9, 10**9, 1)),
+            _probed((10**9, 1, 1, 10**9)),
             _comb_counts(cfg, 12),
-            dict(zip(probes, (152924356, 701507560, 240039009, 224032155))),
+            _probed((152924356, 701507560, 240039009, 224032155)),
         ])
         # Mid-interval, two leave (the highest ids, with their counts) and
         # four join at the worst case.
         self._add(est, reference, [
-            dict(zip(probes, (5 * k, 9, 4, k))) for k in range(5)
+            _probed((5 * k, 9, 4, k)) for k in range(5)
         ])
         est.resize(3)
         del reference[3:]
@@ -349,9 +357,9 @@ class TestArraysMatchScalarReference:
         rng = np.random.default_rng(5)
         for _ in range(6):
             self._interval(est, reference, [
-                dict(zip(probes, (int(v) for v in rng.integers(
-                    0, 2 ** int(rng.integers(3, 33)), size=len(probes)
-                ))))
+                _probed(rng.integers(
+                    0, 2 ** int(rng.integers(3, 33)), size=len(PROBED)
+                ))
                 for _ in reference
             ])
 
@@ -361,7 +369,7 @@ class TestArraysMatchScalarReference:
         est = PopulationEstimator(cfg, stations=2)
         reference = [_ScalarEstimator(cfg) for _ in range(2)]
         self._interval(est, reference, [
-            dict(zip(cfg.probes, (2, 7, 1, 1))), _comb_counts(cfg, 12),
+            _probed((2, 7, 1, 1)), _comb_counts(cfg, 12),
         ])
         assert est.n_est.tolist() == [13, 12]
 
@@ -374,9 +382,7 @@ class TestArraysMatchScalarReference:
         rng = np.random.default_rng(11)
         for high in (2**8, 2**20, 2**27, 2**32):
             self._interval(est, reference, [
-                dict(zip(cfg.probes, (int(v) for v in rng.integers(
-                    0, high, size=len(cfg.probes)
-                ))))
+                _probed(rng.integers(0, high, size=len(PROBED)))
                 for _ in reference
             ])
 

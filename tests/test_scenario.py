@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mpraloha import scenario
-from mpraloha.estimator import EstimatorConfig
+from mpraloha.estimator import EstimatorConfig, PopulationEstimator
 from mpraloha.scenario import (
     ScenarioError,
     ScenarioTimeline,
@@ -18,6 +18,7 @@ from mpraloha.scenario import (
     run_dynamic,
     stage_statistics,
 )
+from mpraloha.simulate import delivery_rate
 
 GOOD = """\
 # comment line
@@ -263,9 +264,7 @@ class TestRunDynamic:
             for s in tl.stages
         )
         rates = [
-            Counter(scenario._rates(
-                trace.packets_succeeded[rows], trace.packets_completed[rows]
-            ))
+            Counter(trace.sdp[rows & (trace.packets_completed > 0)].tolist())
             for rows in in_stages
         ]
         stats = stage_statistics(tl, rates)
@@ -290,6 +289,19 @@ class TestRunDynamic:
 
         want = solve_optimal_tau(ChannelConfig(40, 5, 1)).sdp_max
         assert run[1].stages[1].sdp_theory == want
+
+    def test_no_estimate_after_the_last_interval(self, monkeypatch):
+        # The estimates after the last interval would reach no row.
+        calls = []
+        end_interval = PopulationEstimator.end_interval
+
+        def counted(self):
+            calls.append(len(self.n_est))
+            return end_interval(self)
+
+        monkeypatch.setattr(PopulationEstimator, "end_interval", counted)
+        run_dynamic(parse_scenario(GOOD), lambda rows: None)
+        assert calls == [20] * 3 + [40] * 5 + [20]
 
     def test_sink_gets_each_interval_in_order(self):
         received = []
@@ -334,7 +346,9 @@ def test_stage_samples_match_statistics(intervals):
     for rows in intervals:
         succeeded, completed = (np.array(column, dtype=float)
                                 for column in zip(*rows or [(0, 0)]))
-        rates.update(scenario._rates(succeeded, completed))
+        rates.update(
+            delivery_rate(succeeded, completed)[completed > 0].tolist()
+        )
     flat = [s / c for rows in intervals for s, c in rows if c > 0]
     mean, variance = scenario._mean_variance(rates)
     assert rates.total() == len(flat)

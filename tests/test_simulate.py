@@ -112,7 +112,7 @@ class TestVectorizedEquivalence:
             ages = np.zeros(n, dtype=np.int64)
             out = run_interval(
                 np.random.default_rng(9), taus, mpr, deadline, slots, ages,
-                probes=probes,
+                heard=4,
             )
             return out, ages
 
@@ -123,7 +123,7 @@ class TestVectorizedEquivalence:
         assert list(blocked.completed) == list(whole.completed)
         assert list(blocked.succeeded) == list(whole.succeeded)
         for c in probes:
-            assert list(blocked.probe_counts[c]) == list(whole.probe_counts[c])
+            assert list(blocked.heard[:, c]) == list(whole.heard[:, c])
         assert list(ages_blocked) == list(ages_whole)
 
     def test_probe_counts_match_reference_observations(self):
@@ -143,66 +143,64 @@ class TestVectorizedEquivalence:
 
         rng_vec = np.random.default_rng(77)
         ages = np.zeros(n, dtype=np.int64)
-        out = run_interval(
-            rng_vec, taus, mpr, deadline, slots, ages, probes=probes
-        )
+        out = run_interval(rng_vec, taus, mpr, deadline, slots, ages, heard=5)
         for c in probes:
-            assert list(out.probe_counts[c]) == manual[c]
+            assert list(out.heard[:, c]) == manual[c]
 
 
-def _reference(taus, mpr, deadline, slots, rng, ages, probes):
+def _reference(taus, mpr, deadline, slots, rng, ages, heard):
     """Per-slot `step_slot` run from the given head-of-line ages: counts,
-    final ages and, per probe c, the silent slots with c transmitters."""
+    final ages and, per station, one row of its silent slots with c
+    transmitters for each c below `heard`."""
     users = [UserState(float(t), hol_age=int(a)) for t, a in zip(taus, ages)]
-    heard = {c: [0] * len(users) for c in probes}
+    silent = [[0] * heard for _ in users]
     for _ in range(slots):
         total, sent = step_slot(users, mpr, deadline, rng)
-        if total in heard:
+        if total < heard:
             for j, tagged in enumerate(sent):
                 if not tagged:
-                    heard[total][j] += 1
+                    silent[j][total] += 1
     return (
         [u.packets_completed for u in users],
         [u.packets_succeeded for u in users],
         [u.hol_age for u in users],
-        heard,
+        silent,
     )
 
 
-def _assert_matches_reference(taus, mpr, deadline, slots, seed, probes):
+def _assert_matches_reference(taus, mpr, deadline, slots, seed, heard):
     """Run `run_interval` and the `step_slot` reference on the same stream
     from the same random ages and require identical results; returns the
-    reference's successes and probe counts."""
+    reference's successes and silent-slot rows."""
     ages = np.random.default_rng(seed).integers(0, deadline, len(taus))
     rng_ref = np.random.default_rng(seed)
-    completed, succeeded, ref_ages, heard = _reference(
-        taus, mpr, deadline, slots, rng_ref, ages, probes
+    completed, succeeded, ref_ages, silent = _reference(
+        taus, mpr, deadline, slots, rng_ref, ages, heard
     )
     rng_vec = np.random.default_rng(seed)
     vec_ages = ages.astype(np.int64)
     out = run_interval(
-        rng_vec, taus, mpr, deadline, slots, vec_ages, probes=probes
+        rng_vec, taus, mpr, deadline, slots, vec_ages, heard=heard
     )
     assert list(out.completed) == completed
     assert list(out.succeeded) == succeeded
     assert list(vec_ages) == ref_ages
-    for c in probes:
-        assert list(out.probe_counts[c]) == heard[c]
+    assert out.heard.tolist() == silent
     # Both consumed the same number of draws.
     assert rng_vec.random() == rng_ref.random()
-    return succeeded, heard
+    return succeeded, silent
 
 
 class TestKernelEdgeCases:
     """`run_interval` against `step_slot`, bit for bit, where the blocked
     kernel has special cases: degenerate tau, the one-slot deadline, ages
-    carried in, intervals shorter than the deadline, probes counted
+    carried in, intervals shorter than the deadline, silent slots counted
     across block boundaries and more than 255 stations."""
 
     # Two stations that always send and two that never do, around
     # interior ones: every slot carries at least two transmissions.
     TAUS = np.array([0.0, 1.0, 0.35, 0.0, 0.1, 1.0, 0.6])
-    PROBES = (0, 1, 2, 4)
+    HEARD = 5
 
     @pytest.mark.parametrize("block_cells", [None, 23])
     @pytest.mark.parametrize("slots", [1, 4, 500])
@@ -214,17 +212,17 @@ class TestKernelEdgeCases:
             # Blocks of 3 slots (23 cells over 7 stations).
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
         _assert_matches_reference(
-            self.TAUS, 3, deadline, slots, 31 * deadline + slots, self.PROBES
+            self.TAUS, 3, deadline, slots, 31 * deadline + slots, self.HEARD
         )
 
     def test_many_stations_match_reference(self):
         # Over 255 stations the per-slot totals need more than a byte.
         taus = np.full(300, 0.9)
         taus[:5], taus[5:10] = 0.0, 1.0
-        succeeded, heard = _assert_matches_reference(
-            taus, 270, 4, 40, 8, (255, 262, 266, 301)
+        succeeded, silent = _assert_matches_reference(
+            taus, 270, 4, 40, 8, 302
         )
-        assert sum(succeeded) > 0 and sum(heard[266]) > 0
+        assert sum(succeeded) > 0 and sum(row[266] for row in silent) > 0
 
 
 @pytest.mark.parametrize("deadline, slots, n_ages, name", [
@@ -238,24 +236,31 @@ def test_run_interval_rejects_what_it_cannot_simulate(
                      slots, np.zeros(n_ages, dtype=np.int64))
 
 
-@pytest.mark.parametrize("probs, mpr, message", [
-    ([0.5, 1.5, 0.5], 2, "tx_probs must lie in [0, 1], got 1.5 for station 1"),
-    ([0.5, 0.5, math.nan], 2,
+@pytest.mark.parametrize("probs, mpr, heard, message", [
+    ([0.5, 1.5, 0.5], 2, 0,
+     "tx_probs must lie in [0, 1], got 1.5 for station 1"),
+    ([0.5, 0.5, math.nan], 2, 0,
      "tx_probs must lie in [0, 1], got nan for station 2"),
-    ([-0.1, 0.5, 0.5], 2,
+    ([-0.1, 0.5, 0.5], 2, 0,
      "tx_probs must lie in [0, 1], got -0.1 for station 0"),
-    ([0.5, 0.5, 0.5], 0, "mpr must be >= 1, got 0"),
-    ([0.5, 0.5, 0.5], -10**5000,
+    ([0.5, 0.5, 0.5], 0, 0, "mpr must be >= 1, got 0"),
+    ([0.5, 0.5, 0.5], -10**5000, 0,
      "mpr must be >= 1, got a negative 5001-digit number"),
-], ids=["prob-above-1", "prob-nan", "prob-negative", "mpr-0", "mpr-huge"])
-def test_run_interval_rejects_what_no_station_can_do(probs, mpr, message):
+    ([0.5, 0.5, 0.5], 2, -1, "heard must be >= 0, got -1"),
+    ([0.5, 0.5, 0.5], 2, -10**5000,
+     "heard must be >= 0, got a negative 5001-digit number"),
+], ids=["prob-above-1", "prob-nan", "prob-negative", "mpr-0", "mpr-huge",
+        "heard-negative", "heard-huge"])
+def test_run_interval_rejects_what_no_station_can_do(probs, mpr, heard,
+                                                     message):
     # A probability above 1 would send in every slot, NaN or a negative one
-    # in none, and mpr 0 would fail every packet: all raise before a draw.
+    # in none, mpr 0 would fail every packet and a negative heard asks for
+    # no histogram there is: all raise before a draw.
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError) as info:
         run_interval(rng, np.array(probs), mpr, 5, 10,
-                     np.zeros(3, dtype=np.int64))
+                     np.zeros(3, dtype=np.int64), heard=heard)
     assert str(info.value) == message
     assert rng.bit_generator.state == state
 
@@ -281,10 +286,9 @@ def test_deadline_past_int64_acts_as_no_deadline(deadline):
     def run(d):
         rng = np.random.default_rng(4)
         ages = np.array([5, 0, 7, 2], dtype=np.int64)
-        out = run_interval(rng, taus, 2, d, 300, ages, probes=(0, 1, 2))
-        probes = {c: v.tolist() for c, v in out.probe_counts.items()}
-        return (out.completed.tolist(), out.succeeded.tolist(), probes,
-                ages.tolist(), rng.bit_generator.state)
+        out = run_interval(rng, taus, 2, d, 300, ages, heard=3)
+        return (out.completed.tolist(), out.succeeded.tolist(),
+                out.heard.tolist(), ages.tolist(), rng.bit_generator.state)
 
     assert run(deadline) == run(308)
 
@@ -334,7 +338,7 @@ class TestSparseScan:
 
     # Silent, always-sending and low-tau stations.
     TAUS = np.array([0.0, 0.02, 1.0, 0.05, 0.0, 0.1, 0.01, 0.15, 0.03])
-    PROBES = (0, 1, 2)
+    HEARD = 3
 
     @pytest.mark.parametrize("block_cells", [None, 23])
     @pytest.mark.parametrize("share", [0.0, 1.0])
@@ -346,7 +350,7 @@ class TestSparseScan:
         if block_cells is not None:
             # Blocks of 2 slots (23 cells over 9 stations).
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
-        _assert_matches_reference(self.TAUS, 2, 6, 700, 41, self.PROBES)
+        _assert_matches_reference(self.TAUS, 2, 6, 700, 41, self.HEARD)
 
 
 def _split(monkeypatch, parts):
@@ -356,15 +360,15 @@ def _split(monkeypatch, parts):
     monkeypatch.setattr(simulate, "_MIN_PART_CELLS", 1)
 
 
-def _outcome(rng, taus, mpr, deadline, slots, ages, probes):
+def _outcome(rng, taus, mpr, deadline, slots, ages, heard):
     """`run_interval` from copies of `ages`: counts, final ages and the
     caller's generator state after the call."""
     ages = np.array(ages, dtype=np.int64)
-    out = run_interval(rng, taus, mpr, deadline, slots, ages, probes=probes)
+    out = run_interval(rng, taus, mpr, deadline, slots, ages, heard=heard)
     return (
         out.completed.tolist(),
         out.succeeded.tolist(),
-        {c: out.probe_counts[c].tolist() for c in probes},
+        out.heard.tolist(),
         ages.tolist(),
         rng.bit_generator.state,
     )
@@ -376,11 +380,11 @@ class TestParts:
     as one part."""
 
     TAUS = np.array([0.0, 1.0, 0.35, 0.05, 0.1, 0.6, 0.2])
-    PROBES = (0, 1, 2, 4)
+    HEARD = 5
     DRAW_CELLS = (1, 7, 23)
 
     def _compare(self, monkeypatch, parts, taus, deadline, slots, seed,
-                 block_cells=None, buffered=False, mpr=3, probes=PROBES):
+                 block_cells=None, buffered=False, mpr=3, heard=HEARD):
         if block_cells is not None:
             monkeypatch.setattr(simulate, "_BLOCK_CELLS", block_cells)
         ages = np.random.default_rng(seed).integers(0, deadline, len(taus))
@@ -392,7 +396,7 @@ class TestParts:
                 # Leaves half of a 64-bit output buffered in the generator.
                 rng.integers(0, 10, dtype=np.int32)
             results.append(
-                _outcome(rng, taus, mpr, deadline, slots, ages, probes)
+                _outcome(rng, taus, mpr, deadline, slots, ages, heard)
             )
         # The split run again with draw chunks of under one slot row (one
         # slot a chunk) and of a few rows that do not divide the part.
@@ -402,7 +406,7 @@ class TestParts:
             if buffered:
                 rng.integers(0, 10, dtype=np.int32)
             results.append(
-                _outcome(rng, taus, mpr, deadline, slots, ages, probes)
+                _outcome(rng, taus, mpr, deadline, slots, ages, heard)
             )
         one, *split = results
         for other in split:
@@ -434,8 +438,8 @@ class TestParts:
         taus[:5], taus[5:10] = 0.0, 1.0
         # Over 255 stations the per-slot totals need more than a byte.
         one = self._compare(monkeypatch, 3, taus, 4, 41, 8, mpr=270,
-                            probes=(255, 262, 266, 301))
-        assert sum(one[1]) > 0 and sum(one[2][266]) > 0
+                            heard=302)
+        assert sum(one[1]) > 0 and sum(row[266] for row in one[2]) > 0
 
     def test_buffered_half_output_is_kept(self, monkeypatch):
         self._compare(monkeypatch, 3, self.TAUS, 4, 300, 2, buffered=True)
@@ -450,10 +454,10 @@ class TestParts:
         ages = np.array([0, 1, 2, 3, 0, 1, 2])
         rng_ref = np.random.Generator(bit_generator(5))
         completed, succeeded, ref_ages, heard = _reference(
-            self.TAUS, 3, 4, 300, rng_ref, ages, self.PROBES
+            self.TAUS, 3, 4, 300, rng_ref, ages, self.HEARD
         )
         rng = np.random.Generator(bit_generator(5))
-        out = _outcome(rng, self.TAUS, 3, 4, 300, ages, self.PROBES)
+        out = _outcome(rng, self.TAUS, 3, 4, 300, ages, self.HEARD)
         assert out[:4] == (completed, succeeded, heard, ref_ages)
         assert rng.random() == rng_ref.random()
 
@@ -494,10 +498,10 @@ class TestParts:
         ages = np.array([0, 1, 2, 3, 0, 1, 2])
         rng_ref = np.random.default_rng(11)
         completed, succeeded, ref_ages, heard = _reference(
-            self.TAUS, 3, 4, 301, rng_ref, ages, self.PROBES
+            self.TAUS, 3, 4, 301, rng_ref, ages, self.HEARD
         )
         rng = np.random.default_rng(11)
-        out = _outcome(rng, self.TAUS, 3, 4, 301, ages, self.PROBES)
+        out = _outcome(rng, self.TAUS, 3, 4, 301, ages, self.HEARD)
         assert out[:4] == (completed, succeeded, heard, ref_ages)
         assert out[4] == rng_ref.bit_generator.state
 
@@ -513,7 +517,7 @@ class TestParts:
 
         def call(rng):
             run_interval(rng, taus, 5, 20, slots,
-                         np.zeros(n_users, dtype=np.int64), probes=(2, 5))
+                         np.zeros(n_users, dtype=np.int64), heard=6)
 
         rng = np.random.default_rng(1)
         call(rng)  # first use: numpy's caches
@@ -543,7 +547,7 @@ class TestParts:
             ages = np.zeros(40, dtype=np.int64)
             tracemalloc.start()
             try:
-                run_interval(rng, taus, 5, 20, 20_000, ages, probes=(2, 5))
+                run_interval(rng, taus, 5, 20, 20_000, ages, heard=6)
                 return tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -574,7 +578,7 @@ class TestParts:
         _split(monkeypatch, 1)
         expected = [
             _outcome(np.random.default_rng(s), self.TAUS, 3, 4, 400,
-                     np.zeros(7), self.PROBES)
+                     np.zeros(7), self.HEARD)
             for s in range(6)
         ]
         _split(monkeypatch, 3)
@@ -582,7 +586,7 @@ class TestParts:
 
         def call(s):
             got[s] = _outcome(np.random.default_rng(s), self.TAUS, 3, 4,
-                              400, np.zeros(7), self.PROBES)
+                              400, np.zeros(7), self.HEARD)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -605,16 +609,16 @@ class TestParts:
         # must still get its parts run, not wait on the inherited pool.
         _split(monkeypatch, 1)
         expected = _outcome(np.random.default_rng(3), self.TAUS, 3, 4, 400,
-                            np.zeros(7), self.PROBES)
+                            np.zeros(7), self.HEARD)
         _split(monkeypatch, 2)
         assert _outcome(np.random.default_rng(3), self.TAUS, 3, 4, 400,
-                        np.zeros(7), self.PROBES) == expected
+                        np.zeros(7), self.HEARD) == expected
         read, write = os.pipe()
         pid = os.fork()
         if pid == 0:
             try:
                 got = _outcome(np.random.default_rng(3), self.TAUS, 3, 4,
-                               400, np.zeros(7), self.PROBES)
+                               400, np.zeros(7), self.HEARD)
                 os.write(write, b"1" if got == expected else b"0")
             finally:
                 os._exit(0)
@@ -680,17 +684,58 @@ def test_chained_parts_match_reference(call):
     # chains them through the ages: the result must be the per-slot one,
     # whatever chunks each part draws its slots in.
     taus, mpr, deadline, ages, slots, parts, seed, draw_cells = call
-    probes = (0, 1, 2)
     rng_ref = np.random.default_rng(seed)
     completed, succeeded, ref_ages, heard = _reference(
-        taus, mpr, deadline, slots, rng_ref, ages, probes
+        taus, mpr, deadline, slots, rng_ref, ages, 3
     )
     with pytest.MonkeyPatch.context() as patch:
         _split(patch, parts)
         patch.setattr(simulate, "_DRAW_CELLS", draw_cells)
         got = _outcome(np.random.default_rng(seed), taus, mpr, deadline,
-                       slots, ages, probes)
+                       slots, ages, 3)
     assert got[:4] == (completed, succeeded, heard, ref_ages)
+    assert got[4] == rng_ref.bit_generator.state
+
+
+@st.composite
+def _histogram_calls(draw):
+    """Stations, mpr, histogram width, deadline, carried ages, slots and
+    parts for one `run_interval` call. The width runs past both mpr and
+    the station count, so some columns count undecodable slots and some
+    can never count a slot."""
+    n_users = draw(st.integers(1, 8))
+    taus = draw(st.lists(
+        st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+        min_size=n_users, max_size=n_users,
+    ))
+    deadline = draw(st.sampled_from([1, 2, 5]))
+    ages = draw(st.lists(st.integers(0, deadline - 1), min_size=n_users,
+                         max_size=n_users))
+    return (np.array(taus), draw(st.integers(1, n_users)),
+            draw(st.integers(0, n_users + 2)), deadline, ages,
+            draw(st.integers(1, 200)), draw(st.integers(1, 3)),
+            draw(st.integers(0, 2**32 - 1)))
+
+
+@given(call=_histogram_calls())
+@example(call=(np.array([0.3, 0.5, 1.0]), 2, 2, 1, [0, 0, 0], 60, 2, 5))
+@example(call=(np.array([0.3, 0.5, 1.0]), 1, 5, 5, [4, 0, 2], 60, 3, 6))
+@settings(max_examples=150, deadline=None)
+def test_heard_matches_reference(call):
+    # Each column of the histogram and the successes, which the passes for
+    # columns up to mpr build, must be the per-slot ones, whether the
+    # width is below, at or past mpr and whether or not the expiry scan
+    # runs (deadline 1 skips it).
+    taus, mpr, heard, deadline, ages, slots, parts, seed = call
+    rng_ref = np.random.default_rng(seed)
+    completed, succeeded, ref_ages, silent = _reference(
+        taus, mpr, deadline, slots, rng_ref, ages, heard
+    )
+    with pytest.MonkeyPatch.context() as patch:
+        _split(patch, parts)
+        got = _outcome(np.random.default_rng(seed), taus, mpr, deadline,
+                       slots, ages, heard)
+    assert got[:4] == (completed, succeeded, silent, ref_ages)
     assert got[4] == rng_ref.bit_generator.state
 
 
